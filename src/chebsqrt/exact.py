@@ -1,7 +1,12 @@
 """Exact arithmetic: dense rational-coefficient polynomials and rational functions.
 
 Scalars are `fractions.Fraction` throughout, so nothing in this module ever
-rounds.  Floating point lives in the closed-form and verification layers.
+rounds.  The two costly kernels, the polynomial product and the gcd, work on
+integers internally: the product convolves the operands' numerators over a
+common denominator, and the gcd runs on primitive integer forms (and on their
+residues modulo a prime only to certify coprimality).  They convert back to
+`Fraction` exactly and never round either.  Floating point lives in the
+closed-form and verification layers.
 
 Wire format: a rational scalar serializes as ``"p/q"`` in base 10 (``"p"``
 when the denominator is 1, which is what ``str(Fraction)`` produces); a
@@ -112,15 +117,17 @@ class Polynomial:
             return Polynomial(c * other for c in self.coeffs)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
+        if not self.coeffs or not other.coeffs:
             return ZERO
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        da, a = _integer_form(self.coeffs)
+        db, b = _integer_form(other.coeffs)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
-        return Polynomial(out)
+        d = da * db
+        return Polynomial(Fraction(c, d) for c in out)
 
     __rmul__ = __mul__
 
@@ -205,18 +212,15 @@ ONE = Polynomial((1,))
 Z = Polynomial((0, 1))
 
 
+def _integer_form(coeffs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """Common denominator d and integer numerators of d * coeffs."""
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return d, [c.numerator * (d // c.denominator) for c in coeffs]
+
+
 def _clear_denominators(p: Polynomial) -> list[int]:
     """Primitive integer coefficient list of a scalar multiple of p."""
-    lcm = 1
-    for c in p.coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in p.coeffs]
-    content = 0
-    for v in ints:
-        content = math.gcd(content, v)
-    if content > 1:
-        ints = [v // content for v in ints]
-    return ints
+    return _primitive(_integer_form(p.coeffs)[1])
 
 
 def _primitive(ints: list[int]) -> list[int]:
@@ -241,16 +245,74 @@ def _pseudo_rem(u: list[int], v: list[int]) -> list[int]:
     return r
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd via the primitive polynomial remainder sequence.
+# Modulus of the coprimality certificate in poly_gcd: the largest prime below
+# 2**30, so residues are single-digit Python ints and the products in the
+# GF(P) Euclid stay on CPython's fast small-int paths.
+GCD_CERTIFICATE_PRIME = 2**30 - 35
 
-    Working over integers with content removal keeps intermediate
+
+def _reduce_mod_prime(ints: list[int]) -> list[int]:
+    out = [c % GCD_CERTIFICATE_PRIME for c in ints]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _gcd_degree_mod_prime(u: list[int], v: list[int]) -> int:
+    """Degree of gcd(u mod P, v mod P) in GF(P)[z], P = GCD_CERTIFICATE_PRIME."""
+    P = GCD_CERTIFICATE_PRIME
+    a, b = _reduce_mod_prime(u), _reduce_mod_prime(v)
+    while b:
+        inv = pow(b[-1], -1, P)
+        db = len(b) - 1
+        if db and len(a) == db + 2:
+            # The usual step of a normal remainder sequence: subtract
+            # (q1*z + q0) * b in one pass.
+            q1 = a[-1] * inv % P
+            q0 = (a[-2] - q1 * b[-2]) * inv % P
+            a = [(a[0] - q0 * b[0]) % P] + [
+                (x - q1 * y - q0 * w) % P for x, y, w in zip(a[1:db], b, b[1:])
+            ]
+        else:
+            while len(a) > db:
+                q = a.pop() * inv % P
+                k = len(a) - db
+                if q:
+                    a[k:] = [(x - q * y) % P for x, y in zip(a[k:], b)]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic gcd: a certified coprimality test, then the primitive PRS.
+
+    Both inputs are first scaled to primitive integer polynomials u and v.
+    If the prime P = GCD_CERTIFICATE_PRIME does not divide lc(u) and
+    gcd(u mod P, v mod P) is a constant in GF(P)[z], the gcd over Q is
+    certainly 1: the primitive gcd G of u and v divides u in Z[z], so lc(G)
+    divides lc(u), P does not divide lc(G), and G mod P keeps its degree
+    while dividing both residues.  Hence deg G <= deg gcd mod P = 0.
+
+    In every other case -- P divides lc(u), or u and v share a factor mod P
+    that may or may not lift -- the test decides nothing and the exact
+    primitive polynomial remainder sequence computes the gcd.  An unlucky
+    prime therefore costs time, never a wrong answer.  Working over
+    integers with content removal keeps the sequence's intermediate
     coefficients from swelling the way a naive rational Euclid does.
     """
     if a.is_zero and b.is_zero:
         return ZERO
     u = _clear_denominators(a) if not a.is_zero else []
     v = _clear_denominators(b) if not b.is_zero else []
+    if (
+        u
+        and v
+        and u[-1] % GCD_CERTIFICATE_PRIME
+        and _gcd_degree_mod_prime(u, v) == 0
+    ):
+        return ONE
     while v:
         u, v = v, _primitive(_pseudo_rem(u, v))
     lead = Fraction(u[-1])

@@ -24,9 +24,35 @@ from chebsqrt import (
     sqrt_series_coeff,
     taylor_coefficients,
 )
+from chebsqrt.exact import GCD_CERTIFICATE_PRIME as P
+from chebsqrt.exact import _gcd_degree_mod_prime
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 coeff_lists = st.lists(small_fractions, min_size=0, max_size=5)
+# coefficients of mixed, unrelated denominators and sizes, zeros included
+wide_fractions = st.one_of(
+    st.just(F(0)),
+    st.integers(-(10**20), 10**20).map(F),
+    st.fractions(max_denominator=10**9),
+)
+nonzero_polys = st.lists(small_fractions, min_size=1, max_size=4).filter(
+    lambda cs: cs[-1] != 0
+)
+
+
+def naive_product(a, b):
+    """Schoolbook convolution of two Fraction coefficient lists."""
+    if not a or not b:
+        return []
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
+
+
+def monic(p):
+    return p * (1 / p.coeffs[-1])
 
 
 class TestPolynomial:
@@ -74,6 +100,48 @@ class TestPolynomial:
         assert poly_gcd(4 * z2m1, 6 * zm1) == zm1
         assert poly_gcd(Polynomial(), zm1) == zm1
         assert poly_gcd(Polynomial([1, 1]), Polynomial([2])).degree == 0
+
+    @given(st.lists(wide_fractions, max_size=7), st.lists(wide_fractions, max_size=7))
+    @settings(max_examples=100, deadline=None)
+    def test_product_matches_naive_convolution(self, a, b):
+        expected = Polynomial(naive_product(a, b))
+        assert Polynomial(a) * Polynomial(b) == expected
+        assert Polynomial(b) * Polynomial(a) == expected
+
+    def test_product_edge_operands(self):
+        p = Polynomial([F(1, 3), 0, F(-5, 7)])
+        assert p * Polynomial() == Polynomial() and Polynomial() * p == Polynomial()
+        assert p * Polynomial([F(3, 2)]) == Polynomial([F(1, 2), 0, F(-15, 14)])
+        half_third = Polynomial([F(1, 2), F(1, 3)])
+        assert half_third * Polynomial([F(1, 3), F(-1, 2)]) == Polynomial(
+            [F(1, 6), F(-5, 36), F(-1, 6)]
+        )
+        # the common denominator 2 cancels: coefficients come back as integers
+        product = Polynomial([F(1, 2), F(1, 2)]) * Polynomial([2, 2])
+        assert product.coeffs == (F(1), F(2), F(1))
+
+    def test_gcd_falls_back_when_residues_share_a_factor(self):
+        # z + P and z are coprime over Q but equal mod P
+        a, b = Polynomial([P, 1]), Polynomial([0, 1])
+        assert _gcd_degree_mod_prime([P, 1], [0, 1]) == 1
+        assert poly_gcd(a, b) == Polynomial([1])
+        assert poly_gcd(b, a) == Polynomial([1])
+
+    def test_gcd_falls_back_when_prime_divides_leading_coefficient(self):
+        # G = P*z + 1 is invisible mod P, where the cofactors z + 1 and z + 2
+        # are coprime; only the lc(u) condition keeps the test from deciding
+        g = Polynomial([1, P])
+        u, v = g * Polynomial([1, 1]), g * Polynomial([2, 1])
+        assert _gcd_degree_mod_prime([1, P + 1, P], [2, 2 * P + 1, P]) == 0
+        assert poly_gcd(u, v) == Polynomial([F(1, P), 1])
+        coprime = Polynomial([1, 1, P])
+        assert poly_gcd(coprime, Polynomial([5, 1])) == Polynomial([1])
+
+    @given(nonzero_polys, nonzero_polys, nonzero_polys)
+    @settings(max_examples=50, deadline=None)
+    def test_gcd_of_planted_common_factor(self, h, f, g):
+        h, f, g = Polynomial(h), Polynomial(f), Polynomial(g)
+        assert poly_gcd(h * f, h * g) == monic(h) * poly_gcd(f, g)
 
     def test_json_round_trip(self):
         p = Polynomial([F(1, 2), 0, F(-3, 7)])

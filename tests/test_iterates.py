@@ -1,5 +1,6 @@
 """Iterate construction: steps, composition identities, degrees, series heads."""
 
+import math
 from fractions import Fraction as F
 
 import mpmath
@@ -28,6 +29,27 @@ ONE = RationalFunction(Polynomial([1]))
 HALF_SLOPE = RationalFunction(Polynomial([1, F(-1, 2)]))  # 1 - z/2
 V2 = RationalFunction(Polynomial([4, -3]), Polynomial([4, -1]))
 V3 = RationalFunction(Polynomial([8, -8, 1]), Polynomial([8, -4]))
+
+
+def direct_v(n):
+    """Canonical (num, den) coefficients of v_n from its direct binomial form.
+
+    v_n = sum_i C(N,2i) u^i / sum_i C(N,2i+1) u^i with u = 1 - z, N = n + 1,
+    expanded in integers (the z^j coefficient of u^i is (-1)^j C(i,j)) and
+    scaled to a monic denominator.  Shares no code with the v chain.
+    """
+    N = n + 1
+
+    def expand(parity):
+        powers = range((N - parity) // 2 + 1)
+        return [
+            (-1) ** j * sum(math.comb(N, 2 * i + parity) * math.comb(i, j) for i in powers)
+            for j in powers
+        ]
+
+    num, den = expand(0), expand(1)
+    lead = den[-1]
+    return tuple(F(c, lead) for c in num), tuple(F(c, lead) for c in den)
 
 
 class TestSteps:
@@ -103,12 +125,17 @@ class TestIterate:
 
 class TestCompositionIdentities:
     def test_newton_iterates_are_v_iterates(self):
-        for k in range(1, 5):
+        for k in range(1, 8):
             assert iterate(Scheme.newton(2), k) == v_iterate(2**k - 1)
 
     def test_halley_iterates_are_v_iterates(self):
-        for k in range(1, 5):
+        for k in range(1, 6):
             assert iterate(Scheme.halley(2), k) == v_iterate(3**k - 1)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 8, 26, 31, 64])
+    def test_chain_matches_direct_binomial_form(self, n):
+        f = v_iterate(n)
+        assert (f.num.coeffs, f.den.coeffs) == direct_v(n)
 
 
 class TestStructuralInvariants:
