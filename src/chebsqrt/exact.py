@@ -1,12 +1,15 @@
 """Exact arithmetic: dense rational-coefficient polynomials and rational functions.
 
 Scalars are `fractions.Fraction` throughout, so nothing in this module ever
-rounds.  The two costly kernels, the polynomial product and the gcd, work on
-integers internally: the product convolves the operands' numerators over a
-common denominator, and the gcd runs on primitive integer forms (and on their
-residues modulo a prime only to certify coprimality).  They convert back to
-`Fraction` exactly and never round either.  Floating point lives in the
-closed-form and verification layers.
+rounds.  The three costly kernels, the polynomial product, the gcd and the
+Taylor extraction, work on integers internally: the product convolves the
+operands' numerators over a common denominator; the gcd runs on primitive
+integer forms (and on their residues modulo a prime only to certify
+coprimality); and the Taylor recurrence puts each window of earlier
+coefficients over one common denominator, so every new coefficient is an
+integer numerator reduced once.  They convert back to `Fraction` exactly and
+never round either.  Floating point lives in the closed-form and verification
+layers.
 
 Wire format: a rational scalar serializes as ``"p/q"`` in base 10 (``"p"``
 when the denominator is 1, which is what ``str(Fraction)`` produces); a
@@ -54,6 +57,10 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not through __setattr__
+        return (Polynomial, (self.coeffs,))
 
     @property
     def degree(self) -> int:
@@ -353,6 +360,9 @@ class RationalFunction:
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
 
+    def __reduce__(self):
+        return (RationalFunction, (self.num, self.den))
+
     @property
     def is_polynomial(self) -> bool:
         return self.den.degree == 0
@@ -463,21 +473,42 @@ class PowerSeriesPrefix:
 def taylor_coefficients(f: RationalFunction, M: int, source: str = "") -> PowerSeriesPrefix:
     """Exact Taylor coefficients c_0..c_M of f at the origin.
 
-    Uses the linear recurrence c_m = (a_m - sum_{j>=1} b_j c_{m-j}) / b_0 on
-    the numerator/denominator coefficients, so the cost is O(M * deg den).
+    Uses the linear recurrence c_m = (A_m - sum_{j>=1} B_j c_{m-j}) / B_0,
+    so the cost is O(M * deg den).  It runs on integers: num and den are put
+    over their common denominators and cross-scaled so that f = A/B with
+    integer coefficient lists A and B.  For each m the window c_{m-1..m-d}
+    (d = deg den) is put over L, the lcm of its denominators -- almost
+    always the denominator of c_{m-1}, so the lcm is rarely computed -- and
+    the integer numerator A_m*L - sum_j B_j*num(c_{m-j})*(L/den(c_{m-j})) is
+    reduced once, as the Fraction over L*B_0.  That is one gcd per term.
     """
     if M < 0:
         raise BadIndex("series cutoff must be >= 0")
-    b0 = f.den.coeff(0)
-    if b0 == 0:
+    if f.den.coeff(0) == 0:
         raise NotAnalyticAtZero("denominator vanishes at 0")
-    a, b = f.num.coeffs, f.den.coeffs
+    da, a = _integer_form(f.num.coeffs)
+    db, b = _integer_form(f.den.coeffs)
+    g = math.gcd(da, db)
+    a = [c * (db // g) for c in a]
+    b = [c * (da // g) for c in b]
+    b0, d = b[0], len(b) - 1
+    nums: list[int] = []
+    dens: list[int] = []
     cs: list[Fraction] = []
     for m in range(M + 1):
-        acc = a[m] if m < len(a) else Fraction(0)
-        for j in range(1, min(m, len(b) - 1) + 1):
-            acc -= b[j] * cs[m - j]
-        cs.append(acc / b0)
+        lo = max(0, m - d)
+        window = dens[lo:m]
+        L = window[-1] if window else 1
+        for q in window:
+            if L % q:
+                L = math.lcm(L, q)
+        acc = a[m] * L if m < len(a) else 0
+        for j in range(1, m - lo + 1):
+            acc -= b[j] * nums[m - j] * (L // dens[m - j])
+        c = Fraction(acc, L * b0)
+        nums.append(c.numerator)
+        dens.append(c.denominator)
+        cs.append(c)
     return PowerSeriesPrefix(tuple(cs), source or f"taylor({f!r})")
 
 

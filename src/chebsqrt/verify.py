@@ -648,7 +648,8 @@ def check_tail_sum(n_max: int, prec: int = DEFAULT_PREC) -> CheckResult:
     Cutoff M = n + ceil((prec/2) / log2(radius)) makes the geometric tail
     beyond M smaller than 2**-(prec/2), so the final partial sum must land
     within 2**-(prec/4) of C(2n,n)/4**n - 1/(n+1).  Partial sums are exact
-    rationals; every one of them must stay strictly at or below the limit.
+    rationals, kept as an integer numerator over a running denominator; every
+    one of them must stay strictly at or below the limit.
     """
     if n_max < 1:
         raise BadIndex("tail-sum check starts at n = 1")
@@ -666,14 +667,22 @@ def check_tail_sum(n_max: int, prec: int = DEFAULT_PREC) -> CheckResult:
             radius = radius_of_convergence(n, prec)
             cutoff = n + int(math.ceil((prec / 2) / math.log2(float(radius))))
             cs = taylor_coefficients(v_iterate(n), cutoff)
-            partial = Fraction(0)
+            # partial sum = num / den, compared with identity = i_num / i_den
+            num, den = 0, 1
+            i_num, i_den = identity.numerator, identity.denominator
             for m in range(n + 1, cutoff + 1):
-                partial += -cs[m]
+                c = cs[m]
+                q = c.denominator
+                if den % q:
+                    lcm = math.lcm(den, q)
+                    num *= lcm // den
+                    den = lcm
+                num -= c.numerator * (den // q)
                 samples += 1
-                if partial > identity:
-                    bad = {"n": n, "m": m, "overshoot": str(partial - identity)}
+                if num * i_den > i_num * den:
+                    bad = {"n": n, "m": m, "overshoot": str(Fraction(num, den) - identity)}
                     break
-            gap = identity - partial
+            gap = identity - Fraction(num, den)
         if gap > worst_gap:
             worst_gap, worst = gap, n
     passed = bad is None and worst_gap <= close_tol

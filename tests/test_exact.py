@@ -1,5 +1,8 @@
 """Exact arithmetic layer: polynomials, rational functions, series constants."""
 
+import copy
+import math
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -12,17 +15,21 @@ from chebsqrt import (
     PoleAtPoint,
     Polynomial,
     RationalFunction,
+    Scheme,
     ZeroDenominator,
     central_binomial_ratio,
     eval_poly_complex,
     eval_ratfun_complex,
+    iterate,
     poly_from_json,
     poly_gcd,
     poly_to_json,
+    radius_of_convergence,
     root_series_coeff,
     root_series_coeffs,
     sqrt_series_coeff,
     taylor_coefficients,
+    v_iterate,
 )
 from chebsqrt.exact import GCD_CERTIFICATE_PRIME as P
 from chebsqrt.exact import _gcd_degree_mod_prime
@@ -53,6 +60,25 @@ def naive_product(a, b):
 
 def monic(p):
     return p * (1 / p.coeffs[-1])
+
+
+def naive_taylor(f, M):
+    """The plain Fraction recurrence c_m = (a_m - sum b_j c_{m-j}) / b_0."""
+    a, b = f.num.coeffs, f.den.coeffs
+    cs = []
+    for m in range(M + 1):
+        acc = a[m] if m < len(a) else F(0)
+        for j in range(1, min(m, len(b) - 1) + 1):
+            acc -= b[j] * cs[m - j]
+        cs.append(acc / b[0])
+    return cs
+
+
+# den(0) of mixed sign and size, including values that are not powers of two
+den_constants = st.one_of(
+    st.sampled_from([F(3), F(-7), F(-1), F(1, 3), F(-7, 12)]),
+    wide_fractions.filter(lambda c: c != 0),
+)
 
 
 class TestPolynomial:
@@ -148,6 +174,30 @@ class TestPolynomial:
         strings = poly_to_json(p)
         assert strings == ["1/2", "0", "-3/7"]
         assert poly_from_json(strings) == p
+
+
+class TestCopyAndPickle:
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            Polynomial(),
+            Polynomial([F(1, 3), 0, F(-5, 7)]),
+            RationalFunction(Polynomial([4, -3]), Polynomial([4, -1])),
+            v_iterate(9),
+        ],
+        ids=["zero", "poly", "ratfun", "v9"],
+    )
+    def test_round_trips(self, obj):
+        for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert type(twin) is type(obj) and twin == obj
+
+    def test_assignment_still_raises(self):
+        p = pickle.loads(pickle.dumps(Polynomial([1, 2])))
+        with pytest.raises(AttributeError):
+            p.coeffs = ()
+        f = copy.deepcopy(v_iterate(3))
+        with pytest.raises(AttributeError):
+            f.num = Polynomial([1])
 
 
 class TestRationalFunction:
@@ -253,6 +303,47 @@ class TestTaylor:
         for m in range(M - len(b) + 2):
             conv = sum(b[j] * cs[m - j] for j in range(len(b)) if j <= m)
             assert conv == f.num.coeff(m)
+
+    @given(
+        st.lists(wide_fractions, max_size=7),
+        den_constants,
+        st.lists(wide_fractions, max_size=4),
+        st.integers(0, 12),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_naive_recurrence(self, num, den0, den_rest, M):
+        # den_rest may be empty or all zero: then f is a polynomial, and M
+        # often falls below deg num
+        f = RationalFunction(Polynomial(num), Polynomial([den0, *den_rest]))
+        assert list(taylor_coefficients(f, M).coeffs) == naive_taylor(f, M)
+
+    @pytest.mark.parametrize(
+        "num, den",
+        [
+            # canonical den(0) = -7 and 3, mixed denominators in num and den
+            ([1, F(2, 3), F(1, 5)], [-7, F(1, 2), 1]),
+            ([F(-5, 6), 0, 0, F(7, 4)], [3, F(1, 2), 1]),
+            # window denominators 2, 12, 24, 144, 96, ... do not form a chain
+            ([1], [1, F(-1, 2), F(-1, 3), 1]),
+            # polynomial f, cut both below and above its degree
+            ([F(1, 2), F(-2, 9), 0, F(11, 7)], [1]),
+        ],
+    )
+    def test_matches_naive_recurrence_fixed(self, num, den):
+        f = RationalFunction(Polynomial(num), Polynomial(den))
+        for M in (0, 1, 2, 40):
+            assert list(taylor_coefficients(f, M).coeffs) == naive_taylor(f, M)
+
+    def test_matches_naive_recurrence_v12_at_tail_sum_cutoff(self):
+        radius = radius_of_convergence(12, 256)
+        cutoff = 12 + int(math.ceil(128 / math.log2(float(radius))))
+        f = v_iterate(12)
+        assert list(taylor_coefficients(f, cutoff).coeffs) == naive_taylor(f, cutoff)
+
+    def test_matches_naive_recurrence_newton3_k4(self):
+        f = iterate(Scheme.newton(3), 4)
+        assert f.den.coeff(0).denominator > 1
+        assert list(taylor_coefficients(f, 512).coeffs) == naive_taylor(f, 512)
 
     def test_partial_sums_converge_inside_radius(self):
         # reconstruction: resummation at x = 1/10 approaches the exact value

@@ -1,6 +1,7 @@
 """Check battery: principal root, grids, bounds, sign-pattern exploration."""
 
 import json
+import math
 from fractions import Fraction as F
 
 import mpmath
@@ -32,10 +33,13 @@ from chebsqrt import (
     check_value_at_one,
     default_suite,
     guo_explore,
+    radius_of_convergence,
     sqrt_principal,
+    tail_sum_identity,
     taylor_coefficients,
     v_iterate,
 )
+from chebsqrt import verify
 from chebsqrt.verify import _FloatEvaluator
 
 PREC = 256
@@ -191,6 +195,34 @@ class TestFloatChecks:
 
     def test_tail_sum_adaptive(self):
         assert check_tail_sum(10, PREC).status == "pass"
+
+    def test_tail_sum_worst_case_at_n_max_16(self):
+        r = check_tail_sum(16, PREC)
+        assert r.status == "pass" and r.samples == 15783
+        assert r.worst_case == {
+            "n": 10,
+            "gap": "2.3023607520404257e-40",
+            "tolerance": "5.4210108624275222e-20",
+        }
+
+    def test_tail_sum_overshoot_fires(self, monkeypatch):
+        # a limit lowered by 2**-40 must be overshot by the partial sums at
+        # n = 2; the report must match a plain Fraction running sum
+        shift = F(1, 2**40)
+        monkeypatch.setattr(verify, "tail_sum_identity", lambda n: tail_sum_identity(n) - shift)
+        r = check_tail_sum(2, PREC)
+        assert r.status == "fail"
+        identity = tail_sum_identity(2) - shift
+        radius = radius_of_convergence(2, PREC)
+        cutoff = 2 + int(math.ceil((PREC / 2) / math.log2(float(radius))))
+        cs = taylor_coefficients(v_iterate(2), cutoff)
+        partial = F(0)
+        for m in range(3, cutoff + 1):
+            partial += -cs[m]
+            if partial > identity:
+                break
+        assert partial > identity
+        assert r.worst_case == {"n": 2, "m": m, "overshoot": str(partial - identity)}
 
 
 class TestGuoExplorer:
