@@ -1,15 +1,17 @@
 """Exact arithmetic: dense rational-coefficient polynomials and rational functions.
 
 Scalars are `fractions.Fraction` throughout, so nothing in this module ever
-rounds.  The three costly kernels, the polynomial product, the gcd and the
-Taylor extraction, work on integers internally: the product convolves the
-operands' numerators over a common denominator; the gcd runs on primitive
-integer forms (and on their residues modulo a prime only to certify
-coprimality); and the Taylor recurrence puts each window of earlier
-coefficients over one common denominator, so every new coefficient is an
-integer numerator reduced once.  They convert back to `Fraction` exactly and
-never round either.  Floating point lives in the closed-form and verification
-layers.
+rounds.  The four costly kernels, the polynomial product, the gcd, the
+Taylor extraction and exact evaluation, work on integers internally: the
+product convolves the operands' numerators over a common denominator; the
+gcd runs on primitive integer forms (and on their residues modulo a prime
+only to certify coprimality); the Taylor recurrence puts each window of
+earlier coefficients over one common denominator, so every new coefficient
+is an integer numerator reduced once; and evaluation at a rational or
+complex rational point runs Horner on Gaussian integers against powers of
+the point's common denominator, reducing only the final real and imaginary
+parts.  They convert back to `Fraction` exactly and never round either.
+Floating point lives in the closed-form and verification layers.
 
 Wire format: a rational scalar serializes as ``"p/q"`` in base 10 (``"p"``
 when the denominator is 1, which is what ``str(Fraction)`` produces); a
@@ -378,12 +380,16 @@ class RationalFunction:
         return hash((self.num, self.den))
 
     def __call__(self, x: RationalLike) -> Fraction:
-        """Exact value at a rational point; raises PoleAtPoint on a pole."""
+        """Exact value at a rational point; raises PoleAtPoint on a pole.
+
+        The im = 0 case of the Gaussian-integer kernel behind
+        eval_ratfun_complex: one Fraction reduction per call.
+        """
         x = as_fraction(x)
-        d = self.den(x)
-        if d == 0:
+        re_num, _, s = _ratfun_gaussian(self, x.numerator, 0, x.denominator)
+        if s == 0:
             raise PoleAtPoint(f"denominator vanishes at {x}")
-        return self.num(x) / d
+        return Fraction(re_num, s)
 
     def __neg__(self):
         return RationalFunction(-self.num, self.den)
@@ -551,26 +557,70 @@ def root_series_coeff(p: int, m: int) -> Fraction:
     return root_series_coeffs(p, m)[m]
 
 
+def _gaussian_point(re: RationalLike, im: RationalLike) -> tuple[int, int, int]:
+    """Integers (x, y, D) with re + im*i = (x + y*i) / D, D the lcm of the denominators."""
+    re, im = as_fraction(re), as_fraction(im)
+    D = math.lcm(re.denominator, im.denominator)
+    return re.numerator * (D // re.denominator), im.numerator * (D // im.denominator), D
+
+
+def _gaussian_horner(p: Polynomial, x: int, y: int, D: int, e: int):
+    """Integers (ar, ai, d) with p((x + y*i)/D) = (ar + ai*i) / (d * D**e), e >= deg p.
+
+    With p = P/d (``_integer_form``), Horner runs on w = x + y*i and adds
+    P_j * D**(e - j) at step j, so the accumulator ends as
+    sum_j P_j * w**j * D**(e - j).
+    """
+    if not p.coeffs:
+        return 0, 0, 1
+    d, ints = _integer_form(p.coeffs)
+    ar, ai = 0, 0
+    scale = D ** (e - p.degree)
+    for c in reversed(ints):
+        ar, ai = ar * x - ai * y + c * scale, ar * y + ai * x
+        scale *= D
+    return ar, ai, d
+
+
 def eval_poly_complex(p: Polynomial, re: RationalLike, im: RationalLike):
     """Exact Horner evaluation at the complex rational point re + im*i.
 
-    Returns the (real, imaginary) parts as Fractions.
+    Runs on Gaussian integers: with the point written as (x + y*i)/D and p
+    as P/d over its common denominator, Horner gives integers (ar, ai) and
+    the scale s = d * D**deg p with p(re + im*i) = (ar + ai*i) / s.  Returns
+    the (real, imaginary) parts as the Fractions ar/s and ai/s.
     """
-    re, im = as_fraction(re), as_fraction(im)
-    ar, ai = Fraction(0), Fraction(0)
-    for c in reversed(p.coeffs):
-        ar, ai = ar * re - ai * im + c, ar * im + ai * re
-    return ar, ai
+    x, y, D = _gaussian_point(re, im)
+    e = max(p.degree, 0)
+    ar, ai, d = _gaussian_horner(p, x, y, D, e)
+    s = d * D**e
+    return Fraction(ar, s), Fraction(ai, s)
+
+
+def _ratfun_gaussian(f: RationalFunction, x: int, y: int, D: int) -> tuple[int, int, int]:
+    """Integers (a, b, s) with f((x + y*i)/D) = (a + b*i) / s; s = 0 at a pole.
+
+    num and den run through the Gaussian-integer Horner with the same power
+    D**e, so it cancels in the quotient:
+    f = (nr + ni*i) * dd / ((dr + di*i) * dn), and multiplying through by
+    the conjugate dr - di*i makes s = (dr**2 + di**2) * dn an integer.
+    """
+    e = max(f.num.degree, f.den.degree)
+    nr, ni, dn = _gaussian_horner(f.num, x, y, D, e)
+    dr, di, dd = _gaussian_horner(f.den, x, y, D, e)
+    return (nr * dr + ni * di) * dd, (ni * dr - nr * di) * dd, (dr * dr + di * di) * dn
 
 
 def eval_ratfun_complex(f: RationalFunction, re: RationalLike, im: RationalLike):
-    """Exact value of f at re + im*i as a (real, imaginary) Fraction pair."""
-    nr, ni = eval_poly_complex(f.num, re, im)
-    dr, di = eval_poly_complex(f.den, re, im)
-    norm = dr * dr + di * di
-    if norm == 0:
+    """Exact value of f at re + im*i as a (real, imaginary) Fraction pair.
+
+    Runs on Gaussian integers (``_ratfun_gaussian``) and reduces only the
+    two returned Fractions.
+    """
+    a, b, s = _ratfun_gaussian(f, *_gaussian_point(re, im))
+    if s == 0:
         raise PoleAtPoint(f"denominator vanishes at {re}+{im}i")
-    return (nr * dr + ni * di) / norm, (ni * dr - nr * di) / norm
+    return Fraction(a, s), Fraction(b, s)
 
 
 def poly_to_json(p: Polynomial) -> list[str]:

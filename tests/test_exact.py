@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -31,8 +32,10 @@ from chebsqrt import (
     taylor_coefficients,
     v_iterate,
 )
+from chebsqrt.cli import _random_disk_rationals
 from chebsqrt.exact import GCD_CERTIFICATE_PRIME as P
 from chebsqrt.exact import _gcd_degree_mod_prime
+from test_iterates import direct_v
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 coeff_lists = st.lists(small_fractions, min_size=0, max_size=5)
@@ -72,6 +75,25 @@ def naive_taylor(f, M):
             acc -= b[j] * cs[m - j]
         cs.append(acc / b[0])
     return cs
+
+
+def naive_eval_complex(coeffs, re, im):
+    """Horner on Fractions at re + im*i, reducing after every multiply-add."""
+    re, im = F(re), F(im)
+    ar, ai = F(0), F(0)
+    for c in reversed(coeffs):
+        ar, ai = ar * re - ai * im + c, ar * im + ai * re
+    return ar, ai
+
+
+def naive_ratfun_complex(num, den, re, im):
+    """Fraction quotient of the naive Horner values; None at a pole."""
+    nr, ni = naive_eval_complex(num, re, im)
+    dr, di = naive_eval_complex(den, re, im)
+    norm = dr * dr + di * di
+    if norm == 0:
+        return None
+    return (nr * dr + ni * di) / norm, (ni * dr - nr * di) / norm
 
 
 # den(0) of mixed sign and size, including values that are not powers of two
@@ -393,15 +415,77 @@ class TestSeriesConstants:
             root_series_coeffs(1, 4)
 
 
+# point coordinates: zero, ints, Fractions of unrelated (also negative)
+# denominators, and "p/q" strings
+point_parts = st.one_of(
+    st.just(0),
+    st.integers(-40, 40),
+    st.sampled_from([F(3, -7), F(-5, 12), F(1, 64), "-9/16", "7"]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=10**6),
+    st.fractions(min_value=-3, max_value=3, max_denominator=60).map(str),
+)
+
+
 class TestComplexExactEval:
     def test_poly_at_i(self):
         p = Polynomial([1, 0, 1])  # z^2 + 1 vanishes at i
         assert eval_poly_complex(p, 0, 1) == (F(0), F(0))
 
-    def test_matches_real_eval(self):
-        f = RationalFunction(Polynomial([8, -8, 1]), Polynomial([8, -4]))
-        re, im = eval_ratfun_complex(f, F(1, 3), F(0))
-        assert (re, im) == (f(F(1, 3)), F(0))
+    @given(st.lists(wide_fractions, max_size=7), point_parts, point_parts)
+    @settings(max_examples=100, deadline=None)
+    def test_poly_matches_naive_horner(self, coeffs, re, im):
+        # empty and one-element lists give the zero polynomial and constants
+        p = Polynomial(coeffs)
+        assert eval_poly_complex(p, re, im) == naive_eval_complex(p.coeffs, re, im)
+        assert eval_poly_complex(p, re, 0) == naive_eval_complex(p.coeffs, re, 0)
+        assert eval_poly_complex(p, 0, im) == naive_eval_complex(p.coeffs, 0, im)
+
+    @given(
+        st.lists(wide_fractions, max_size=6),
+        st.lists(small_fractions, min_size=1, max_size=5),
+        point_parts,
+        point_parts,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_ratfun_matches_naive_horner(self, num, den, re, im):
+        if Polynomial(den).is_zero:
+            return
+        f = RationalFunction(Polynomial(num), Polynomial(den))
+        for point in ((re, im), (re, 0), (0, im)):
+            expected = naive_ratfun_complex(f.num.coeffs, f.den.coeffs, *point)
+            if expected is None:
+                with pytest.raises(PoleAtPoint):
+                    eval_ratfun_complex(f, *point)
+            else:
+                assert eval_ratfun_complex(f, *point) == expected
+
+    @given(
+        st.lists(wide_fractions, max_size=6),
+        st.lists(small_fractions, min_size=1, max_size=5),
+        point_parts,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_real_call_matches_naive_horner(self, num, den, x):
+        if Polynomial(den).is_zero:
+            return
+        f = RationalFunction(Polynomial(num), Polynomial(den))
+        expected = naive_ratfun_complex(f.num.coeffs, f.den.coeffs, x, 0)
+        if expected is None:
+            with pytest.raises(PoleAtPoint):
+                f(x)
+        else:
+            assert (f(x), F(0)) == expected
+            assert type(f(x)) is F
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_v_matches_direct_form(self, n):
+        # exact values of the canonical v_n against its direct binomial form,
+        # evaluated by the naive Fraction Horner
+        f = v_iterate(n)
+        num, den = direct_v(n)
+        for re, im in _random_disk_rationals(random.Random(n), 50):
+            assert eval_ratfun_complex(f, re, im) == naive_ratfun_complex(num, den, re, im)
+            assert f(re) == naive_ratfun_complex(num, den, re, 0)[0]
 
     def test_conjugate_symmetry(self):
         f = RationalFunction(Polynomial([8, -8, 1]), Polynomial([8, -4]))
@@ -411,5 +495,15 @@ class TestComplexExactEval:
 
     def test_pole_detected(self):
         f = RationalFunction(Polynomial([1]), Polynomial([-2, 1]))
-        with pytest.raises(PoleAtPoint):
+        with pytest.raises(PoleAtPoint, match=r"^denominator vanishes at 2\+0i$"):
             eval_ratfun_complex(f, F(2), F(0))
+        with pytest.raises(PoleAtPoint, match=r"^denominator vanishes at 2$"):
+            f(2)
+
+    def test_complex_pole_detected(self):
+        f = RationalFunction(Polynomial([1]), Polynomial([1, 0, 1]))  # 1/(z^2 + 1)
+        with pytest.raises(PoleAtPoint, match=r"^denominator vanishes at 0\+1i$"):
+            eval_ratfun_complex(f, 0, 1)
+        with pytest.raises(PoleAtPoint):
+            eval_ratfun_complex(f, "0", F(-1))
+        assert eval_ratfun_complex(f, 0, F(1, 2)) == (F(4, 3), F(0))

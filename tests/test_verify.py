@@ -224,6 +224,16 @@ class TestFloatChecks:
         assert partial > identity
         assert r.worst_case == {"n": 2, "m": m, "overshoot": str(partial - identity)}
 
+    def test_tail_sum_reports_first_overshoot(self, monkeypatch):
+        # with the lowered limit both n = 2 and n = 3 overshoot; the report
+        # names the first, and the check stops there
+        shift = F(1, 2**40)
+        monkeypatch.setattr(verify, "tail_sum_identity", lambda n: tail_sum_identity(n) - shift)
+        r = check_tail_sum(3, PREC)
+        assert r.status == "fail"
+        assert (r.worst_case["n"], r.worst_case["m"]) == (2, 20)
+        assert r.worst_case == check_tail_sum(2, PREC).worst_case
+
 
 class TestGuoExplorer:
     def test_square_case_reports(self):
