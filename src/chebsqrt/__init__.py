@@ -8,16 +8,11 @@ suite for the identities, sign patterns and disk error bounds these objects
 satisfy.
 """
 
-from .chebyshev import ChebKind, cheb_eval, cheb_poly, u_zero_nodes
+from .chebyshev import ChebKind, cheb_poly, u_zero_nodes
 from .closedform import (
-    CoeffEntry,
-    CoeffReport,
     PartialFractionForm,
-    coeff_closed,
     coeff_closed_range,
-    coeff_report,
     decompose,
-    exact_series,
     radius_of_convergence,
     tail_sum_identity,
 )
@@ -40,10 +35,8 @@ from .exact import (
     central_binomial_ratio,
     eval_poly_complex,
     eval_ratfun_complex,
-    poly_from_json,
     poly_gcd,
     poly_to_json,
-    root_series_coeff,
     root_series_coeffs,
     sqrt_series_coeff,
     taylor_coefficients,
@@ -52,7 +45,6 @@ from .iterates import (
     Scheme,
     halley_step,
     iterate,
-    iterate_sequence,
     newton_step,
     v_iterate,
     v_step,

@@ -1,9 +1,9 @@
 """Chebyshev polynomials of the first and second kind.
 
-Exact coefficients come from the three-term recurrence; numeric evaluation
-uses the Clenshaw recurrence in arbitrary-precision floats; the zeros of the
-second-kind polynomials are produced directly from their angle form
-cos(k*pi/(n+1)) rather than by numeric root-finding.
+Exact coefficients come from the three-term recurrence; the zeros of the
+second-kind polynomials, which give the pole parameters of the partial
+fractions, are produced directly from their angle form cos(k*pi/(n+1))
+rather than by numeric root-finding.
 """
 
 from __future__ import annotations
@@ -45,36 +45,6 @@ def cheb_poly(kind: ChebKind, n: int) -> Polynomial:
     return cur
 
 
-def clenshaw(coeffs, kind: ChebKind, x, prec: int = DEFAULT_PREC):
-    """Evaluate sum_k coeffs[k] * p_k(x) in the Chebyshev basis.
-
-    Backward (Clenshaw) recurrence: b_k = c_k + 2x b_{k+1} - b_{k+2}, then
-    the sum is c_0 + p_1(x) b_1 - b_2.
-    """
-    with workprec(prec + GUARD_BITS):
-        x = mpmath.mpmathify(x)
-        b1 = b2 = mpf(0)
-        two_x = 2 * x
-        for k in range(len(coeffs) - 1, 0, -1):
-            b1, b2 = two_x * b1 - b2 + coeffs[k], b1
-        c0 = coeffs[0] if coeffs else mpf(0)
-        phi1 = x if kind is ChebKind.FIRST else two_x
-        out = c0 + phi1 * b1 - b2
-    with workprec(prec):
-        return +out
-
-
-def cheb_eval(kind: ChebKind, n: int, x, prec: int = DEFAULT_PREC):
-    """Value of T_n(x) or U_n(x) by Clenshaw on the unit coefficient vector.
-
-    For |x| <= 2 the relative error stays well within 2**-(prec - 8).
-    """
-    if n < 0:
-        raise BadIndex("polynomial degree must be >= 0")
-    unit = [0] * n + [1]
-    return clenshaw(unit, kind, x, prec)
-
-
 def u_zero_nodes(n: int, prec: int = DEFAULT_PREC) -> list:
     """The n simple zeros cos(k*pi/(n+1)), k = 1..n, of U_n.
 
@@ -88,8 +58,3 @@ def u_zero_nodes(n: int, prec: int = DEFAULT_PREC) -> list:
     with workprec(prec + GUARD_BITS):
         return [mpmath.cospi(mpf(k) / (n + 1)) for k in range(1, n + 1)]
 
-
-def nodes_to_json(n: int, prec: int = DEFAULT_PREC) -> list[str]:
-    """Zero nodes as decimal strings with precision-matched digit counts."""
-    digits = mpmath.libmp.prec_to_dps(prec) + 2
-    return [mpmath.nstr(x, digits) for x in u_zero_nodes(n, prec)]

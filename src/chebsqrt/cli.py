@@ -31,34 +31,12 @@ from .exact import (
     root_series_coeffs,
     taylor_coefficients,
 )
-from .iterates import (
-    DEFAULT_MAX_HALLEY_K,
-    DEFAULT_MAX_NEWTON_K,
-    DEFAULT_MAX_V_STEPS,
-    Scheme,
-    iterate,
-    v_iterate,
-)
+from .iterates import DEFAULT_MAX_NEWTON_K, Scheme, iterate, v_iterate
 from .verify import (
-    CheckResult,
+    CHECKS,
+    MAX_COEFF_INDEX,
     DiskGrid,
     _FloatEvaluator,
-    check_coeff_formula,
-    check_composition,
-    check_disk_bound,
-    check_guo_p2,
-    check_head,
-    check_head_lengths,
-    check_monotone_improvement,
-    check_mu_bound,
-    check_radius_pole,
-    check_ratio_identity,
-    check_resummation,
-    check_sqrt_consistency,
-    check_tail_signs,
-    check_tail_sum,
-    check_uniform_compact,
-    check_value_at_one,
     default_suite,
     guo_explore,
 )
@@ -67,17 +45,13 @@ from .verify import (
 @dataclass
 class CliConfig:
     precision_bits: int = 256
-    max_v_steps: int = DEFAULT_MAX_V_STEPS
-    max_newton_k: int = DEFAULT_MAX_NEWTON_K
-    max_halley_k: int = DEFAULT_MAX_HALLEY_K
-    max_coeff_index: int = 4096
+    max_k: int = DEFAULT_MAX_NEWTON_K  # Newton/Halley iteration cap
     output_format: str = "human"
 
     def __post_init__(self):
         if self.precision_bits < 64:
             raise ChebsqrtError("precision must be at least 64 bits")
-        if min(self.max_v_steps, self.max_newton_k, self.max_halley_k,
-               self.max_coeff_index) < 1:
+        if self.max_k < 1:
             raise ChebsqrtError("caps must be positive")
 
 
@@ -97,26 +71,15 @@ def _scheme_from(name: str, p: int) -> Scheme:
     raise ChebsqrtError(f"unknown scheme {name!r}")
 
 
-def _iterate_with_caps(scheme: Scheme, k: int, cfg: CliConfig):
-    cap = {
-        "v": cfg.max_v_steps,
-        "newton": cfg.max_newton_k,
-        "halley": cfg.max_halley_k,
-    }[scheme.kind]
-    if scheme.kind == "v":
-        return v_iterate(k, max_n=cap)
-    return iterate(scheme, k, max_k=cap)
-
-
 # --------------------------------------------------------------------------
 # coeffs
 
 
 def cmd_coeffs(args, cfg: CliConfig) -> int:
     scheme = _scheme_from(args.scheme, args.p)
-    if args.M > cfg.max_coeff_index:
-        raise ChebsqrtError(f"M = {args.M} exceeds the coefficient cap {cfg.max_coeff_index}")
-    f = _iterate_with_caps(scheme, args.k, cfg)
+    if args.M > MAX_COEFF_INDEX:
+        raise ChebsqrtError(f"M = {args.M} exceeds the coefficient cap {MAX_COEFF_INDEX}")
+    f = iterate(scheme, args.k, cfg.max_k)
     cs = taylor_coefficients(f, args.M)
     p = 2 if scheme.kind == "v" else scheme.p
     ref = root_series_coeffs(p, args.M)
@@ -182,12 +145,25 @@ def cmd_decompose(args, cfg: CliConfig) -> int:
 # eval
 
 
+def _rational(text: str, flag: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ChebsqrtError(f"{flag} needs a rational number such as 1/2 or 0.25, "
+                            f"got {text!r}") from None
+
+
 def cmd_eval(args, cfg: CliConfig) -> int:
+    """Exact value of the iterate at a rational or complex rational point.
+
+    Decimal parts are exact rationals, so the complex value comes from the
+    exact evaluator too; each printed decimal is rounded once, at prec bits.
+    """
     prec = cfg.precision_bits
     scheme = _scheme_from(args.scheme, args.p)
-    f = _iterate_with_caps(scheme, args.k, cfg)
+    f = iterate(scheme, args.k, cfg.max_k)
     if args.at is not None:
-        x = Fraction(args.at)
+        x = _rational(args.at, "--at")
         value = f(x)
         with workprec(prec):
             approx = mpmath.mpmathify(value)
@@ -197,18 +173,18 @@ def cmd_eval(args, cfg: CliConfig) -> int:
         else:
             print(f"{scheme} iterate k={args.k} at {x}: {value} = {_float_str(approx, prec)}")
     else:
-        with workprec(prec + GUARD_BITS):
-            z = mpc(mpmath.mpmathify(args.at_re), mpmath.mpmathify(args.at_im))
-            ev = _FloatEvaluator(f, prec + GUARD_BITS)
-            val = ev(z)
+        re, im = _rational(args.at_re, "--at-re"), _rational(args.at_im, "--at-im")
+        value = eval_ratfun_complex(f, re, im)
+        with workprec(prec):
+            val_re, val_im = (mpmath.mpmathify(part) for part in value)
         if cfg.output_format == "json":
             print(json.dumps({"scheme": str(scheme), "k": args.k,
                               "at_re": args.at_re, "at_im": args.at_im,
-                              "re": _float_str(val.real, prec),
-                              "im": _float_str(val.imag, prec)}))
+                              "re": _float_str(val_re, prec),
+                              "im": _float_str(val_im, prec)}))
         else:
             print(f"{scheme} iterate k={args.k} at {args.at_re}+{args.at_im}i: "
-                  f"{_float_str(val.real, prec)} + {_float_str(val.imag, prec)}i")
+                  f"{_float_str(val_re, prec)} + {_float_str(val_im, prec)}i")
     return 0
 
 
@@ -216,58 +192,19 @@ def cmd_eval(args, cfg: CliConfig) -> int:
 # verify
 
 
-def _single_check(args, cfg: CliConfig) -> list[CheckResult]:
-    prec = cfg.precision_bits
-    name = args.check
-    grid = DiskGrid(args.grid_radius, args.grid_radial, args.grid_angular, prec)
-    if name == "head":
-        ns = [args.n] if args.n else list(range(1, args.n_max + 1))
-        return [check_head(n) for n in ns]
-    if name == "tail-signs":
-        ns = [args.n] if args.n else list(range(1, args.n_max + 1))
-        return [check_tail_signs(n, args.M or max(16, 4 * n)) for n in ns]
-    if name == "ratio-identity":
-        ns = [args.n] if args.n else list(range(1, args.n_max + 1))
-        return [check_ratio_identity(n, prec=prec) for n in ns]
-    if name == "value-at-one":
-        return [check_value_at_one(args.n_max)]
-    if name == "composition":
-        return [check_composition()]
-    if name == "disk-bound":
-        scheme = _scheme_from(args.scheme or "v", args.p)
-        ks = [args.k] if args.k else (
-            list(range(2, args.n_max + 1)) if scheme.kind == "v" else [1, 2, 3]
-        )
-        return [check_disk_bound(scheme, k, grid) for k in ks]
-    if name == "uniform-compact":
-        return [check_uniform_compact(args.n_max, args.compact_radius, prec)]
-    if name == "monotone-improvement":
-        return [check_monotone_improvement(args.n_max, args.compact_radius, prec)]
-    if name == "resummation":
-        return [check_resummation(max(args.n_max, 2), prec)]
-    if name == "coeff-formula":
-        return [check_coeff_formula(max(args.n_max, 2), prec)]
-    if name == "radius-pole":
-        return [check_radius_pole(max(args.n_max, 2), prec)]
-    if name == "tail-sum":
-        return [check_tail_sum(args.n_max, prec)]
-    if name == "guo-p2":
-        return [check_guo_p2(M=args.M or 256)]
-    if name == "head-lengths":
-        return [check_head_lengths(M=args.M or 300)]
-    if name == "sqrt-consistency":
-        return [check_sqrt_consistency(grid)]
-    if name == "mu-bound":
-        return [check_mu_bound(args.n_max if args.n_max > 16 else 10_000, prec)]
-    raise ChebsqrtError(f"unknown check {name!r}")
-
-
 def cmd_verify(args, cfg: CliConfig) -> int:
     prec = cfg.precision_bits
     if args.all:
         results = default_suite(args.n_max, prec)
     elif args.check:
-        results = _single_check(args, cfg)
+        if args.check not in CHECKS:
+            raise ChebsqrtError(f"unknown check {args.check!r}")
+        results = CHECKS[args.check](
+            args.n_max, prec, n=args.n, k=args.k, M=args.M,
+            scheme=_scheme_from(args.scheme, args.p) if args.scheme else None,
+            grid=DiskGrid(args.grid_radius, args.grid_radial, args.grid_angular, prec),
+            compact_radius=args.compact_radius,
+        )
     else:
         raise ChebsqrtError("choose --all or --check NAME")
     failed = 0
@@ -293,8 +230,7 @@ def cmd_explore_guo(args, cfg: CliConfig) -> int:
         args.scheme,
         args.k,
         args.M,
-        max_k=cfg.max_newton_k if args.scheme == "newton" else cfg.max_halley_k,
-        max_m=cfg.max_coeff_index,
+        max_k=cfg.max_k,
     )
     if cfg.output_format == "json":
         print(json.dumps(report.to_json_dict()))
@@ -330,12 +266,17 @@ def _random_disk_rationals(rng: random.Random, count: int, denom: int = 64):
 def cmd_bench(args, cfg: CliConfig) -> int:
     if args.n < 2:
         raise ChebsqrtError("bench needs n >= 2 (no decomposition terms below that)")
+    if args.points < 1 or args.reps < 1:
+        raise ChebsqrtError("bench needs --points >= 1 and --reps >= 1")
     prec = cfg.precision_bits
     rng = random.Random(args.seed)
     pts = _random_disk_rationals(rng, args.points)
-    f = v_iterate(args.n, max_n=cfg.max_v_steps)
+    f = v_iterate(args.n)
     pf = decompose(args.n, prec)
-    work = prec + GUARD_BITS
+    # float Horner on f cancels about as many bits as its coefficients carry
+    coeff_bits = max(max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+                     for c in f.num.coeffs + f.den.coeffs)
+    work = prec + GUARD_BITS + coeff_bits
 
     t0 = time.perf_counter()
     exact_vals = None
@@ -470,12 +411,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = CliConfig(
-            precision_bits=args.prec,
-            max_newton_k=args.max_k,
-            max_halley_k=args.max_k,
-            output_format=args.format,
-        )
+        cfg = CliConfig(precision_bits=args.prec, max_k=args.max_k,
+                        output_format=args.format)
         if args.command == "eval" and args.at is None and (
             args.at_re is None or args.at_im is None
         ):

@@ -20,21 +20,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
 
 import mpmath
 from mpmath import mpf, workprec
 
 from .chebyshev import DEFAULT_PREC, GUARD_BITS, u_zero_nodes
 from .errors import BadIndex, NearPole
-from .exact import (
-    Polynomial,
-    PowerSeriesPrefix,
-    central_binomial_ratio,
-    sqrt_series_coeff,
-    taylor_coefficients,
-)
-from .iterates import v_iterate
+from .exact import Polynomial, central_binomial_ratio
+# Not used here: perfbench/tests/test_perfbench.py reads closedform.v_iterate.
+from .iterates import v_iterate  # noqa: F401
 
 HEAD = Polynomial((1, Fraction(-1, 2)))  # the fixed head 1 - z/2
 
@@ -120,20 +114,6 @@ def decompose(n: int, prec: int = DEFAULT_PREC) -> PartialFractionForm:
     return PartialFractionForm(n, scale, tuple(weights), tuple(poles), prec)
 
 
-def coeff_closed(n: int, m: int, prec: int = DEFAULT_PREC):
-    """Closed-form series coefficient of z**m for the n-th iterate, m >= 1.
-
-    -(1/(n+1)) * sum_{k=1}^{n} cos^(2(m-1))(k theta) sin^2(k theta) with
-    theta = pi/(n+1); strictly negative.  m = 0 is rejected: the constant
-    coefficient is structurally 1 and not covered by this formula.
-    """
-    if n < 1:
-        raise BadIndex("coefficient formula is defined for n >= 1")
-    if m < 1:
-        raise BadIndex("coefficient formula starts at m = 1; the m = 0 value is 1")
-    return coeff_closed_range(n, m, prec)[m - 1]
-
-
 def coeff_closed_range(n: int, M: int, prec: int = DEFAULT_PREC) -> list:
     """Closed-form coefficients for m = 1..M in one sweep.
 
@@ -191,55 +171,3 @@ def tail_sum_identity(n: int) -> Fraction:
         raise BadIndex("tail-sum identity is defined for n >= 1")
     return central_binomial_ratio(n) - Fraction(1, n + 1)
 
-
-@dataclass(frozen=True)
-class CoeffEntry:
-    m: int
-    value: Union[Fraction, mpf]
-    source: str  # "recurrence" (exact) or "closed_form" (float)
-
-
-@dataclass(frozen=True)
-class CoeffReport:
-    """Indexed series coefficients with provenance and sign summary."""
-
-    n: int
-    coeffs: tuple
-    head_match: bool
-    first_nonnegative_tail_index: Optional[int]
-
-    def rows(self):
-        """CSV-ready rows (n, m, value, source, sign)."""
-        for e in self.coeffs:
-            if isinstance(e.value, Fraction):
-                text = str(e.value)
-            else:
-                text = mpmath.nstr(e.value, mpmath.libmp.prec_to_dps(DEFAULT_PREC))
-            sign = "+" if e.value > 0 else "-" if e.value < 0 else "0"
-            yield (self.n, e.m, text, e.source, sign)
-
-
-def coeff_report(n: int, M: int, prec: int = DEFAULT_PREC, closed_form: bool = False) -> CoeffReport:
-    """Coefficient report for the n-th linear-fraction iterate up to index M.
-
-    With closed_form=True indices m >= 1 come from the angle formula;
-    otherwise every value is exact from the Taylor recurrence.
-    """
-    if n < 0 or M < 0:
-        raise BadIndex("need n >= 0 and M >= 0")
-    exact = taylor_coefficients(v_iterate(n), M, source=f"v-iterate n={n}")
-    head_match = all(exact[m] == sqrt_series_coeff(m) for m in range(min(n, M) + 1))
-    first_bad = next((m for m in range(n + 1, M + 1) if exact[m] >= 0), None)
-    entries = []
-    if closed_form and M >= 1 and n >= 1:
-        closed = coeff_closed_range(n, M, prec)
-        entries.append(CoeffEntry(0, exact[0], "recurrence"))
-        entries.extend(CoeffEntry(m, closed[m - 1], "closed_form") for m in range(1, M + 1))
-    else:
-        entries.extend(CoeffEntry(m, exact[m], "recurrence") for m in range(M + 1))
-    return CoeffReport(n, tuple(entries), head_match, first_bad)
-
-
-def exact_series(n: int, M: int) -> PowerSeriesPrefix:
-    """Exact Taylor prefix of the n-th linear-fraction iterate."""
-    return taylor_coefficients(v_iterate(n), M, source=f"v-iterate n={n}")

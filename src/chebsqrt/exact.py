@@ -552,11 +552,6 @@ def root_series_coeffs(p: int, M: int) -> list[Fraction]:
     return cs
 
 
-def root_series_coeff(p: int, m: int) -> Fraction:
-    """Coefficient of z**m in (1 - z)**(1/p); see root_series_coeffs."""
-    return root_series_coeffs(p, m)[m]
-
-
 def _gaussian_point(re: RationalLike, im: RationalLike) -> tuple[int, int, int]:
     """Integers (x, y, D) with re + im*i = (x + y*i) / D, D the lcm of the denominators."""
     re, im = as_fraction(re), as_fraction(im)
@@ -626,7 +621,3 @@ def eval_ratfun_complex(f: RationalFunction, re: RationalLike, im: RationalLike)
 def poly_to_json(p: Polynomial) -> list[str]:
     """Coefficient list as base-10 strings, index = power of z."""
     return [str(c) for c in p.coeffs]
-
-
-def poly_from_json(items: Sequence[str]) -> Polynomial:
-    return Polynomial(Fraction(s) for s in items)

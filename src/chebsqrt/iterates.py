@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadRootOrder, CapExceeded, DegenerateStep
-from .exact import ONE_RF, Polynomial, RationalFunction, poly_to_json
+from .errors import BadIndex, BadRootOrder, CapExceeded, DegenerateStep
+from .exact import ONE_RF, Polynomial, RationalFunction
 
 ONE_MINUS_Z = Polynomial((1, -1))
 
 # Degrees and coefficient bit-lengths grow with k; the caps keep desk-scale
-# runtimes and can be raised per call.
+# runtimes.  The Newton/Halley caps can be raised per call (iterate's max_k).
 DEFAULT_MAX_V_STEPS = 4096
 DEFAULT_MAX_NEWTON_K = 12
 DEFAULT_MAX_HALLEY_K = 12
@@ -97,63 +97,41 @@ def halley_step(f: RationalFunction, p: int = 2) -> RationalFunction:
     return RationalFunction(a * ((p - 1) * ap + (p + 1) * wbp), den)
 
 
-def _cap_for(scheme: Scheme) -> int:
-    if scheme.kind == "v":
-        return DEFAULT_MAX_V_STEPS
-    if scheme.kind == "newton":
-        return DEFAULT_MAX_NEWTON_K
-    return DEFAULT_MAX_HALLEY_K
-
-
-def iterate_sequence(scheme: Scheme, k: int, max_k: int | None = None) -> list[RationalFunction]:
-    """Iterates 0..k of the scheme, all from the constant initial value 1."""
-    if k < 0:
-        raise ValueError("iteration count must be >= 0")
-    cap = _cap_for(scheme) if max_k is None else max_k
-    if k > cap:
-        raise CapExceeded(f"k = {k} exceeds the cap {cap} for scheme {scheme}")
-    out = [ONE_RF]
-    f = ONE_RF
-    for _ in range(k):
-        if scheme.kind == "v":
-            f = v_step(f)
-        elif scheme.kind == "newton":
-            f = newton_step(f, scheme.p)
-        else:
-            f = halley_step(f, scheme.p)
-        out.append(f)
-    return out
-
-
-def iterate(scheme: Scheme, k: int, max_k: int | None = None) -> RationalFunction:
-    """The k-th iterate of the scheme from the initial value 1."""
-    return iterate_sequence(scheme, k, max_k)[-1]
-
-
 _V_CACHE: list[RationalFunction] = [ONE_RF]
 
 
-def v_iterate(n: int, max_n: int | None = None) -> RationalFunction:
-    """Memoized n-th linear-fraction iterate.
+def v_iterate(n: int) -> RationalFunction:
+    """Memoized n-th linear-fraction iterate, n <= DEFAULT_MAX_V_STEPS.
 
     The chain is extended once and shared, so sweeps over n cost one step
     per new index instead of one chain per call.
     """
-    cap = DEFAULT_MAX_V_STEPS if max_n is None else max_n
-    if n > cap:
-        raise CapExceeded(f"n = {n} exceeds the cap {cap} for v-steps")
     if n < 0:
-        raise ValueError("iterate index must be >= 0")
+        raise BadIndex("iterate index must be >= 0")
+    if n > DEFAULT_MAX_V_STEPS:
+        raise CapExceeded(f"n = {n} exceeds the cap {DEFAULT_MAX_V_STEPS} for v-steps")
     while len(_V_CACHE) <= n:
         _V_CACHE.append(v_step(_V_CACHE[-1]))
     return _V_CACHE[n]
 
 
-def scheme_to_json(scheme: Scheme, k: int, f: RationalFunction) -> dict:
-    """Wire form of an iterate: {scheme, k, num, den} with exact coefficients."""
-    return {
-        "scheme": str(scheme),
-        "k": k,
-        "num": poly_to_json(f.num),
-        "den": poly_to_json(f.den),
-    }
+def iterate(scheme: Scheme, k: int, max_k: int | None = None) -> RationalFunction:
+    """The k-th iterate of the scheme from the initial value 1.
+
+    The linear-fraction scheme returns the memoized chain ``v_iterate(k)``.
+    Newton and Halley iterates are built step by step; max_k caps their k
+    and defaults to DEFAULT_MAX_NEWTON_K or DEFAULT_MAX_HALLEY_K.
+    """
+    if k < 0:
+        raise BadIndex("iteration count must be >= 0")
+    if scheme.kind == "v":
+        return v_iterate(k)
+    if max_k is None:
+        max_k = DEFAULT_MAX_NEWTON_K if scheme.kind == "newton" else DEFAULT_MAX_HALLEY_K
+    if k > max_k:
+        raise CapExceeded(f"k = {k} exceeds the cap {max_k} for scheme {scheme}")
+    step = newton_step if scheme.kind == "newton" else halley_step
+    f = ONE_RF
+    for _ in range(k):
+        f = step(f, scheme.p)
+    return f

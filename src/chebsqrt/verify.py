@@ -42,6 +42,9 @@ from .iterates import Scheme, iterate, v_iterate
 
 SLACK_BITS = 16
 
+# Largest series index a coefficient scan may ask for.
+MAX_COEFF_INDEX = 4096
+
 # The monic-form coefficients of v_n grow about 1.25*n bits (numerator or
 # denominator bit length, measured: 39 at n = 32, 80 at n = 64, 160 at
 # n = 128, 323 at n = 256), so polynomial evaluation needs far more guard
@@ -161,12 +164,6 @@ class _FloatEvaluator:
 
     def __call__(self, z):
         return _horner(self.num, z) / _horner(self.den, z)
-
-
-def _iterate_for(scheme: Scheme, k: int) -> RationalFunction:
-    if scheme.kind == "v":
-        return v_iterate(k)
-    return iterate(scheme, k)
 
 
 # --------------------------------------------------------------------------
@@ -353,7 +350,7 @@ def check_disk_bound(scheme: Scheme, k: int, grid: DiskGrid) -> CheckResult:
     3^k analogue for Halley.  Slack 2**-(prec - 16) covers float rounding.
     """
     prec = grid.prec
-    f = _iterate_for(scheme, k)
+    f = iterate(scheme, k)
     work = prec + EVAL_GUARD_BITS
     ev = _FloatEvaluator(f, work)
     tol = _slack(prec)
@@ -754,7 +751,7 @@ def guo_explore(
     k: int,
     M: int,
     max_k: Optional[int] = None,
-    max_m: int = 4096,
+    max_m: int = MAX_COEFF_INDEX,
 ) -> GuoReport:
     """Exact series prefix of the k-th iterate and its sign pattern.
 
@@ -856,32 +853,48 @@ def check_head_lengths(
 # suite runner
 
 
+def _indices(n: Optional[int], hi: int):
+    return [n] if n else range(1, hi + 1)
+
+
+def _disk_bound_rows(n_max, prec, k=None, scheme=None, grid=None, **_):
+    ks = {"v": range(2, min(n_max, 32) + 1), "newton": (2, 3, 4), "halley": (1, 2, 3)}
+    schemes = [scheme] if scheme else [Scheme.v(), Scheme.newton(2), Scheme.halley(2)]
+    grid = grid or DiskGrid(1.0, 8, 16, prec)
+    return [check_disk_bound(s, i, grid) for s in schemes for i in ([k] if k else ks[s.kind])]
+
+
+# The check table, in suite order: name -> rows(n_max, prec, **selectors).
+# The selectors n, k, M, scheme, grid and compact_radius narrow or override a
+# check's rows; left unset (None or 0) they give the suite's rows.  Entries
+# look each check_<name> up by its module-level name when they run, so a
+# caller that rebinds verify.check_<name> (a timer or a tracer) sees every
+# call; holding the function objects here would bypass it.
+CHECKS = {
+    "sqrt-consistency": lambda n_max, prec, grid=None, **_: [
+        check_sqrt_consistency(grid or DiskGrid(1.0, 8, 16, prec))],
+    "head": lambda n_max, prec, n=None, **_: [check_head(i) for i in _indices(n, n_max)],
+    "tail-signs": lambda n_max, prec, n=None, M=None, **_: [
+        check_tail_signs(i, M or max(4 * n_max, i + 16)) for i in _indices(n, n_max)],
+    "ratio-identity": lambda n_max, prec, n=None, **_: [
+        check_ratio_identity(i, prec=prec) for i in _indices(n, min(n_max, 32))],
+    "value-at-one": lambda n_max, prec, n=None, **_: [check_value_at_one(n or max(n_max, 100))],
+    "composition": lambda n_max, prec, **_: [check_composition()],
+    "disk-bound": _disk_bound_rows,
+    "uniform-compact": lambda n_max, prec, compact_radius=0.9, **_: [
+        check_uniform_compact(n_max, compact_radius, prec)],
+    "monotone-improvement": lambda n_max, prec, compact_radius=0.9, **_: [
+        check_monotone_improvement(min(n_max, 16), compact_radius, prec)],
+    "resummation": lambda n_max, prec, **_: [check_resummation(max(n_max, 2), prec)],
+    "coeff-formula": lambda n_max, prec, **_: [check_coeff_formula(max(n_max, 2), prec)],
+    "radius-pole": lambda n_max, prec, **_: [check_radius_pole(max(n_max, 2), prec)],
+    "tail-sum": lambda n_max, prec, **_: [check_tail_sum(n_max, prec)],
+    "guo-p2": lambda n_max, prec, M=None, **_: [check_guo_p2(M=M or 256)],
+    "head-lengths": lambda n_max, prec, M=None, **_: [check_head_lengths(M=M or 300)],
+    "mu-bound": lambda n_max, prec, n=None, **_: [check_mu_bound(n or 10_000, prec)],
+}
+
+
 def default_suite(n_max: int = 16, prec: int = DEFAULT_PREC) -> list[CheckResult]:
-    """The full default check battery, in deterministic order."""
-    results: list[CheckResult] = []
-    results.append(check_sqrt_consistency(DiskGrid(1.0, 8, 16, prec)))
-    for n in range(1, n_max + 1):
-        results.append(check_head(n))
-    for n in range(1, n_max + 1):
-        results.append(check_tail_signs(n, max(4 * n_max, n + 16)))
-    for n in range(1, min(n_max, 32) + 1):
-        results.append(check_ratio_identity(n, prec=prec))
-    results.append(check_value_at_one(max(n_max, 100)))
-    results.append(check_composition())
-    small_grid = DiskGrid(1.0, 8, 16, prec)
-    for n in range(2, min(n_max, 32) + 1):
-        results.append(check_disk_bound(Scheme.v(), n, small_grid))
-    for k in (2, 3, 4):
-        results.append(check_disk_bound(Scheme.newton(2), k, small_grid))
-    for k in (1, 2, 3):
-        results.append(check_disk_bound(Scheme.halley(2), k, small_grid))
-    results.append(check_uniform_compact(n_max, 0.9, prec))
-    results.append(check_monotone_improvement(min(n_max, 16), 0.9, prec))
-    results.append(check_resummation(max(n_max, 2), prec))
-    results.append(check_coeff_formula(max(n_max, 2), prec))
-    results.append(check_radius_pole(max(n_max, 2), prec))
-    results.append(check_tail_sum(n_max, prec))
-    results.append(check_guo_p2())
-    results.append(check_head_lengths())
-    results.append(check_mu_bound(10_000, prec))
-    return results
+    """The full default check battery: every row of CHECKS, in table order."""
+    return [r for rows in CHECKS.values() for r in rows(n_max, prec)]

@@ -1,13 +1,18 @@
-"""Chebyshev layer: exact coefficients, Clenshaw evaluation, zero nodes."""
+"""Chebyshev layer: exact coefficients, their values, zero nodes."""
 
 import mpmath
 import pytest
 from mpmath import mpf, workprec
 
-from chebsqrt import BadIndex, ChebKind, Polynomial, cheb_eval, cheb_poly, u_zero_nodes
-from chebsqrt.chebyshev import nodes_to_json
+from chebsqrt import BadIndex, ChebKind, Polynomial, cheb_poly, u_zero_nodes
 
 PREC = 256
+
+
+def cheb_value(poly, x):
+    """Value of an exact Chebyshev polynomial by Horner at PREC + 128 bits."""
+    with workprec(PREC + 128):
+        return poly(x)
 
 
 def closed_form_first(n, x, prec=PREC + 64):
@@ -66,13 +71,13 @@ class TestExactPolynomials:
 class TestEvaluation:
     def test_value_one_is_fixed(self):
         for n in range(0, 64, 7):
-            assert abs(cheb_eval(ChebKind.FIRST, n, mpf(1), PREC) - 1) < mpf(2) ** -240
+            assert abs(cheb_value(cheb_poly(ChebKind.FIRST, n), mpf(1)) - 1) < mpf(2) ** -240
 
     def test_defining_angle_identity(self):
         # cos(3 * pi/6) = 0
         with workprec(PREC + 64):
             x = mpmath.cospi(mpf(1) / 6)
-        assert abs(cheb_eval(ChebKind.FIRST, 3, x, PREC)) < mpf(2) ** -240
+        assert abs(cheb_value(cheb_poly(ChebKind.FIRST, 3), x)) < mpf(2) ** -240
 
     @pytest.mark.parametrize("x_str", ["1.1", "1.5", "2.0"])
     def test_closed_form_agreement(self, x_str):
@@ -80,15 +85,15 @@ class TestEvaluation:
         with workprec(PREC + 64):
             x = mpf(x_str)
             for n in range(33):
-                t = cheb_eval(ChebKind.FIRST, n, x, PREC)
+                t = cheb_value(cheb_poly(ChebKind.FIRST, n), x)
                 ref = closed_form_first(n, x)
                 assert abs(t - ref) <= tol * abs(ref)
-                u = cheb_eval(ChebKind.SECOND, n, x, PREC)
+                u = cheb_value(cheb_poly(ChebKind.SECOND, n), x)
                 ref = closed_form_second(n, x)
                 assert abs(u - ref) <= tol * abs(ref)
 
     def test_quintic_spot_value(self):
-        got = cheb_eval(ChebKind.FIRST, 5, mpf("1.25"), PREC)
+        got = cheb_value(cheb_poly(ChebKind.FIRST, 5), mpf("1.25"))
         ref = closed_form_first(5, mpf("1.25"))
         with workprec(PREC):
             assert abs(got - ref) < mpf(2) ** -(PREC - 10)
@@ -121,21 +126,13 @@ class TestZeroNodes:
             with workprec(PREC):
                 assert abs(p(node)) < mpf(2) ** -(PREC - 12)
 
-    def test_node_property_via_clenshaw(self):
+    def test_node_property_via_cheb_poly(self):
         tol = mpf(2) ** -(PREC - 12)
         for n in range(1, 65):
+            u_n = cheb_poly(ChebKind.SECOND, n)
             for node in u_zero_nodes(n, PREC):
-                assert abs(cheb_eval(ChebKind.SECOND, n, node, PREC)) <= tol, n
+                assert abs(cheb_value(u_n, node)) <= tol, n
 
     def test_no_nodes_below_degree_one(self):
         with pytest.raises(BadIndex):
             u_zero_nodes(0, PREC)
-
-    def test_json_export(self):
-        import json
-
-        strings = nodes_to_json(2, PREC)
-        assert json.loads(json.dumps(strings)) == strings
-        assert strings[0] == "0.5" and strings[1] == "-0.5"
-        # digit count tracks the precision
-        assert len(nodes_to_json(3, 64)[0]) < len(nodes_to_json(3, 256)[0])

@@ -1,18 +1,38 @@
 """CLI surface: formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from fractions import Fraction as F
 
+import mpmath
 import pytest
+from mpmath import mpf, workprec
 
 from chebsqrt.cli import main
+from chebsqrt.verify import CHECKS
+from test_exact import naive_ratfun_complex
+from test_iterates import direct_v
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def verify_rows(*argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        main(["--format", "json", "verify", *argv])
+    return [json.loads(line) for line in buf.getvalue().splitlines()]
+
+
+@pytest.fixture(scope="module")
+def suite_rows():
+    return {n_max: verify_rows("--all", "--n-max", n_max) for n_max in ("4", "16")}
 
 
 class TestCoeffs:
@@ -98,6 +118,19 @@ class TestEval:
         assert float(doc["re"]) == pytest.approx(8.9375 / 12.3125, rel=1e-12)
         assert float(doc["im"]) == pytest.approx(-2.0 / 12.3125, rel=1e-12)
 
+    def test_complex_point_is_exact_value_rounded_once(self, capsys):
+        prec = 256
+        code, out, _ = run_cli(capsys, "--format", "json", "--prec", str(prec), "eval",
+                               "--scheme", "v", "--k", "256",
+                               "--at-re", "0.9", "--at-im", "0.1")
+        assert code == 0
+        doc = json.loads(out)
+        want = naive_ratfun_complex(*direct_v(256), F("0.9"), F("0.1"))
+        with workprec(prec + 64):
+            for key, exact in zip(("re", "im"), want):
+                ref = mpmath.mpmathify(exact)
+                assert abs(mpf(doc[key]) - ref) <= mpf(2) ** (8 - prec) * abs(ref), key
+
     def test_missing_point_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--scheme", "v", "--k", "2")
         assert code == 2
@@ -127,6 +160,28 @@ class TestVerify:
         docs = [json.loads(line) for line in lines]
         assert all(d["status"] in ("pass", "skip") for d in docs)
         assert any(d["name"] == "resummation" for d in docs)
+
+    @pytest.mark.parametrize("n_max", ["4", "16"])
+    @pytest.mark.parametrize("name", list(CHECKS))
+    def test_check_prints_the_suite_rows(self, suite_rows, name, n_max):
+        rows = verify_rows("--check", name, "--n-max", n_max)
+        assert rows and rows == [r for r in suite_rows[n_max] if r["name"] == name]
+
+    @pytest.mark.parametrize("argv, params", [
+        (("tail-signs", "--n", "3", "--M", "20"), [{"n": 3, "M": 20}]),
+        (("ratio-identity", "--n", "5"), [{"n": 5}]),
+        (("value-at-one", "--n", "7"), [{"n_max": 7}]),
+        (("mu-bound", "--n", "50"), [{"n_max": 50}]),
+        (("disk-bound", "--scheme", "newton", "--grid-radial", "2", "--grid-angular", "4"),
+         [{"scheme": "newton(p=2)", "k": k, "radius": 1.0, "grid": "2x4"} for k in (2, 3, 4)]),
+        (("disk-bound", "--k", "3", "--grid-radial", "2", "--grid-angular", "4"),
+         [{"scheme": s, "k": 3, "radius": 1.0, "grid": "2x4"}
+          for s in ("v", "newton(p=2)", "halley(p=2)")]),
+    ])
+    def test_selectors_narrow_the_rows(self, argv, params):
+        rows = verify_rows("--check", *argv)
+        assert [r["params"] for r in rows] == params
+        assert all(r["status"] == "pass" for r in rows)
 
     def test_requires_selection(self, capsys):
         code, _, err = run_cli(capsys, "verify")
@@ -183,6 +238,15 @@ class TestBench:
         for row in doc["rows"]:
             assert float(row["max_deviation"]) <= tol
 
+    def test_horner_precision_covers_coefficient_bits(self, capsys):
+        # v_128's coefficients reach 160 bits, far beyond the 32 guard bits
+        code, out, _ = run_cli(capsys, "--format", "json", "--seed", "42", "bench",
+                               "--n", "128", "--points", "20")
+        assert code == 0
+        doc = json.loads(out)
+        tol = float(doc["tolerance"])
+        assert all(float(row["max_deviation"]) <= tol for row in doc["rows"])
+
     def test_deterministic_modulo_timing(self, capsys):
         _, out1, _ = run_cli(capsys, "--format", "json", "bench",
                              "--n", "8", "--points", "10", "--seed", "5")
@@ -224,3 +288,19 @@ class TestDeterminismAndConfig:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["n"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--scheme", "v", "--k", "2", "--at", "1/0"),
+    ("eval", "--scheme", "v", "--k", "2", "--at", "abc"),
+    ("eval", "--scheme", "v", "--k", "2", "--at-re", "abc", "--at-im", "0"),
+    ("coeffs", "--scheme", "v", "--k", "-1", "--M", "3"),
+    ("coeffs", "--scheme", "newton", "--k", "-1", "--M", "3"),
+    ("bench", "--n", "2", "--points", "0"),
+    ("bench", "--n", "2", "--points", "-5"),
+    ("bench", "--n", "2", "--points", "5", "--reps", "0"),
+])
+def test_bad_input_is_usage_error(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:")

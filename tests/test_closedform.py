@@ -9,12 +9,9 @@ from mpmath import mpc, mpf, workprec
 from chebsqrt import (
     BadIndex,
     NearPole,
-    coeff_closed,
     coeff_closed_range,
-    coeff_report,
     decompose,
     eval_ratfun_complex,
-    exact_series,
     radius_of_convergence,
     tail_sum_identity,
     taylor_coefficients,
@@ -109,20 +106,22 @@ class TestPartialFractionEval:
 
 class TestCoefficientFormula:
     def test_spot_values(self):
-        assert abs(coeff_closed(2, 1, PREC) + mpf(1) / 2) < TIGHT
-        assert abs(coeff_closed(2, 2, PREC) + mpf(1) / 8) < TIGHT
-        assert abs(coeff_closed(2, 3, PREC) + mpf(1) / 32) < TIGHT
+        c1, c2, c3 = coeff_closed_range(2, 3, PREC)
+        assert abs(c1 + mpf(1) / 2) < TIGHT
+        assert abs(c2 + mpf(1) / 8) < TIGHT
+        assert abs(c3 + mpf(1) / 32) < TIGHT
 
     def test_index_zero_rejected(self):
         with pytest.raises(BadIndex):
-            coeff_closed(2, 0, PREC)
+            coeff_closed_range(2, 0, PREC)
         with pytest.raises(BadIndex):
-            coeff_closed(0, 1, PREC)
+            coeff_closed_range(0, 1, PREC)
 
     def test_range_matches_single(self):
+        # the m-th entry of a sweep does not depend on how far the sweep runs
         rng = coeff_closed_range(5, 8, PREC)
         for m in (1, 4, 8):
-            assert coeff_closed(5, m, PREC) == rng[m - 1]
+            assert coeff_closed_range(5, m, PREC)[-1] == rng[m - 1]
 
     def test_matches_exact_taylor_and_negative(self):
         for n in range(2, 13):
@@ -178,31 +177,3 @@ class TestTailSum:
                 assert partial > previous
                 assert partial < ident
                 previous = partial
-
-
-class TestCoeffReport:
-    def test_exact_report(self):
-        rep = coeff_report(2, 8)
-        assert rep.head_match is True
-        assert rep.first_nonnegative_tail_index is None
-        assert [e.m for e in rep.coeffs] == list(range(9))
-        assert all(e.source == "recurrence" for e in rep.coeffs)
-        rows = list(rep.rows())
-        assert rows[0] == (2, 0, "1", "recurrence", "+")
-        assert rows[3] == (2, 3, "-1/32", "recurrence", "-")
-
-    def test_polynomial_iterate_tail_is_flagged(self):
-        rep = coeff_report(1, 6)
-        assert rep.head_match is True
-        # zero coefficients beyond the degree are the first nonnegative tail
-        assert rep.first_nonnegative_tail_index == 2
-
-    def test_closed_form_report(self):
-        rep = coeff_report(3, 6, PREC, closed_form=True)
-        assert rep.coeffs[0].source == "recurrence"
-        assert all(e.source == "closed_form" for e in rep.coeffs[1:])
-        assert rep.head_match is True
-
-    def test_exact_series_helper(self):
-        cs = exact_series(3, 3)
-        assert list(cs.coeffs) == [F(1), F(-1, 2), F(-1, 8), F(-1, 16)]

@@ -8,6 +8,7 @@ import pytest
 from mpmath import mpf, workprec
 
 from chebsqrt import (
+    BadIndex,
     BadRootOrder,
     CapExceeded,
     DegenerateStep,
@@ -16,14 +17,13 @@ from chebsqrt import (
     Scheme,
     halley_step,
     iterate,
-    iterate_sequence,
     newton_step,
+    poly_to_json,
     sqrt_series_coeff,
     taylor_coefficients,
     v_iterate,
     v_step,
 )
-from chebsqrt.iterates import scheme_to_json
 
 ONE = RationalFunction(Polynomial([1]))
 HALF_SLOPE = RationalFunction(Polynomial([1, F(-1, 2)]))  # 1 - z/2
@@ -92,18 +92,22 @@ class TestIterate:
         assert iterate(Scheme.newton(2), 2) == V3
 
     def test_sequence_prefix(self):
-        seq = iterate_sequence(Scheme.v(), 3)
+        seq = [iterate(Scheme.v(), k) for k in range(4)]
         assert seq == [ONE, HALF_SLOPE, V2, V3]
 
     def test_memoized_chain_matches(self):
         for n in (0, 1, 5, 9):
-            assert v_iterate(n) == iterate(Scheme.v(), n)
+            f = iterate(Scheme.v(), n)
+            assert f is v_iterate(n)
+            assert (f.num.coeffs, f.den.coeffs) == direct_v(n)
 
     def test_caps(self):
         with pytest.raises(CapExceeded):
             iterate(Scheme.newton(2), 13)
         with pytest.raises(CapExceeded):
             v_iterate(5000)
+        with pytest.raises(CapExceeded):
+            iterate(Scheme.v(), 5000)
         assert iterate(Scheme.newton(2), 5, max_k=5) is not None
         with pytest.raises(CapExceeded):
             iterate(Scheme.newton(2), 6, max_k=5)
@@ -118,9 +122,14 @@ class TestIterate:
         assert str(Scheme.halley(3)) == "halley(p=3)"
         assert str(Scheme.v()) == "v"
 
+    @pytest.mark.parametrize("scheme", [Scheme.v(), Scheme.newton(3), Scheme.halley(2)])
+    def test_negative_index_rejected(self, scheme):
+        with pytest.raises(BadIndex):
+            iterate(scheme, -1)
+
     def test_json_shape(self):
-        doc = scheme_to_json(Scheme.v(), 2, v_iterate(2))
-        assert doc == {"scheme": "v", "k": 2, "num": ["-4", "3"], "den": ["-4", "1"]}
+        f = v_iterate(2)
+        assert [poly_to_json(f.num), poly_to_json(f.den)] == [["-4", "3"], ["-4", "1"]]
 
 
 class TestCompositionIdentities:

@@ -297,6 +297,25 @@ class TestSuiteRunner:
         blob2 = "\n".join(json.dumps(r.to_json_dict()) for r in again)
         assert blob1 == blob2
 
+    def test_table_calls_each_check_by_its_module_name(self, monkeypatch):
+        # a timer that rebinds verify.check_<name> must see one call per row
+        from chebsqrt import verify
+
+        calls = []
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in verify.CHECKS:
+            attr = "check_" + name.replace("-", "_")
+            monkeypatch.setattr(verify, attr, counting(name, getattr(verify, attr)))
+        rows = default_suite(n_max=2, prec=PREC)
+        assert calls == [r.name for r in rows]
+
     def test_results_carry_sample_counts(self):
         for r in default_suite(n_max=3, prec=PREC):
             assert r.samples >= 0
