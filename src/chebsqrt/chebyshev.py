@@ -1,6 +1,6 @@
 """Chebyshev polynomials of the first and second kind.
 
-Exact coefficients come from the three-term recurrence; the zeros of the
+Exact coefficients come from their explicit integer formulas; the zeros of the
 second-kind polynomials, which give the pole parameters of the partial
 fractions, are produced directly from their angle form cos(k*pi/(n+1))
 rather than by numeric root-finding.
@@ -9,6 +9,7 @@ rather than by numeric root-finding.
 from __future__ import annotations
 
 import enum
+import math
 
 import mpmath
 from mpmath import mpf, workprec
@@ -30,19 +31,20 @@ class ChebKind(enum.Enum):
 def cheb_poly(kind: ChebKind, n: int) -> Polynomial:
     """Exact coefficients of the degree-n Chebyshev polynomial.
 
-    Recurrence p_{k+1} = 2x p_k - p_{k-1} from p_0 = 1 and p_1 = x (first
-    kind) or p_1 = 2x (second kind).
+    From the explicit integer coefficients, j = 0..n//2: the x**(n-2j)
+    coefficient of U_n is (-1)**j C(n-j, j) 2**(n-2j), and that of T_n
+    (n >= 1; T_0 = 1) is (n/2) (-1)**j (n-j-1)! / (j! (n-2j)!) 2**(n-2j),
+    the U-form term times n / (2(n-j)).
     """
     if n < 0:
         raise BadIndex("polynomial degree must be >= 0")
-    prev = Polynomial((1,))
-    if n == 0:
-        return prev
-    cur = Polynomial((0, 1)) if kind is ChebKind.FIRST else Polynomial((0, 2))
-    two_x = Polynomial((0, 2))
-    for _ in range(n - 1):
-        prev, cur = cur, two_x * cur - prev
-    return cur
+    coeffs = [0] * (n + 1)
+    for j in range(n // 2 + 1):
+        c = (-1) ** j * math.comb(n - j, j) * 2 ** (n - 2 * j)
+        if kind is ChebKind.FIRST and n:
+            c = c * n // (2 * (n - j))
+        coeffs[n - 2 * j] = c
+    return Polynomial(coeffs)
 
 
 def u_zero_nodes(n: int, prec: int = DEFAULT_PREC) -> list:

@@ -3,14 +3,16 @@
 Scalars are `fractions.Fraction` throughout, so nothing in this module ever
 rounds.  The four costly kernels, the polynomial product, the gcd, the
 Taylor extraction and exact evaluation, work on integers internally: the
-product convolves the operands' numerators over a common denominator; the
-gcd runs on primitive integer forms (and on their residues modulo a prime
-only to certify coprimality); the Taylor recurrence puts each window of
-earlier coefficients over one common denominator, so every new coefficient
-is an integer numerator reduced once; and evaluation at a rational or
-complex rational point runs Horner on Gaussian integers against powers of
-the point's common denominator, reducing only the final real and imaginary
-parts.  They convert back to `Fraction` exactly and never round either.
+product convolves the operands' numerators over a common denominator with
+``_convolve``, which the v, Newton and Halley steps of ``iterates`` share
+(they hand pairs whose coprimality they prove to the trusted constructor
+``RationalFunction._from_coprime``); the gcd runs on primitive integer forms
+(and on their residues modulo a prime only to certify coprimality); the
+Taylor recurrence puts each window of earlier coefficients over one common
+denominator, so every new coefficient is an integer numerator reduced once;
+and evaluation at a rational or complex rational point runs Horner on
+Gaussian integers against powers of the point's common denominator,
+reducing only the final real and imaginary parts.  They convert back to `Fraction` exactly and never round either.
 Floating point lives in the closed-form and verification layers.
 
 Wire format: a rational scalar serializes as ``"p/q"`` in base 10 (``"p"``
@@ -130,13 +132,8 @@ class Polynomial:
             return ZERO
         da, a = _integer_form(self.coeffs)
         db, b = _integer_form(other.coeffs)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
         d = da * db
-        return Polynomial(Fraction(c, d) for c in out)
+        return Polynomial(Fraction(c, d) for c in _convolve(a, b))
 
     __rmul__ = __mul__
 
@@ -225,6 +222,24 @@ def _integer_form(coeffs: Sequence[Fraction]) -> tuple[int, list[int]]:
     """Common denominator d and integer numerators of d * coeffs."""
     d = math.lcm(*(c.denominator for c in coeffs))
     return d, [c.numerator * (d // c.denominator) for c in coeffs]
+
+
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """Coefficient list of the product of two integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return out
+
+
+def _integer_pair(f: "RationalFunction") -> tuple[list[int], list[int]]:
+    """Integer coefficient lists A, B with f = A/B: num and den over one common denominator."""
+    da, a = _integer_form(f.num.coeffs)
+    db, b = _integer_form(f.den.coeffs)
+    g = math.gcd(da, db)
+    return [c * (db // g) for c in a], [c * (da // g) for c in b]
 
 
 def _clear_denominators(p: Polynomial) -> list[int]:
@@ -359,6 +374,19 @@ class RationalFunction:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
+    @classmethod
+    def _from_coprime(cls, num: list[int], den: list[int]) -> "RationalFunction":
+        """Trusted constructor from integer lists that are coprime over Q.
+
+        The caller proves gcd(num, den) = 1, so no poly_gcd runs: trailing
+        zeros are stripped and both lists are divided by the lead of den.
+        """
+        lead = next(c for c in reversed(den) if c)
+        self = object.__new__(cls)
+        object.__setattr__(self, "num", Polynomial(Fraction(c, lead) for c in num))
+        object.__setattr__(self, "den", Polynomial(Fraction(c, lead) for c in den))
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
 
@@ -492,11 +520,7 @@ def taylor_coefficients(f: RationalFunction, M: int, source: str = "") -> PowerS
         raise BadIndex("series cutoff must be >= 0")
     if f.den.coeff(0) == 0:
         raise NotAnalyticAtZero("denominator vanishes at 0")
-    da, a = _integer_form(f.num.coeffs)
-    db, b = _integer_form(f.den.coeffs)
-    g = math.gcd(da, db)
-    a = [c * (db // g) for c in a]
-    b = [c * (da // g) for c in b]
+    a, b = _integer_pair(f)
     b0, d = b[0], len(b) - 1
     nums: list[int] = []
     dens: list[int] = []

@@ -1,11 +1,16 @@
 """The three iterate families approximating sqrt(1 - z) (and its p-th root cousins).
 
-All constructions are exact: each step builds the new numerator/denominator
-polynomials directly and lets the RationalFunction constructor put them in
-canonical (coprime, monic-denominator) form.  Canonical form is what makes
-the composition identities -- the k-th Newton iterate equals the (2^k - 1)-th
-linear-fraction iterate, the k-th Halley iterate the (3^k - 1)-th -- checkable
-by plain ``==``.
+All constructions are exact.  Each step writes its input f = A/B as integer
+coefficient lists over one common denominator and builds the new numerator
+and denominator on integers (``exact._convolve``, integer powers, a (1 - z)
+shift).  Canonical (coprime, monic-denominator) form then comes from a lemma,
+not a gcd: since gcd(A, B) = 1, a cheap test -- D(0) != 0 for the v step,
+A(1) != 0 for Newton and Halley -- proves the new pair coprime, and
+``RationalFunction._from_coprime`` only scales it to a monic denominator.
+Every iterate built from 1 passes the test; other inputs fall back to the
+constructor's gcd.  Canonical form is what makes the composition identities
+-- the k-th Newton iterate equals the (2^k - 1)-th linear-fraction iterate,
+the k-th Halley iterate the (3^k - 1)-th -- checkable by plain ``==``.
 """
 
 from __future__ import annotations
@@ -13,9 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadIndex, BadRootOrder, CapExceeded, DegenerateStep
-from .exact import ONE_RF, Polynomial, RationalFunction
-
-ONE_MINUS_Z = Polynomial((1, -1))
+from .exact import ONE_RF, Polynomial, RationalFunction, _convolve, _integer_pair
 
 # Degrees and coefficient bit-lengths grow with k; the caps keep desk-scale
 # runtimes.  The Newton/Halley caps can be raised per call (iterate's max_k).
@@ -60,41 +63,94 @@ class Scheme:
         return self.kind if self.kind == "v" else f"{self.kind}(p={self.p})"
 
 
+def _scaled_sum(x: int, a: list[int], y: int, b: list[int]) -> list[int]:
+    """Coefficient list of x*a + y*b."""
+    if len(a) < len(b):
+        x, a, y, b = y, b, x, a
+    out = [x * c for c in a]
+    for i, c in enumerate(b):
+        out[i] += y * c
+    return out
+
+
+def _times_one_minus_z(a: list[int]) -> list[int]:
+    """Coefficient list of (1 - z) * a."""
+    return [c - d for c, d in zip(a + [0], [0] + a)]
+
+
+def _power(a: list[int], p: int) -> list[int]:
+    """Coefficient list of a**p, p >= 1."""
+    out = a
+    for _ in range(p - 1):
+        out = _convolve(out, a)
+    return out
+
+
+def _canonical(num: list[int], den: list[int], coprime: bool) -> RationalFunction:
+    """num/den in canonical form: trusted when the step's lemma proved coprimality."""
+    if coprime:
+        return RationalFunction._from_coprime(num, den)
+    return RationalFunction(Polynomial(num), Polynomial(den))
+
+
 def v_step(f: RationalFunction) -> RationalFunction:
-    """One linear-fraction step f -> (1 - z + f) / (1 + f)."""
-    a, b = f.num, f.den
-    den = a + b
-    if den.is_zero:
+    """One linear-fraction step f -> (1 - z + f) / (1 + f).
+
+    With f = A/B over integers and gcd(A, B) = 1 (f is canonical), the step
+    is N/D with D = A + B and N = D - zB.  Since gcd(D, B) = gcd(A, B) = 1,
+    gcd(N, D) = gcd(zB, D) divides z, so it is 1 exactly when D(0) != 0.
+    Along the chain from 1 every iterate has value 1 at 0, so A(0) = B(0)
+    and D(0) = 2B(0) != 0; other inputs fall back to the gcd.
+    """
+    a, b = _integer_pair(f)
+    den = _scaled_sum(1, a, 1, b)
+    if not any(den):
         raise DegenerateStep("1 + f vanishes identically")
-    return RationalFunction(ONE_MINUS_Z * b + a, den)
+    num = _scaled_sum(1, den, -1, [0] + b)
+    return _canonical(num, den, den[0] != 0)
 
 
 def newton_step(f: RationalFunction, p: int = 2) -> RationalFunction:
-    """One Newton step for x**p = 1 - z: ((p-1) f + (1-z) / f**(p-1)) / p."""
+    """One Newton step for x**p = 1 - z: ((p-1) f + (1-z) / f**(p-1)) / p.
+
+    With f = A/B canonical, the step is N/D with N = (p-1)A^p + (1-z)B^p
+    and D = p A^(p-1) B.  gcd(N, B) = gcd((p-1)A^p, B) = 1.  A factor that
+    N shares with A divides (1-z)B^p, hence divides 1 - z, which needs
+    A(1) = 0.  So A(1) != 0 proves gcd(N, D) = 1.
+    """
     if not isinstance(p, int) or p < 2:
         raise BadRootOrder(f"root order must be an integer >= 2, got {p}")
-    a, b = f.num, f.den
-    if a.is_zero:
+    a, b = _integer_pair(f)
+    if not a:
         raise DegenerateStep("Newton step undefined for the zero function")
-    num = (p - 1) * a**p + ONE_MINUS_Z * b**p
-    den = p * a ** (p - 1) * b
-    return RationalFunction(num, den)
+    ap1 = _power(a, p - 1)
+    num = _scaled_sum(p - 1, _convolve(ap1, a), 1, _times_one_minus_z(_power(b, p)))
+    den = [p * c for c in _convolve(ap1, b)]
+    return _canonical(num, den, sum(a) != 0)
 
 
 def halley_step(f: RationalFunction, p: int = 2) -> RationalFunction:
     """One Halley step for x**p = 1 - z.
 
     f -> f * ((p-1) f**p + (p+1)(1-z)) / ((p+1) f**p + (p-1)(1-z)).
+
+    With f = A/B canonical, P = A^p and W = (1-z)B^p, the step is
+    N/D = A X / (B Y) with X = (p-1)P + (p+1)W and Y = (p+1)P + (p-1)W.
+    Then (p+1)X - (p-1)Y = 4pW and (p+1)Y - (p-1)X = 4pP, so a common factor
+    of X and Y divides both W and P; X = (p-1)P mod B and Y = (p-1)W mod A.
+    Every common factor of N and D is therefore a power of 1 - z dividing A,
+    which needs A(1) = 0.  So A(1) != 0 proves gcd(N, D) = 1.
     """
     if not isinstance(p, int) or p < 2:
         raise BadRootOrder(f"root order must be an integer >= 2, got {p}")
-    a, b = f.num, f.den
-    ap = a**p
-    wbp = ONE_MINUS_Z * b**p
-    den = b * ((p + 1) * ap + (p - 1) * wbp)
-    if den.is_zero:
+    a, b = _integer_pair(f)
+    ap = _power(a, p)
+    wbp = _times_one_minus_z(_power(b, p))
+    y = _scaled_sum(p + 1, ap, p - 1, wbp)
+    if not any(y):
         raise DegenerateStep("Halley step hit an identically-zero denominator")
-    return RationalFunction(a * ((p - 1) * ap + (p + 1) * wbp), den)
+    num = _convolve(a, _scaled_sum(p - 1, ap, p + 1, wbp))
+    return _canonical(num, _convolve(b, y), sum(a) != 0)
 
 
 _V_CACHE: list[RationalFunction] = [ONE_RF]

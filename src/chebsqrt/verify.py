@@ -350,15 +350,15 @@ def check_disk_bound(scheme: Scheme, k: int, grid: DiskGrid) -> CheckResult:
     3^k analogue for Halley.  Slack 2**-(prec - 16) covers float rounding.
     """
     prec = grid.prec
-    f = iterate(scheme, k)
     work = prec + EVAL_GUARD_BITS
-    ev = _FloatEvaluator(f, work)
+    with workprec(work):
+        factor, power = _disk_bound_factor(scheme, k)  # validates before the build
+    ev = _FloatEvaluator(iterate(scheme, k), work)
     tol = _slack(prec)
     worst = None
     worst_excess = mpf("-inf")
     pts = grid.points()
     with workprec(work):
-        factor, power = _disk_bound_factor(scheme, k)
         for z in pts:
             w = mpmath.sqrt(1 - z)
             err = abs(ev(z) - w)

@@ -5,6 +5,8 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpf, workprec
 
 from chebsqrt import (
@@ -29,27 +31,103 @@ ONE = RationalFunction(Polynomial([1]))
 HALF_SLOPE = RationalFunction(Polynomial([1, F(-1, 2)]))  # 1 - z/2
 V2 = RationalFunction(Polynomial([4, -3]), Polynomial([4, -1]))
 V3 = RationalFunction(Polynomial([8, -8, 1]), Polynomial([8, -4]))
+V4 = RationalFunction(Polynomial([16, -20, 5]), Polynomial([16, -12, 1]))
 
 
 def direct_v(n):
     """Canonical (num, den) coefficients of v_n from its direct binomial form.
 
     v_n = sum_i C(N,2i) u^i / sum_i C(N,2i+1) u^i with u = 1 - z, N = n + 1,
-    expanded in integers (the z^j coefficient of u^i is (-1)^j C(i,j)) and
+    expanded in integers by Horner in u (each step multiplies by 1 - z) and
     scaled to a monic denominator.  Shares no code with the v chain.
     """
     N = n + 1
 
     def expand(parity):
-        powers = range((N - parity) // 2 + 1)
-        return [
-            (-1) ** j * sum(math.comb(N, 2 * i + parity) * math.comb(i, j) for i in powers)
-            for j in powers
-        ]
+        acc = []
+        for i in reversed(range((N - parity) // 2 + 1)):
+            acc = [c - d for c, d in zip(acc + [0], [0] + acc)] or [0]
+            acc[0] += math.comb(N, 2 * i + parity)
+        return acc
 
     num, den = expand(0), expand(1)
     lead = den[-1]
     return tuple(F(c, lead) for c in num), tuple(F(c, lead) for c in den)
+
+
+ONE_MINUS_Z = Polynomial([1, -1])
+
+
+def naive_step(kind, f, p=2):
+    """Oracle: the step written on Polynomials, canonicalised by RationalFunction's gcd."""
+    a, b = f.num, f.den
+    if kind == "v":
+        if (a + b).is_zero:
+            raise DegenerateStep("1 + f vanishes identically")
+        return RationalFunction(ONE_MINUS_Z * b + a, a + b)
+    if kind == "newton":
+        if a.is_zero:
+            raise DegenerateStep("zero function")
+        return RationalFunction((p - 1) * a**p + ONE_MINUS_Z * b**p, p * a ** (p - 1) * b)
+    ap, wbp = a**p, ONE_MINUS_Z * b**p
+    den = b * ((p + 1) * ap + (p - 1) * wbp)
+    if den.is_zero:
+        raise DegenerateStep("zero denominator")
+    return RationalFunction(a * ((p - 1) * ap + (p + 1) * wbp), den)
+
+
+STEPS = {"v": lambda f, p: v_step(f), "newton": newton_step, "halley": halley_step}
+
+step_coeffs = st.one_of(
+    st.integers(-6, 6), st.fractions(min_value=-4, max_value=4, max_denominator=12)
+)
+canonical_functions = st.builds(
+    lambda num, den: RationalFunction(Polynomial(num), Polynomial(den)),
+    st.lists(step_coeffs, max_size=5),
+    st.lists(step_coeffs, min_size=1, max_size=4).filter(any),
+)
+
+
+def coeff_tuples(f):
+    return f.num.coeffs, f.den.coeffs
+
+
+class TestStepKernels:
+    @given(canonical_functions, st.sampled_from(sorted(STEPS)), st.sampled_from([2, 3, 4]))
+    @settings(max_examples=150, deadline=None)
+    def test_steps_match_oracle(self, f, kind, p):
+        try:
+            want = naive_step(kind, f, p)
+        except DegenerateStep:
+            with pytest.raises(DegenerateStep):
+                STEPS[kind](f, p)
+            return
+        assert coeff_tuples(STEPS[kind](f, p)) == coeff_tuples(want)
+
+    def test_iterates_from_one_skip_the_gcd(self, monkeypatch):
+        from chebsqrt import exact
+
+        def no_gcd(a, b):
+            raise AssertionError("poly_gcd called on an iterate built from 1")
+
+        f = v_iterate(3)
+        monkeypatch.setattr(exact, "poly_gcd", no_gcd)
+        assert v_step(f) == V4
+        for scheme, k in ((Scheme.newton(2), 4), (Scheme.halley(2), 3), (Scheme.newton(4), 3),
+                          (Scheme.halley(3), 2)):
+            iterate(scheme, k)
+
+    def test_v_step_fallback_when_den_vanishes_at_zero(self):
+        # D = A + B = z^2 shares the factor z with N = z^2 - z
+        f = RationalFunction(Polynomial([-1, 0, 1]))
+        assert v_step(f) == RationalFunction(Polynomial([-1, 1]), Polynomial([0, 1]))
+
+    @pytest.mark.parametrize("kind", ["newton", "halley"])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_fallback_when_num_vanishes_at_one(self, kind, p):
+        # A(1) = 0: N and D share a power of 1 - z that only the gcd removes
+        f = RationalFunction(Polynomial([1, -1]), Polynomial([1, 1]))
+        assert coeff_tuples(STEPS[kind](f, p)) == coeff_tuples(naive_step(kind, f, p))
 
 
 class TestSteps:
@@ -134,20 +212,35 @@ class TestIterate:
 
 class TestCompositionIdentities:
     def test_newton_iterates_are_v_iterates(self):
-        for k in range(1, 8):
+        for k in range(1, 10):
             assert iterate(Scheme.newton(2), k) == v_iterate(2**k - 1)
 
     def test_halley_iterates_are_v_iterates(self):
-        for k in range(1, 6):
+        for k in range(1, 7):
             assert iterate(Scheme.halley(2), k) == v_iterate(3**k - 1)
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 8, 26, 31, 64])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 8, 26, 31, 64, 255, 511])
     def test_chain_matches_direct_binomial_form(self, n):
         f = v_iterate(n)
         assert (f.num.coeffs, f.den.coeffs) == direct_v(n)
 
 
 class TestStructuralInvariants:
+    def test_chain_is_canonical(self):
+        # the steps skip the gcd; the constructor's gcd must find nothing to remove
+        for n in range(1, 257):
+            f = v_iterate(n)
+            assert coeff_tuples(RationalFunction(f.num, f.den)) == coeff_tuples(f)
+
+    @pytest.mark.parametrize(
+        "scheme, k_max",
+        [(Scheme.newton(2), 9), (Scheme.halley(2), 6), (Scheme.newton(3), 5), (Scheme.halley(3), 4)],
+    )
+    def test_newton_halley_iterates_are_canonical(self, scheme, k_max):
+        for k in range(1, k_max + 1):
+            f = iterate(scheme, k)
+            assert coeff_tuples(RationalFunction(f.num, f.den)) == coeff_tuples(f)
+
     def test_degree_growth(self):
         for n in range(1, 65):
             f = v_iterate(n)

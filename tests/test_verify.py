@@ -155,6 +155,21 @@ class TestFloatChecks:
         with pytest.raises(BadRootOrder):
             check_disk_bound(Scheme.newton(3), 2, grid)
 
+    def test_disk_bound_validates_before_building(self, monkeypatch):
+        # newton(3) at k = 8 takes minutes to build; the rejection must not wait for it
+        from chebsqrt import verify
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("iterate called before validation")
+
+        monkeypatch.setattr(verify, "iterate", no_build)
+        grid = DiskGrid(1.0, 4, 8, PREC)
+        with pytest.raises(BadRootOrder):
+            check_disk_bound(Scheme.newton(3), 8, grid)
+        for scheme in (Scheme.v(), Scheme.newton(2), Scheme.halley(2)):
+            with pytest.raises(BadIndex):
+                check_disk_bound(scheme, 0, grid)
+
     def test_uniform_compact(self):
         r = check_uniform_compact(16, 0.5, PREC)
         assert r.status == "pass"
