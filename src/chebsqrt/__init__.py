@@ -30,7 +30,6 @@ from .errors import (
 )
 from .exact import (
     Polynomial,
-    PowerSeriesPrefix,
     RationalFunction,
     central_binomial_ratio,
     eval_poly_complex,

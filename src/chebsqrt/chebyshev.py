@@ -1,6 +1,7 @@
 """Chebyshev polynomials of the first and second kind.
 
-Exact coefficients come from their explicit integer formulas; the zeros of the
+Exact coefficients come from their explicit integer formulas, which also
+build the linear-fraction iterates (``iterates.v_iterate``); the zeros of the
 second-kind polynomials, which give the pole parameters of the partial
 fractions, are produced directly from their angle form cos(k*pi/(n+1))
 rather than by numeric root-finding.
@@ -9,7 +10,6 @@ rather than by numeric root-finding.
 from __future__ import annotations
 
 import enum
-import math
 
 import mpmath
 from mpmath import mpf, workprec
@@ -28,23 +28,31 @@ class ChebKind(enum.Enum):
     SECOND = "second"
 
 
-def cheb_poly(kind: ChebKind, n: int) -> Polynomial:
-    """Exact coefficients of the degree-n Chebyshev polynomial.
+def _cheb_ints(kind: ChebKind, n: int) -> list[int]:
+    """Integer coefficients of the degree-n Chebyshev polynomial, index = power of x.
 
-    From the explicit integer coefficients, j = 0..n//2: the x**(n-2j)
-    coefficient of U_n is (-1)**j C(n-j, j) 2**(n-2j), and that of T_n
-    (n >= 1; T_0 = 1) is (n/2) (-1)**j (n-j-1)! / (j! (n-2j)!) 2**(n-2j),
-    the U-form term times n / (2(n-j)).
+    Only the x**(n-2j) coefficients, j = 0..n//2, are nonzero.  For U_n it
+    is (-1)**j C(n-j, j) 2**(n-2j), and for T_n (n >= 1; T_0 = 1) it is
+    (n/2) (-1)**j (n-j-1)! / (j! (n-2j)!) 2**(n-2j), the U-form term times
+    n / (2(n-j)).  Both run as a term-ratio recurrence from the leads 2**n
+    and 2**(n-1): the ratio of consecutive terms is
+    -(n-2j)(n-2j-1) / (4(j+1)(n-j)) for U and the same with n-j-1 in
+    place of n-j for T.  Every term is an integer, so each division is exact.
     """
+    first = kind is ChebKind.FIRST and n > 0
+    coeffs = [0] * (n + 1)
+    c = coeffs[n] = 2 ** (n - first)
+    for j in range(n // 2):
+        c = -c * (n - 2 * j) * (n - 2 * j - 1) // (4 * (j + 1) * (n - j - first))
+        coeffs[n - 2 * j - 2] = c
+    return coeffs
+
+
+def cheb_poly(kind: ChebKind, n: int) -> Polynomial:
+    """Exact coefficients of the degree-n Chebyshev polynomial."""
     if n < 0:
         raise BadIndex("polynomial degree must be >= 0")
-    coeffs = [0] * (n + 1)
-    for j in range(n // 2 + 1):
-        c = (-1) ** j * math.comb(n - j, j) * 2 ** (n - 2 * j)
-        if kind is ChebKind.FIRST and n:
-            c = c * n // (2 * (n - j))
-        coeffs[n - 2 * j] = c
-    return Polynomial(coeffs)
+    return Polynomial(_cheb_ints(kind, n))
 
 
 def u_zero_nodes(n: int, prec: int = DEFAULT_PREC) -> list:

@@ -25,13 +25,13 @@ from mpmath import mpc, mpf, workprec
 
 from .chebyshev import DEFAULT_PREC, GUARD_BITS
 from .closedform import decompose, radius_of_convergence, tail_sum_identity
-from .errors import ChebsqrtError
+from .errors import CapExceeded, ChebsqrtError
 from .exact import (
     eval_ratfun_complex,
     root_series_coeffs,
     taylor_coefficients,
 )
-from .iterates import DEFAULT_MAX_NEWTON_K, Scheme, iterate, v_iterate
+from .iterates import DEFAULT_MAX_NEWTON_K, DEFAULT_MAX_V_STEPS, Scheme, iterate, v_iterate
 from .verify import (
     CHECKS,
     MAX_COEFF_INDEX,
@@ -113,6 +113,8 @@ def cmd_coeffs(args, cfg: CliConfig) -> int:
 
 
 def cmd_decompose(args, cfg: CliConfig) -> int:
+    if args.n > DEFAULT_MAX_V_STEPS:
+        raise CapExceeded(f"n = {args.n} exceeds the cap {DEFAULT_MAX_V_STEPS} for v-steps")
     prec = cfg.precision_bits
     pf = decompose(args.n, prec)
     radius = radius_of_convergence(args.n, prec)

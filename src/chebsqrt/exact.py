@@ -4,16 +4,17 @@ Scalars are `fractions.Fraction` throughout, so nothing in this module ever
 rounds.  The four costly kernels, the polynomial product, the gcd, the
 Taylor extraction and exact evaluation, work on integers internally: the
 product convolves the operands' numerators over a common denominator with
-``_convolve``, which the v, Newton and Halley steps of ``iterates`` share
-(they hand pairs whose coprimality they prove to the trusted constructor
-``RationalFunction._from_coprime``); the gcd runs on primitive integer forms
-(and on their residues modulo a prime only to certify coprimality); the
+``_convolve``, which the v, Newton and Halley steps of ``iterates`` share;
+the gcd is the primitive remainder sequence on integer forms, and the
+iterate constructions skip it by proving coprimality and handing their
+pairs to the trusted constructor ``RationalFunction._from_coprime``; the
 Taylor recurrence puts each window of earlier coefficients over one common
 denominator, so every new coefficient is an integer numerator reduced once;
 and evaluation at a rational or complex rational point runs Horner on
 Gaussian integers against powers of the point's common denominator,
-reducing only the final real and imaginary parts.  They convert back to `Fraction` exactly and never round either.
-Floating point lives in the closed-form and verification layers.
+reducing only the final real and imaginary parts.  They convert back to
+`Fraction` exactly and never round either.  Floating point lives in the
+closed-form and verification layers.
 
 Wire format: a rational scalar serializes as ``"p/q"`` in base 10 (``"p"``
 when the denominator is 1, which is what ``str(Fraction)`` produces); a
@@ -23,7 +24,6 @@ polynomial serializes as a JSON array of such strings, index = power of z.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -269,74 +269,18 @@ def _pseudo_rem(u: list[int], v: list[int]) -> list[int]:
     return r
 
 
-# Modulus of the coprimality certificate in poly_gcd: the largest prime below
-# 2**30, so residues are single-digit Python ints and the products in the
-# GF(P) Euclid stay on CPython's fast small-int paths.
-GCD_CERTIFICATE_PRIME = 2**30 - 35
-
-
-def _reduce_mod_prime(ints: list[int]) -> list[int]:
-    out = [c % GCD_CERTIFICATE_PRIME for c in ints]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _gcd_degree_mod_prime(u: list[int], v: list[int]) -> int:
-    """Degree of gcd(u mod P, v mod P) in GF(P)[z], P = GCD_CERTIFICATE_PRIME."""
-    P = GCD_CERTIFICATE_PRIME
-    a, b = _reduce_mod_prime(u), _reduce_mod_prime(v)
-    while b:
-        inv = pow(b[-1], -1, P)
-        db = len(b) - 1
-        if db and len(a) == db + 2:
-            # The usual step of a normal remainder sequence: subtract
-            # (q1*z + q0) * b in one pass.
-            q1 = a[-1] * inv % P
-            q0 = (a[-2] - q1 * b[-2]) * inv % P
-            a = [(a[0] - q0 * b[0]) % P] + [
-                (x - q1 * y - q0 * w) % P for x, y, w in zip(a[1:db], b, b[1:])
-            ]
-        else:
-            while len(a) > db:
-                q = a.pop() * inv % P
-                k = len(a) - db
-                if q:
-                    a[k:] = [(x - q * y) % P for x, y in zip(a[k:], b)]
-        while a and not a[-1]:
-            a.pop()
-        a, b = b, a
-    return len(a) - 1
-
-
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd: a certified coprimality test, then the primitive PRS.
+    """Monic gcd by the primitive polynomial remainder sequence.
 
-    Both inputs are first scaled to primitive integer polynomials u and v.
-    If the prime P = GCD_CERTIFICATE_PRIME does not divide lc(u) and
-    gcd(u mod P, v mod P) is a constant in GF(P)[z], the gcd over Q is
-    certainly 1: the primitive gcd G of u and v divides u in Z[z], so lc(G)
-    divides lc(u), P does not divide lc(G), and G mod P keeps its degree
-    while dividing both residues.  Hence deg G <= deg gcd mod P = 0.
-
-    In every other case -- P divides lc(u), or u and v share a factor mod P
-    that may or may not lift -- the test decides nothing and the exact
-    primitive polynomial remainder sequence computes the gcd.  An unlucky
-    prime therefore costs time, never a wrong answer.  Working over
-    integers with content removal keeps the sequence's intermediate
-    coefficients from swelling the way a naive rational Euclid does.
+    Both inputs are first scaled to primitive integer polynomials; each
+    pseudo-remainder is made primitive again.  Working over integers with
+    content removal keeps the sequence's intermediate coefficients from
+    swelling the way a naive rational Euclid does.
     """
     if a.is_zero and b.is_zero:
         return ZERO
     u = _clear_denominators(a) if not a.is_zero else []
     v = _clear_denominators(b) if not b.is_zero else []
-    if (
-        u
-        and v
-        and u[-1] % GCD_CERTIFICATE_PRIME
-        and _gcd_degree_mod_prime(u, v) == 0
-    ):
-        return ONE
     while v:
         u, v = v, _primitive(_pseudo_rem(u, v))
     lead = Fraction(u[-1])
@@ -490,21 +434,7 @@ def _coerce_ratfun(x):
 ONE_RF = RationalFunction(ONE)
 
 
-@dataclass(frozen=True)
-class PowerSeriesPrefix:
-    """Leading Taylor coefficients c_0..c_M of a function analytic at 0."""
-
-    coeffs: tuple[Fraction, ...]
-    source: str
-
-    def __getitem__(self, m: int) -> Fraction:
-        return self.coeffs[m]
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-
-def taylor_coefficients(f: RationalFunction, M: int, source: str = "") -> PowerSeriesPrefix:
+def taylor_coefficients(f: RationalFunction, M: int) -> tuple[Fraction, ...]:
     """Exact Taylor coefficients c_0..c_M of f at the origin.
 
     Uses the linear recurrence c_m = (A_m - sum_{j>=1} B_j c_{m-j}) / B_0,
@@ -539,7 +469,7 @@ def taylor_coefficients(f: RationalFunction, M: int, source: str = "") -> PowerS
         nums.append(c.numerator)
         dens.append(c.denominator)
         cs.append(c)
-    return PowerSeriesPrefix(tuple(cs), source or f"taylor({f!r})")
+    return tuple(cs)
 
 
 def sqrt_series_coeff(m: int) -> Fraction:

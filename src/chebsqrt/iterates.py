@@ -1,22 +1,27 @@
 """The three iterate families approximating sqrt(1 - z) (and its p-th root cousins).
 
-All constructions are exact.  Each step writes its input f = A/B as integer
-coefficient lists over one common denominator and builds the new numerator
-and denominator on integers (``exact._convolve``, integer powers, a (1 - z)
-shift).  Canonical (coprime, monic-denominator) form then comes from a lemma,
-not a gcd: since gcd(A, B) = 1, a cheap test -- D(0) != 0 for the v step,
-A(1) != 0 for Newton and Halley -- proves the new pair coprime, and
-``RationalFunction._from_coprime`` only scales it to a monic denominator.
-Every iterate built from 1 passes the test; other inputs fall back to the
-constructor's gcd.  Canonical form is what makes the composition identities
--- the k-th Newton iterate equals the (2^k - 1)-th linear-fraction iterate,
-the k-th Halley iterate the (3^k - 1)-th -- checkable by plain ``==``.
+All constructions are exact, and each reaches canonical (coprime,
+monic-denominator) form by a lemma, not a gcd.  The linear-fraction iterate
+v_n comes straight from the paper's Chebyshev form T_N / U_(N-1), N = n + 1
+(``v_iterate``; Pell's identity proves the pair coprime).  The steps write
+their input f = A/B as integer coefficient lists over one common denominator
+and build the new numerator and denominator on integers (``exact._convolve``,
+integer powers, a (1 - z) shift); since gcd(A, B) = 1, a cheap test --
+D(0) != 0 for the v step, A(1) != 0 for Newton and Halley -- proves the new
+pair coprime.  ``RationalFunction._from_coprime`` then only scales to a monic
+denominator.  Every iterate built from 1 passes the test; other inputs fall
+back to the constructor's gcd.  The v step stays as an independent
+construction of v_n.  Canonical form is what makes the composition
+identities -- the k-th Newton iterate equals the (2^k - 1)-th
+linear-fraction iterate, the k-th Halley iterate the (3^k - 1)-th --
+checkable by plain ``==``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .chebyshev import ChebKind, _cheb_ints
 from .errors import BadIndex, BadRootOrder, CapExceeded, DegenerateStep
 from .exact import ONE_RF, Polynomial, RationalFunction, _convolve, _integer_pair
 
@@ -153,30 +158,33 @@ def halley_step(f: RationalFunction, p: int = 2) -> RationalFunction:
     return _canonical(num, _convolve(b, y), sum(a) != 0)
 
 
-_V_CACHE: list[RationalFunction] = [ONE_RF]
-
-
 def v_iterate(n: int) -> RationalFunction:
-    """Memoized n-th linear-fraction iterate, n <= DEFAULT_MAX_V_STEPS.
+    """The n-th linear-fraction iterate, n <= DEFAULT_MAX_V_STEPS, from its Chebyshev form.
 
-    The chain is extended once and shared, so sweeps over n cost one step
-    per new index instead of one chain per call.
+    With N = n + 1, v_n(z) = A(z)/B(z) where A(z) = z^(N/2) T_N(z^(-1/2))
+    and B(z) = z^((N-1)/2) U_(N-1)(z^(-1/2)): the z^j coefficient of A is
+    the x^(N-2j) coefficient of T_N, and that of B the x^(N-1-2j)
+    coefficient of U_(N-1).  Pell's identity T_N^2 - (x^2-1) U_(N-1)^2 = 1,
+    multiplied by z^N, becomes A^2 - (1-z) B^2 = z^N, so gcd(A, B) divides
+    z^N; B(0) = 2^(N-1) != 0 rules out z, so A and B are coprime.
     """
     if n < 0:
         raise BadIndex("iterate index must be >= 0")
     if n > DEFAULT_MAX_V_STEPS:
         raise CapExceeded(f"n = {n} exceeds the cap {DEFAULT_MAX_V_STEPS} for v-steps")
-    while len(_V_CACHE) <= n:
-        _V_CACHE.append(v_step(_V_CACHE[-1]))
-    return _V_CACHE[n]
+    N = n + 1
+    num = _cheb_ints(ChebKind.FIRST, N)[N::-2]
+    den = _cheb_ints(ChebKind.SECOND, N - 1)[N - 1 :: -2]
+    return RationalFunction._from_coprime(num, den)
 
 
 def iterate(scheme: Scheme, k: int, max_k: int | None = None) -> RationalFunction:
     """The k-th iterate of the scheme from the initial value 1.
 
-    The linear-fraction scheme returns the memoized chain ``v_iterate(k)``.
-    Newton and Halley iterates are built step by step; max_k caps their k
-    and defaults to DEFAULT_MAX_NEWTON_K or DEFAULT_MAX_HALLEY_K.
+    The linear-fraction scheme returns ``v_iterate(k)``, built from its
+    Chebyshev form.  Newton and Halley iterates are built step by step;
+    max_k caps their k and defaults to DEFAULT_MAX_NEWTON_K or
+    DEFAULT_MAX_HALLEY_K.
     """
     if k < 0:
         raise BadIndex("iteration count must be >= 0")

@@ -30,6 +30,7 @@ from .closedform import (
 )
 from .errors import BadIndex, BadRootOrder, CapExceeded, OnBranchCut
 from .exact import (
+    ONE_RF,
     Polynomial,
     RationalFunction,
     eval_poly_complex,
@@ -38,7 +39,7 @@ from .exact import (
     sqrt_series_coeff,
     taylor_coefficients,
 )
-from .iterates import Scheme, iterate, v_iterate
+from .iterates import Scheme, iterate, v_iterate, v_step
 
 SLACK_BITS = 16
 
@@ -234,19 +235,23 @@ def check_value_at_one(n_max: int) -> CheckResult:
 
 
 def check_composition(newton_k_max: int = 4, halley_k_max: int = 3) -> CheckResult:
-    """Structural equality of Newton/Halley iterates with v-iterates.
+    """Structural equality of three v-iterate constructions that share no code.
 
     The k-th Newton iterate must equal the (2^k - 1)-th linear-fraction
     iterate as a canonical-form object, and the k-th Halley iterate the
-    (3^k - 1)-th.  Zero tolerance: this is data equality.
+    (3^k - 1)-th.  Each is compared with both the Chebyshev-form
+    ``v_iterate`` and a ``v_step`` chain built from 1 up to the largest
+    index compared.  Zero tolerance: this is data equality.
     """
+    chain = [ONE_RF]
+    for _ in range(max(2**newton_k_max, 3**halley_k_max) - 1):
+        chain.append(v_step(chain[-1]))
     failures = []
-    for k in range(1, newton_k_max + 1):
-        if iterate(Scheme.newton(2), k) != v_iterate(2**k - 1):
-            failures.append(("newton", k))
-    for k in range(1, halley_k_max + 1):
-        if iterate(Scheme.halley(2), k) != v_iterate(3**k - 1):
-            failures.append(("halley", k))
+    for kind, base, k_max in (("newton", 2, newton_k_max), ("halley", 3, halley_k_max)):
+        for k in range(1, k_max + 1):
+            n, f = base**k - 1, iterate(Scheme(kind, 2), k)
+            if f != v_iterate(n) or f != chain[n]:
+                failures.append((kind, k))
     return CheckResult(
         name="composition",
         params={"newton_k_max": newton_k_max, "halley_k_max": halley_k_max},

@@ -99,6 +99,19 @@ class TestDecompose:
         assert code == 2
         assert "error" in err
 
+    def test_cap_rejects_before_any_work(self, capsys, monkeypatch):
+        # decompose and tail_sum_identity grow without bound in n; the cap must come first
+        from chebsqrt import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("decompose work started before the cap check")
+
+        monkeypatch.setattr(cli, "decompose", no_work)
+        monkeypatch.setattr(cli, "tail_sum_identity", no_work)
+        code, _, err = run_cli(capsys, "decompose", "--n", str(cli.DEFAULT_MAX_V_STEPS + 1))
+        assert code == 2
+        assert "exceeds the cap" in err
+
 
 class TestEval:
     def test_exact_rational_point(self, capsys):

@@ -13,6 +13,7 @@ from chebsqrt import (
     BadIndex,
     BadRootOrder,
     CapExceeded,
+    ChebKind,
     DegenerateStep,
     Polynomial,
     RationalFunction,
@@ -26,6 +27,8 @@ from chebsqrt import (
     v_iterate,
     v_step,
 )
+from chebsqrt.chebyshev import _cheb_ints
+from chebsqrt.iterates import DEFAULT_MAX_V_STEPS
 
 ONE = RationalFunction(Polynomial([1]))
 HALF_SLOPE = RationalFunction(Polynomial([1, F(-1, 2)]))  # 1 - z/2
@@ -56,6 +59,15 @@ def direct_v(n):
 
 
 ONE_MINUS_Z = Polynomial([1, -1])
+
+
+@pytest.fixture(scope="module")
+def v_chain():
+    """v_0..v_1024 by explicit v_step calls from 1, the oracle for the formula."""
+    chain = [ONE]
+    for _ in range(1024):
+        chain.append(v_step(chain[-1]))
+    return chain
 
 
 def naive_step(kind, f, p=2):
@@ -173,10 +185,10 @@ class TestIterate:
         seq = [iterate(Scheme.v(), k) for k in range(4)]
         assert seq == [ONE, HALF_SLOPE, V2, V3]
 
-    def test_memoized_chain_matches(self):
+    def test_v_scheme_matches_direct_binomial_form(self):
         for n in (0, 1, 5, 9):
             f = iterate(Scheme.v(), n)
-            assert f is v_iterate(n)
+            assert f == v_iterate(n)
             assert (f.num.coeffs, f.den.coeffs) == direct_v(n)
 
     def test_caps(self):
@@ -220,14 +232,40 @@ class TestCompositionIdentities:
             assert iterate(Scheme.halley(2), k) == v_iterate(3**k - 1)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 8, 26, 31, 64, 255, 511])
-    def test_chain_matches_direct_binomial_form(self, n):
+    def test_chain_matches_direct_binomial_form(self, v_chain, n):
+        f = v_chain[n]
+        assert (f.num.coeffs, f.den.coeffs) == direct_v(n)
+
+
+class TestChebyshevForm:
+    def test_formula_matches_chain(self, v_chain):
+        for n, f in enumerate(v_chain):
+            assert v_iterate(n) == f, n
+
+    @pytest.mark.parametrize("n", [1023, DEFAULT_MAX_V_STEPS])
+    def test_formula_matches_direct_binomial_form(self, n):
+        # past the chain's reach; below it the chain agrees with direct_v
         f = v_iterate(n)
         assert (f.num.coeffs, f.den.coeffs) == direct_v(n)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 64, 255])
+    def test_pell_identity_proves_coprime(self, n):
+        # A = z^(N/2) T_N(z^(-1/2)), B = z^((N-1)/2) U_(N-1)(z^(-1/2)), N = n + 1
+        N = n + 1
+        a = _cheb_ints(ChebKind.FIRST, N)[N::-2]
+        b = _cheb_ints(ChebKind.SECOND, N - 1)[N - 1 :: -2]
+        pell = Polynomial(a) ** 2 - ONE_MINUS_Z * Polynomial(b) ** 2
+        assert pell == Polynomial([0] * N + [1])
+        assert b[0] == 2 ** (N - 1)
+        # the gcd finds nothing to remove, and the pair is v_n
+        assert coeff_tuples(RationalFunction(Polynomial(a), Polynomial(b))) == coeff_tuples(
+            v_iterate(n)
+        )
 
 
 class TestStructuralInvariants:
     def test_chain_is_canonical(self):
-        # the steps skip the gcd; the constructor's gcd must find nothing to remove
+        # v_iterate skips the gcd; the constructor's gcd must find nothing to remove
         for n in range(1, 257):
             f = v_iterate(n)
             assert coeff_tuples(RationalFunction(f.num, f.den)) == coeff_tuples(f)

@@ -121,6 +121,19 @@ class TestExactChecks:
     def test_composition(self):
         assert check_composition().status == "pass"
 
+    @pytest.mark.parametrize(
+        "name, skew",
+        [("v_iterate", lambda real: lambda n: real(n + 1)),
+         ("v_step", lambda real: lambda f: real(real(f)))],
+    )
+    def test_composition_compares_each_construction(self, monkeypatch, name, skew):
+        # one wrong construction fails the check even when the other two agree
+        from chebsqrt import verify
+
+        monkeypatch.setattr(verify, name, skew(getattr(verify, name)))
+        r = check_composition()
+        assert r.status == "fail" and r.worst_case == {"first_failure": "('newton', 1)"}
+
     def test_mu_bound(self):
         r = check_mu_bound(3000, PREC)
         assert r.status == "pass"
