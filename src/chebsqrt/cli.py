@@ -5,8 +5,8 @@ Exit codes: 0 = success / all checks pass, 1 = a mathematical check failed,
 invocations (timing fields excluded); random sampling in `bench` is seeded
 and the seed is echoed.
 
-Environment overrides: PREC_BITS (default working precision) and MAX_K
-(Newton/Halley iteration cap).
+Environment override: PREC_BITS (default working precision).  Every iterate
+is bounded by ``iterates.MAX_DEGREE``, checked before it is built.
 """
 
 from __future__ import annotations
@@ -25,13 +25,13 @@ from mpmath import mpc, mpf, workprec
 
 from .chebyshev import DEFAULT_PREC, GUARD_BITS
 from .closedform import decompose, radius_of_convergence, tail_sum_identity
-from .errors import CapExceeded, ChebsqrtError
+from .errors import ChebsqrtError
 from .exact import (
     eval_ratfun_complex,
     root_series_coeffs,
     taylor_coefficients,
 )
-from .iterates import DEFAULT_MAX_NEWTON_K, DEFAULT_MAX_V_STEPS, Scheme, iterate, v_iterate
+from .iterates import Scheme, capped_degree, iterate, v_iterate
 from .verify import (
     CHECKS,
     MAX_COEFF_INDEX,
@@ -45,14 +45,11 @@ from .verify import (
 @dataclass
 class CliConfig:
     precision_bits: int = 256
-    max_k: int = DEFAULT_MAX_NEWTON_K  # Newton/Halley iteration cap
     output_format: str = "human"
 
     def __post_init__(self):
         if self.precision_bits < 64:
             raise ChebsqrtError("precision must be at least 64 bits")
-        if self.max_k < 1:
-            raise ChebsqrtError("caps must be positive")
 
 
 def _float_str(x, prec: int) -> str:
@@ -79,7 +76,7 @@ def cmd_coeffs(args, cfg: CliConfig) -> int:
     scheme = _scheme_from(args.scheme, args.p)
     if args.M > MAX_COEFF_INDEX:
         raise ChebsqrtError(f"M = {args.M} exceeds the coefficient cap {MAX_COEFF_INDEX}")
-    f = iterate(scheme, args.k, cfg.max_k)
+    f = iterate(scheme, args.k)
     cs = taylor_coefficients(f, args.M)
     p = 2 if scheme.kind == "v" else scheme.p
     ref = root_series_coeffs(p, args.M)
@@ -113,8 +110,7 @@ def cmd_coeffs(args, cfg: CliConfig) -> int:
 
 
 def cmd_decompose(args, cfg: CliConfig) -> int:
-    if args.n > DEFAULT_MAX_V_STEPS:
-        raise CapExceeded(f"n = {args.n} exceeds the cap {DEFAULT_MAX_V_STEPS} for v-steps")
+    capped_degree(Scheme.v(), args.n)
     prec = cfg.precision_bits
     pf = decompose(args.n, prec)
     radius = radius_of_convergence(args.n, prec)
@@ -163,7 +159,7 @@ def cmd_eval(args, cfg: CliConfig) -> int:
     """
     prec = cfg.precision_bits
     scheme = _scheme_from(args.scheme, args.p)
-    f = iterate(scheme, args.k, cfg.max_k)
+    f = iterate(scheme, args.k)
     if args.at is not None:
         x = _rational(args.at, "--at")
         value = f(x)
@@ -196,6 +192,8 @@ def cmd_eval(args, cfg: CliConfig) -> int:
 
 def cmd_verify(args, cfg: CliConfig) -> int:
     prec = cfg.precision_bits
+    if args.n_max < 1:
+        raise ChebsqrtError("--n-max must be >= 1")
     if args.all:
         results = default_suite(args.n_max, prec)
     elif args.check:
@@ -227,13 +225,7 @@ def cmd_verify(args, cfg: CliConfig) -> int:
 
 
 def cmd_explore_guo(args, cfg: CliConfig) -> int:
-    report = guo_explore(
-        args.p,
-        args.scheme,
-        args.k,
-        args.M,
-        max_k=cfg.max_k,
-    )
+    report = guo_explore(args.p, args.scheme, args.k, args.M)
     if cfg.output_format == "json":
         print(json.dumps(report.to_json_dict()))
     else:
@@ -344,9 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="working precision in bits (env PREC_BITS)")
     parser.add_argument("--format", choices=("json", "csv", "human"), default="human")
     parser.add_argument("--seed", type=int, default=0, help="PRNG seed for bench")
-    parser.add_argument("--max-k", type=int,
-                        default=int(os.environ.get("MAX_K", str(DEFAULT_MAX_NEWTON_K))),
-                        help="Newton/Halley iteration cap (env MAX_K)")
 
     # global flags are accepted after the subcommand too; values given there win
     common = argparse.ArgumentParser(add_help=False)
@@ -354,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv", "human"),
                         default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--max-k", type=int, default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("coeffs", parents=[common],
@@ -413,8 +401,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = CliConfig(precision_bits=args.prec, max_k=args.max_k,
-                        output_format=args.format)
+        cfg = CliConfig(precision_bits=args.prec, output_format=args.format)
         if args.command == "eval" and args.at is None and (
             args.at_re is None or args.at_im is None
         ):

@@ -25,11 +25,10 @@ from .chebyshev import ChebKind, _cheb_ints
 from .errors import BadIndex, BadRootOrder, CapExceeded, DegenerateStep
 from .exact import ONE_RF, Polynomial, RationalFunction, _convolve, _integer_pair
 
-# Degrees and coefficient bit-lengths grow with k; the caps keep desk-scale
-# runtimes.  The Newton/Halley caps can be raised per call (iterate's max_k).
-DEFAULT_MAX_V_STEPS = 4096
-DEFAULT_MAX_NEWTON_K = 12
-DEFAULT_MAX_HALLEY_K = 12
+# The largest degree, max(deg num, deg den), an iterate may have: that of
+# v_4096.  Work grows with the degree, not with k, so one degree cap bounds
+# every scheme and root order; ``capped_degree`` checks it before any step.
+MAX_DEGREE = 2048
 
 
 @dataclass(frozen=True)
@@ -85,6 +84,8 @@ def _times_one_minus_z(a: list[int]) -> list[int]:
 
 def _power(a: list[int], p: int) -> list[int]:
     """Coefficient list of a**p, p >= 1."""
+    if len(a) == 1:  # the first step: degree 1 whatever p, so the cap leaves p unbounded
+        return [a[0] ** p]
     out = a
     for _ in range(p - 1):
         out = _convolve(out, a)
@@ -158,8 +159,34 @@ def halley_step(f: RationalFunction, p: int = 2) -> RationalFunction:
     return _canonical(num, _convolve(b, y), sum(a) != 0)
 
 
+def capped_degree(scheme: Scheme, k: int) -> int:
+    """max(deg num, deg den) of the k-th iterate; CapExceeded above MAX_DEGREE.
+
+    v_k has degree floor((k+1)/2).  From 1, a Newton step for x**p = 1 - z
+    takes degree d to p*d (to 1 from d = 0) and a Halley step to (p+1)*d + 1,
+    so the k-th iterate has degree p^(k-1) (0 at k = 0) or ((p+1)^k - 1)/p.
+    At p = 2 these are the degrees of v_(2^k - 1) and v_(3^k - 1).
+    """
+    if k < 0:
+        raise BadIndex("iteration count must be >= 0")
+    p = scheme.p
+    # with p >= 2 both degrees are at least 2^(k-1), so any k past the bit length
+    # of MAX_DEGREE is past the cap; clipping k there keeps the powers small
+    j = min(k, MAX_DEGREE.bit_length() + 1)
+    if scheme.kind == "v":
+        degree = (k + 1) // 2
+    elif scheme.kind == "newton":
+        degree = p ** (j - 1) if j else 0
+    else:
+        degree = ((p + 1) ** j - 1) // p
+    if degree > MAX_DEGREE:
+        raise CapExceeded(f"k = {k} exceeds the cap: the {scheme} iterate would have "
+                          f"degree above {MAX_DEGREE}")
+    return degree
+
+
 def v_iterate(n: int) -> RationalFunction:
-    """The n-th linear-fraction iterate, n <= DEFAULT_MAX_V_STEPS, from its Chebyshev form.
+    """The n-th linear-fraction iterate, from its Chebyshev form.
 
     With N = n + 1, v_n(z) = A(z)/B(z) where A(z) = z^(N/2) T_N(z^(-1/2))
     and B(z) = z^((N-1)/2) U_(N-1)(z^(-1/2)): the z^j coefficient of A is
@@ -168,32 +195,23 @@ def v_iterate(n: int) -> RationalFunction:
     multiplied by z^N, becomes A^2 - (1-z) B^2 = z^N, so gcd(A, B) divides
     z^N; B(0) = 2^(N-1) != 0 rules out z, so A and B are coprime.
     """
-    if n < 0:
-        raise BadIndex("iterate index must be >= 0")
-    if n > DEFAULT_MAX_V_STEPS:
-        raise CapExceeded(f"n = {n} exceeds the cap {DEFAULT_MAX_V_STEPS} for v-steps")
+    capped_degree(Scheme.v(), n)
     N = n + 1
     num = _cheb_ints(ChebKind.FIRST, N)[N::-2]
     den = _cheb_ints(ChebKind.SECOND, N - 1)[N - 1 :: -2]
     return RationalFunction._from_coprime(num, den)
 
 
-def iterate(scheme: Scheme, k: int, max_k: int | None = None) -> RationalFunction:
+def iterate(scheme: Scheme, k: int) -> RationalFunction:
     """The k-th iterate of the scheme from the initial value 1.
 
     The linear-fraction scheme returns ``v_iterate(k)``, built from its
-    Chebyshev form.  Newton and Halley iterates are built step by step;
-    max_k caps their k and defaults to DEFAULT_MAX_NEWTON_K or
-    DEFAULT_MAX_HALLEY_K.
+    Chebyshev form.  Newton and Halley iterates are built step by step, once
+    ``capped_degree`` has admitted k.
     """
-    if k < 0:
-        raise BadIndex("iteration count must be >= 0")
     if scheme.kind == "v":
         return v_iterate(k)
-    if max_k is None:
-        max_k = DEFAULT_MAX_NEWTON_K if scheme.kind == "newton" else DEFAULT_MAX_HALLEY_K
-    if k > max_k:
-        raise CapExceeded(f"k = {k} exceeds the cap {max_k} for scheme {scheme}")
+    capped_degree(scheme, k)
     step = newton_step if scheme.kind == "newton" else halley_step
     f = ONE_RF
     for _ in range(k):

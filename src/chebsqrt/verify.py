@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -95,16 +96,13 @@ class DiskGrid:
 
     radial_steps rings at radii radius*i/radial_steps (i = 1..radial_steps)
     with angular_steps equispaced angles each; the boundary ring and the
-    angle-0 point (z = radius) are included.  With exclude_near_one=True,
-    points within 2**-(prec/2) of z = 1 are dropped, for quantities that
-    divide by sqrt(1 - z).
+    angle-0 point (z = radius) are included.
     """
 
     radius: float = 1.0
     radial_steps: int = 16
     angular_steps: int = 32
     prec: int = DEFAULT_PREC
-    exclude_near_one: bool = False
 
     def __post_init__(self):
         if not (0 < self.radius <= 1):
@@ -114,17 +112,17 @@ class DiskGrid:
 
     def points(self) -> list:
         with workprec(self.prec + GUARD_BITS):
-            cutoff = mpf(2) ** -(self.prec // 2)
             radius = mpmath.mpmathify(self.radius)
-            pts = []
-            for i in range(1, self.radial_steps + 1):
-                r = radius * i / self.radial_steps
-                for j in range(self.angular_steps):
-                    z = r * mpmath.expjpi(mpf(2 * j) / self.angular_steps)
-                    if self.exclude_near_one and abs(z - 1) < cutoff:
-                        continue
-                    pts.append(z)
-        return pts
+            return [radius * i / self.radial_steps
+                    * mpmath.expjpi(mpf(2 * j) / self.angular_steps)
+                    for i in range(1, self.radial_steps + 1)
+                    for j in range(self.angular_steps)]
+
+    @cached_property
+    def samples(self) -> list:
+        """(z, sqrt(1 - z)) for every point, the root at prec + EVAL_GUARD_BITS."""
+        with workprec(self.prec + EVAL_GUARD_BITS):
+            return [(z, mpmath.sqrt(1 - z)) for z in self.points()]
 
 
 def sqrt_principal(z, prec: int = DEFAULT_PREC):
@@ -165,6 +163,14 @@ class _FloatEvaluator:
 
     def __call__(self, z):
         return _horner(self.num, z) / _horner(self.den, z)
+
+
+def _grid_errors(f: RationalFunction, grid: DiskGrid) -> list:
+    """|f(z) - sqrt(1 - z)| at every grid sample, by float Horner at prec + EVAL_GUARD_BITS."""
+    work = grid.prec + EVAL_GUARD_BITS
+    ev = _FloatEvaluator(f, work)
+    with workprec(work):
+        return [abs(ev(z) - w) for z, w in grid.samples]
 
 
 # --------------------------------------------------------------------------
@@ -268,6 +274,8 @@ def check_mu_bound(n_max: int = 10_000, prec: int = DEFAULT_PREC) -> CheckResult
     mu_n = mu_{n-1} * (2n-1)/(2n); the accumulated rounding (~n ulps) is
     hundreds of bits below the true margin of ~1/(4n).
     """
+    if n_max < 1:
+        raise BadIndex("mu-bound check needs n_max >= 1")
     worst = None
     worst_val = mpf(0)
     with workprec(prec + GUARD_BITS):
@@ -358,17 +366,13 @@ def check_disk_bound(scheme: Scheme, k: int, grid: DiskGrid) -> CheckResult:
     work = prec + EVAL_GUARD_BITS
     with workprec(work):
         factor, power = _disk_bound_factor(scheme, k)  # validates before the build
-    ev = _FloatEvaluator(iterate(scheme, k), work)
+    errs = _grid_errors(iterate(scheme, k), grid)
     tol = _slack(prec)
     worst = None
     worst_excess = mpf("-inf")
-    pts = grid.points()
     with workprec(work):
-        for z in pts:
-            w = mpmath.sqrt(1 - z)
-            err = abs(ev(z) - w)
-            bound = factor * abs(z) ** power
-            excess = err - bound
+        for (z, _), err in zip(grid.samples, errs):
+            excess = err - factor * abs(z) ** power
             if excess > worst_excess:
                 worst_excess, worst = excess, z
     return CheckResult(
@@ -376,17 +380,13 @@ def check_disk_bound(scheme: Scheme, k: int, grid: DiskGrid) -> CheckResult:
         params={"scheme": str(scheme), "k": k, "radius": grid.radius,
                 "grid": f"{grid.radial_steps}x{grid.angular_steps}"},
         passed=bool(worst_excess <= tol),
-        samples=len(pts),
+        samples=len(errs),
         worst_case={"z": _nstr(worst), "excess": _nstr(worst_excess), "slack": _nstr(tol)},
     )
 
 
 def check_uniform_compact(
-    n_max: int,
-    compact_radius: float = 0.9,
-    prec: int = DEFAULT_PREC,
-    radial_steps: int = 8,
-    angular_steps: int = 16,
+    n_max: int, compact_radius: float = 0.9, prec: int = DEFAULT_PREC
 ) -> CheckResult:
     """Sampled sup of |f_n - sqrt(1-z)| on a compact disk decays geometrically.
 
@@ -394,20 +394,17 @@ def check_uniform_compact(
     the sup at step n must lie below C * q**(n+1) and be non-increasing in n
     (both up to slack).
     """
+    if n_max < 1:
+        raise BadIndex("uniform-compact check needs n_max >= 1")
     if not 0 < compact_radius < 1:
         raise BadIndex("compact radius must be in (0, 1)")
-    grid = DiskGrid(compact_radius, radial_steps, angular_steps, prec)
-    pts = grid.points()
+    grid = DiskGrid(compact_radius, 8, 16, prec)
     tol = _slack(prec)
-    work = prec + EVAL_GUARD_BITS
-    sups = []
-    with workprec(work):
-        ws = [mpmath.sqrt(1 - z) for z in pts]
+    sups = [max(_grid_errors(v_iterate(n), grid)) for n in range(1, n_max + 1)]
+    with workprec(prec + EVAL_GUARD_BITS):
+        ws = [w for _, w in grid.samples]
         q = max(abs((1 - w) / (1 + w)) for w in ws)
         big_c = 2 * max(abs(w) for w in ws) / (1 - q * q)
-        for n in range(1, n_max + 1):
-            ev = _FloatEvaluator(v_iterate(n), work)
-            sups.append(max(abs(ev(z) - w) for z, w in zip(pts, ws)))
         geo_bad = next(
             (n for n, s in enumerate(sups, start=1) if s > big_c * q ** (n + 1) + tol),
             None,
@@ -420,7 +417,7 @@ def check_uniform_compact(
         name="uniform-compact",
         params={"n_max": n_max, "radius": compact_radius},
         passed=bool(passed),
-        samples=len(pts) * n_max,
+        samples=len(ws) * n_max,
         worst_case={
             "q": _nstr(q),
             "sup_first": _nstr(sups[0]),
@@ -440,31 +437,28 @@ def check_monotone_improvement(
     improvement is only a heuristic, so |z| = 1 points are reported in the
     note as warnings rather than failures.
     """
+    if n_max < 1:
+        raise BadIndex("monotone-improvement check needs n_max >= 1")
     grid = DiskGrid(radius, 8, 16, prec)
-    pts = grid.points()
     tol = _slack(prec)
-    work = prec + EVAL_GUARD_BITS
     bad = None
     warnings = 0
-    with workprec(work):
-        ws = [mpmath.sqrt(1 - z) for z in pts]
-        errs = None
-        for n in range(1, n_max + 2):
-            ev = _FloatEvaluator(v_iterate(n), work)
-            new_errs = [abs(ev(z) - w) for z, w in zip(pts, ws)]
-            if errs is not None:
-                for z, before, after in zip(pts, errs, new_errs):
-                    if after > before + tol:
-                        if abs(z) >= 1:
-                            warnings += 1
-                        elif bad is None:
-                            bad = {"n": n - 1, "z": _nstr(z), "increase": _nstr(after - before)}
+    errs = _grid_errors(v_iterate(1), grid)
+    with workprec(prec + EVAL_GUARD_BITS):
+        for n in range(1, n_max + 1):
+            new_errs = _grid_errors(v_iterate(n + 1), grid)
+            for (z, _), before, after in zip(grid.samples, errs, new_errs):
+                if after > before + tol:
+                    if abs(z) >= 1:
+                        warnings += 1
+                    elif bad is None:
+                        bad = {"n": n, "z": _nstr(z), "increase": _nstr(after - before)}
             errs = new_errs
     return CheckResult(
         name="monotone-improvement",
         params={"n_max": n_max, "radius": radius},
         passed=bad is None,
-        samples=len(pts) * n_max,
+        samples=len(errs) * n_max,
         worst_case=bad,
         note=f"{warnings} boundary warnings (|z| = 1 is not asserted)" if warnings else "",
     )
@@ -750,14 +744,7 @@ class GuoReport:
         }
 
 
-def guo_explore(
-    p: int,
-    scheme_kind: str,
-    k: int,
-    M: int,
-    max_k: Optional[int] = None,
-    max_m: int = MAX_COEFF_INDEX,
-) -> GuoReport:
+def guo_explore(p: int, scheme_kind: str, k: int, M: int) -> GuoReport:
     """Exact series prefix of the k-th iterate and its sign pattern.
 
     For p = 2 every coefficient from index 1 on should be strictly negative
@@ -771,10 +758,10 @@ def guo_explore(
         raise BadRootOrder(f"root order must be an integer >= 2, got {p}")
     if k < 1 or M < 1:
         raise BadIndex("need k >= 1 and M >= 1")
-    if M > max_m:
-        raise CapExceeded(f"M = {M} exceeds the coefficient cap {max_m}")
+    if M > MAX_COEFF_INDEX:
+        raise CapExceeded(f"M = {M} exceeds the coefficient cap {MAX_COEFF_INDEX}")
     scheme = Scheme(scheme_kind, p)
-    f = iterate(scheme, k, max_k)
+    f = iterate(scheme, k)
     cs = taylor_coefficients(f, M)
     ref = root_series_coeffs(p, M)
     head = 0
@@ -902,4 +889,6 @@ CHECKS = {
 
 def default_suite(n_max: int = 16, prec: int = DEFAULT_PREC) -> list[CheckResult]:
     """The full default check battery: every row of CHECKS, in table order."""
+    if n_max < 1:
+        raise BadIndex("the suite needs n_max >= 1")
     return [r for rows in CHECKS.values() for r in rows(n_max, prec)]

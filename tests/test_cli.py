@@ -108,7 +108,7 @@ class TestDecompose:
 
         monkeypatch.setattr(cli, "decompose", no_work)
         monkeypatch.setattr(cli, "tail_sum_identity", no_work)
-        code, _, err = run_cli(capsys, "decompose", "--n", str(cli.DEFAULT_MAX_V_STEPS + 1))
+        code, _, err = run_cli(capsys, "decompose", "--n", "4097")
         assert code == 2
         assert "exceeds the cap" in err
 
@@ -312,6 +312,17 @@ class TestDeterminismAndConfig:
     ("bench", "--n", "2", "--points", "0"),
     ("bench", "--n", "2", "--points", "-5"),
     ("bench", "--n", "2", "--points", "5", "--reps", "0"),
+    # past the degree cap: refused before any step would run for minutes
+    ("coeffs", "--scheme", "halley", "--k", "9", "--M", "4"),
+    ("explore-guo", "--p", "3", "--scheme", "newton", "--k", "9", "--M", "8"),
+    ("verify", "--check", "disk-bound", "--scheme", "halley", "--k", "9",
+     "--grid-radial", "1", "--grid-angular", "1"),
+    # n_max < 1 would crash or pass with no samples
+    ("verify", "--all", "--n-max", "0"),
+    ("verify", "--check", "uniform-compact", "--n-max", "0"),
+    ("verify", "--check", "monotone-improvement", "--n-max", "0"),
+    ("verify", "--check", "head", "--n-max", "0"),
+    ("verify", "--check", "mu-bound", "--n", "-5"),
 ])
 def test_bad_input_is_usage_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)

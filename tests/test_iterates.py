@@ -28,7 +28,8 @@ from chebsqrt import (
     v_step,
 )
 from chebsqrt.chebyshev import _cheb_ints
-from chebsqrt.iterates import DEFAULT_MAX_V_STEPS
+from chebsqrt import iterates
+from chebsqrt.iterates import MAX_DEGREE, capped_degree
 
 ONE = RationalFunction(Polynomial([1]))
 HALF_SLOPE = RationalFunction(Polynomial([1, F(-1, 2)]))  # 1 - z/2
@@ -198,9 +199,60 @@ class TestIterate:
             v_iterate(5000)
         with pytest.raises(CapExceeded):
             iterate(Scheme.v(), 5000)
-        assert iterate(Scheme.newton(2), 5, max_k=5) is not None
+
+    @pytest.mark.parametrize("scheme, ks", [
+        (Scheme.v(), (0, 1, 2, 7, 4096)),
+        (Scheme.newton(2), range(7)), (Scheme.halley(2), range(5)),
+        (Scheme.newton(3), range(5)), (Scheme.halley(3), range(4)),
+        (Scheme.newton(4), range(4)), (Scheme.halley(4), range(3)),
+    ])
+    def test_degree_formula_matches_built_iterates(self, scheme, ks):
+        for k in ks:
+            f = iterate(scheme, k)
+            assert capped_degree(scheme, k) == max(f.num.degree, f.den.degree), k
+
+    def test_degree_cap_refuses_before_any_step(self, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran before the degree cap")
+
+        monkeypatch.setattr(iterates, "newton_step", no_step)
+        monkeypatch.setattr(iterates, "halley_step", no_step)
+        for scheme in (Scheme.halley(2), Scheme.newton(3)):
+            with pytest.raises(CapExceeded, match="exceeds the cap"):
+                iterate(scheme, 8)
+        # huge k and p are refused from the formula alone
         with pytest.raises(CapExceeded):
-            iterate(Scheme.newton(2), 6, max_k=5)
+            iterate(Scheme.halley(2), 10**18)
+        with pytest.raises(CapExceeded):
+            iterate(Scheme.newton(10**9), 2)
+        # the largest admitted k: newton(2) 12 is v_4095, halley(2) 7 is v_2186
+        assert capped_degree(Scheme.newton(2), 12) == MAX_DEGREE
+        assert capped_degree(Scheme.halley(2), 7) == 1093
+        assert capped_degree(Scheme.v(), 4096) == MAX_DEGREE
+        with pytest.raises(CapExceeded):
+            capped_degree(Scheme.newton(2), 13)
+        with pytest.raises(CapExceeded):
+            capped_degree(Scheme.halley(2), 8)
+        with pytest.raises(CapExceeded):
+            capped_degree(Scheme.v(), 4097)
+
+    def test_first_step_power_is_constant_time_in_p(self, monkeypatch):
+        # k = 1 has degree 1 for every p, so no cap bounds p there; the step's
+        # powers of one-element lists must not convolve p times
+        calls = []
+        real = iterates._convolve
+
+        def counting(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(iterates, "_convolve", counting)
+        p = 2**20
+        assert iterate(Scheme.newton(p), 1) == RationalFunction(Polynomial([1, F(-1, p)]))
+        assert len(calls) <= 2  # the step's two products, not powers
+        assert iterate(Scheme.halley(p), 1) == RationalFunction(
+            Polynomial([2 * p, -(p + 1)]), Polynomial([2 * p, -(p - 1)]))
+        assert len(calls) <= 4
 
     def test_scheme_validation(self):
         with pytest.raises(BadRootOrder):
@@ -242,7 +294,7 @@ class TestChebyshevForm:
         for n, f in enumerate(v_chain):
             assert v_iterate(n) == f, n
 
-    @pytest.mark.parametrize("n", [1023, DEFAULT_MAX_V_STEPS])
+    @pytest.mark.parametrize("n", [1023, 4096])
     def test_formula_matches_direct_binomial_form(self, n):
         # past the chain's reach; below it the chain agrees with direct_v
         f = v_iterate(n)

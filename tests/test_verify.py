@@ -84,16 +84,17 @@ class TestDiskGrid:
         with workprec(PREC):
             assert max(abs(z) for z in pts) == 1
 
-    def test_near_one_exclusion(self):
-        pts = DiskGrid(1.0, 4, 8, PREC, exclude_near_one=True).points()
-        assert all(z != 1 for z in pts)
-        assert len(pts) == 31
-
     def test_radius_validation(self):
         with pytest.raises(BadIndex):
             DiskGrid(1.5, 4, 8, PREC)
         with pytest.raises(BadIndex):
             DiskGrid(1.0, 0, 8, PREC)
+
+    def test_samples_are_cached_roots(self):
+        grid = DiskGrid(0.9, 2, 4, PREC)
+        assert grid.samples is grid.samples
+        with workprec(PREC + verify.EVAL_GUARD_BITS):
+            assert grid.samples == [(z, mpmath.sqrt(1 - z)) for z in grid.points()]
 
 
 class TestExactChecks:
@@ -138,6 +139,17 @@ class TestExactChecks:
         r = check_mu_bound(3000, PREC)
         assert r.status == "pass"
         assert r.worst_case["n"] == 3000  # margin shrinks with n
+
+    def test_empty_ranges_rejected(self):
+        # n_max < 1 would crash on an empty sup list or pass with no samples
+        with pytest.raises(BadIndex):
+            check_mu_bound(-5, PREC)
+        with pytest.raises(BadIndex):
+            check_uniform_compact(0, 0.9, PREC)
+        with pytest.raises(BadIndex):
+            check_monotone_improvement(0, 0.9, PREC)
+        with pytest.raises(BadIndex):
+            default_suite(n_max=0, prec=PREC)
 
 
 class TestFloatChecks:
@@ -296,7 +308,7 @@ class TestGuoExplorer:
         with pytest.raises(BadIndex):
             guo_explore(2, "newton", 0, 8)
         with pytest.raises(CapExceeded):
-            guo_explore(2, "newton", 2, 8, max_m=4)
+            guo_explore(2, "newton", 1, verify.MAX_COEFF_INDEX + 1)
 
     def test_json_round_trip(self):
         doc = guo_explore(2, "halley", 2, 32).to_json_dict()
