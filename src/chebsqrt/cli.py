@@ -59,13 +59,7 @@ def _float_str(x, prec: int) -> str:
 
 
 def _scheme_from(name: str, p: int) -> Scheme:
-    if name == "v":
-        return Scheme.v()
-    if name == "newton":
-        return Scheme.newton(p)
-    if name == "halley":
-        return Scheme.halley(p)
-    raise ChebsqrtError(f"unknown scheme {name!r}")
+    return Scheme(name, None if name == "v" else p)
 
 
 # --------------------------------------------------------------------------
@@ -80,10 +74,7 @@ def cmd_coeffs(args, cfg: CliConfig) -> int:
     cs = taylor_coefficients(f, args.M)
     p = 2 if scheme.kind == "v" else scheme.p
     ref = root_series_coeffs(p, args.M)
-    if scheme.kind == "v":
-        head_limit = args.k + 1
-    else:
-        head_limit = (2 if scheme.kind == "newton" else 3) ** args.k
+    head_limit = scheme.head_length(args.k)
     rows = []
     for m in range(args.M + 1):
         value = cs[m]

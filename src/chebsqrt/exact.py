@@ -5,16 +5,23 @@ rounds.  The four costly kernels, the polynomial product, the gcd, the
 Taylor extraction and exact evaluation, work on integers internally: the
 product convolves the operands' numerators over a common denominator with
 ``_convolve``, which the v, Newton and Halley steps of ``iterates`` share;
-the gcd is the primitive remainder sequence on integer forms, and the
-iterate constructions skip it by proving coprimality and handing their
-pairs to the trusted constructor ``RationalFunction._from_coprime``; the
-Taylor recurrence puts each window of earlier coefficients over one common
+the gcd is the primitive remainder sequence on integer forms; the Taylor
+recurrence puts each window of earlier coefficients over one common
 denominator, so every new coefficient is an integer numerator reduced once;
 and evaluation at a rational or complex rational point runs Horner on
 Gaussian integers against powers of the point's common denominator,
 reducing only the final real and imaginary parts.  They convert back to
 `Fraction` exactly and never round either.  Floating point lives in the
 closed-form and verification layers.
+
+A ``RationalFunction`` is stored along one path: a coprime integer pair
+(``_integer_pair`` puts num and den over one common denominator) goes to
+``RationalFunction._store``, which divides both by the lead of den.  The
+iterate constructions prove coprimality and call the trusted constructor
+``_from_coprime``, as do copy and pickle; the general constructor runs
+``poly_gcd`` and removes a nontrivial factor by integer exact division
+(``_exact_quotient``), so there is no rational long division.  Rational
+functions carry no arithmetic operators; polynomials keep ``+ - * **``.
 
 Wire format: a rational scalar serializes as ``"p/q"`` in base 10 (``"p"``
 when the denominator is 1, which is what ``str(Fraction)`` produces); a
@@ -35,7 +42,6 @@ from .errors import (
     ZeroDenominator,
 )
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 
@@ -148,30 +154,6 @@ class Polynomial:
             n >>= 1
         return result
 
-    def __divmod__(self, other: "Polynomial"):
-        """Exact long division over the rationals."""
-        other = _coerce_poly(other)
-        if other.is_zero:
-            raise ZeroDenominator("polynomial division by zero")
-        rem = list(self.coeffs)
-        dv, lead = other.degree, other.coeffs[-1]
-        if self.degree < dv:
-            return ZERO, self
-        quot = [Fraction(0)] * (self.degree - dv + 1)
-        for k in range(len(quot) - 1, -1, -1):
-            q = rem[k + dv] / lead
-            quot[k] = q
-            if q:
-                for i, c in enumerate(other.coeffs):
-                    rem[k + i] -= q * c
-        return Polynomial(quot), Polynomial(rem[:dv])
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def __call__(self, x):
         """Horner evaluation; works for Fraction, mpf, mpc or complex x."""
         acc = x * 0
@@ -215,7 +197,6 @@ def _coerce_poly(x):
 
 ZERO = Polynomial()
 ONE = Polynomial((1,))
-Z = Polynomial((0, 1))
 
 
 def _integer_form(coeffs: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -234,12 +215,29 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _integer_pair(f: "RationalFunction") -> tuple[list[int], list[int]]:
-    """Integer coefficient lists A, B with f = A/B: num and den over one common denominator."""
-    da, a = _integer_form(f.num.coeffs)
-    db, b = _integer_form(f.den.coeffs)
+def _integer_pair(num: Polynomial, den: Polynomial) -> tuple[list[int], list[int]]:
+    """Integer coefficient lists A, B with num/den = A/B: both over one common denominator."""
+    da, a = _integer_form(num.coeffs)
+    db, b = _integer_form(den.coeffs)
     g = math.gcd(da, db)
     return [c * (db // g) for c in a], [c * (da // g) for c in b]
+
+
+def _exact_quotient(a: list[int], g: list[int]) -> list[int]:
+    """Coefficient list of a / g for a primitive g that divides a over Q.
+
+    By Gauss's lemma g then divides a in Z[z], so each step of the long
+    division divides exactly by the lead of g and stays on integers.
+    """
+    dg, lead = len(g) - 1, g[-1]
+    r = list(a)
+    q = [0] * (len(a) - dg)
+    for k in reversed(range(len(q))):
+        c = q[k] = r[k + dg] // lead
+        if c:
+            for i, gc in enumerate(g):
+                r[k + i] -= c * gc
+    return q
 
 
 def _clear_denominators(p: Polynomial) -> list[int]:
@@ -304,38 +302,42 @@ class RationalFunction:
         if den.is_zero:
             raise ZeroDenominator("denominator is the zero polynomial")
         if num.is_zero:
-            num, den = ZERO, ONE
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num // g
-                den = den // g
-            lead = den.coeffs[-1]
-            if lead != 1:
-                inv = 1 / lead
-                num = num * inv
-                den = den * inv
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+            self._store([], [1])
+            return
+        g = poly_gcd(num, den)
+        if g.degree == 0 and den.coeffs[-1] == 1:
+            # already canonical: the given coefficients are kept
+            object.__setattr__(self, "num", num)
+            object.__setattr__(self, "den", den)
+            return
+        a, b = _integer_pair(num, den)
+        if g.degree > 0:
+            h = _clear_denominators(g)
+            a, b = _exact_quotient(a, h), _exact_quotient(b, h)
+        self._store(a, b)
 
     @classmethod
     def _from_coprime(cls, num: list[int], den: list[int]) -> "RationalFunction":
         """Trusted constructor from integer lists that are coprime over Q.
 
-        The caller proves gcd(num, den) = 1, so no poly_gcd runs: trailing
-        zeros are stripped and both lists are divided by the lead of den.
+        The caller proves gcd(num, den) = 1, so no poly_gcd runs.
         """
-        lead = next(c for c in reversed(den) if c)
         self = object.__new__(cls)
+        self._store(num, den)
+        return self
+
+    def _store(self, num: list[int], den: list[int]) -> None:
+        """Set num and den from a coprime integer pair divided by the lead of den."""
+        lead = next(c for c in reversed(den) if c)
         object.__setattr__(self, "num", Polynomial(Fraction(c, lead) for c in num))
         object.__setattr__(self, "den", Polynomial(Fraction(c, lead) for c in den))
-        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
 
     def __reduce__(self):
-        return (RationalFunction, (self.num, self.den))
+        # the stored pair is already coprime, so copy and pickle skip the gcd
+        return (RationalFunction._from_coprime, _integer_pair(self.num, self.den))
 
     @property
     def is_polynomial(self) -> bool:
@@ -363,57 +365,6 @@ class RationalFunction:
             raise PoleAtPoint(f"denominator vanishes at {x}")
         return Fraction(re_num, s)
 
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __add__(self, other):
-        other = _coerce_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        other = _coerce_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.num.is_zero:
-            raise ZeroDenominator("division by the zero function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = _coerce_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return RationalFunction(self.den, self.num) ** (-n)
-        return RationalFunction(self.num**n, self.den**n)
-
     def __repr__(self):
         return f"RationalFunction({self.num!r}, {self.den!r})"
 
@@ -421,14 +372,6 @@ class RationalFunction:
         if self.den == ONE:
             return str(self.num)
         return f"({self.num}) / ({self.den})"
-
-
-def _coerce_ratfun(x):
-    if isinstance(x, RationalFunction):
-        return x
-    if isinstance(x, (int, Fraction, Polynomial)):
-        return RationalFunction(x)
-    return NotImplemented
 
 
 ONE_RF = RationalFunction(ONE)
@@ -450,7 +393,7 @@ def taylor_coefficients(f: RationalFunction, M: int) -> tuple[Fraction, ...]:
         raise BadIndex("series cutoff must be >= 0")
     if f.den.coeff(0) == 0:
         raise NotAnalyticAtZero("denominator vanishes at 0")
-    a, b = _integer_pair(f)
+    a, b = _integer_pair(f.num, f.den)
     b0, d = b[0], len(b) - 1
     nums: list[int] = []
     dens: list[int] = []

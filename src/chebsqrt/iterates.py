@@ -66,6 +66,17 @@ class Scheme:
     def __str__(self):
         return self.kind if self.kind == "v" else f"{self.kind}(p={self.p})"
 
+    def head_length(self, k: int) -> int:
+        """Leading Taylor coefficients the k-th iterate shares with the root series.
+
+        k + 1 for the linear-fraction scheme, 2^k for Newton and 3^k for
+        Halley (convergence orders 2 and 3).  At p = 2 the k-th iterate is
+        v_n with n = head_length(k) - 1.
+        """
+        if self.kind == "v":
+            return k + 1
+        return (2 if self.kind == "newton" else 3) ** k
+
 
 def _scaled_sum(x: int, a: list[int], y: int, b: list[int]) -> list[int]:
     """Coefficient list of x*a + y*b."""
@@ -108,7 +119,7 @@ def v_step(f: RationalFunction) -> RationalFunction:
     Along the chain from 1 every iterate has value 1 at 0, so A(0) = B(0)
     and D(0) = 2B(0) != 0; other inputs fall back to the gcd.
     """
-    a, b = _integer_pair(f)
+    a, b = _integer_pair(f.num, f.den)
     den = _scaled_sum(1, a, 1, b)
     if not any(den):
         raise DegenerateStep("1 + f vanishes identically")
@@ -126,7 +137,7 @@ def newton_step(f: RationalFunction, p: int = 2) -> RationalFunction:
     """
     if not isinstance(p, int) or p < 2:
         raise BadRootOrder(f"root order must be an integer >= 2, got {p}")
-    a, b = _integer_pair(f)
+    a, b = _integer_pair(f.num, f.den)
     if not a:
         raise DegenerateStep("Newton step undefined for the zero function")
     ap1 = _power(a, p - 1)
@@ -149,7 +160,7 @@ def halley_step(f: RationalFunction, p: int = 2) -> RationalFunction:
     """
     if not isinstance(p, int) or p < 2:
         raise BadRootOrder(f"root order must be an integer >= 2, got {p}")
-    a, b = _integer_pair(f)
+    a, b = _integer_pair(f.num, f.den)
     ap = _power(a, p)
     wbp = _times_one_minus_z(_power(b, p))
     y = _scaled_sum(p + 1, ap, p - 1, wbp)

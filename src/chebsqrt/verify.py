@@ -14,7 +14,7 @@ JSON-lines output is deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -40,7 +40,7 @@ from .exact import (
     sqrt_series_coeff,
     taylor_coefficients,
 )
-from .iterates import Scheme, iterate, v_iterate, v_step
+from .iterates import Scheme, capped_degree, iterate, v_iterate, v_step
 
 SLACK_BITS = 16
 
@@ -201,6 +201,8 @@ def check_tail_signs(n: int, M: int) -> CheckResult:
     """
     if n < 1 or M <= n:
         raise BadIndex("tail check needs n >= 1 and M > n")
+    if M > MAX_COEFF_INDEX:
+        raise CapExceeded(f"M = {M} exceeds the coefficient cap {MAX_COEFF_INDEX}")
     f = v_iterate(n)
     if f.is_polynomial:
         return CheckResult(
@@ -249,15 +251,16 @@ def check_composition(newton_k_max: int = 4, halley_k_max: int = 3) -> CheckResu
     ``v_iterate`` and a ``v_step`` chain built from 1 up to the largest
     index compared.  Zero tolerance: this is data equality.
     """
+    schemes = ((Scheme.newton(2), newton_k_max), (Scheme.halley(2), halley_k_max))
     chain = [ONE_RF]
-    for _ in range(max(2**newton_k_max, 3**halley_k_max) - 1):
+    for _ in range(max(scheme.head_length(k_max) for scheme, k_max in schemes) - 1):
         chain.append(v_step(chain[-1]))
     failures = []
-    for kind, base, k_max in (("newton", 2, newton_k_max), ("halley", 3, halley_k_max)):
+    for scheme, k_max in schemes:
         for k in range(1, k_max + 1):
-            n, f = base**k - 1, iterate(Scheme(kind, 2), k)
+            n, f = scheme.head_length(k) - 1, iterate(scheme, k)
             if f != v_iterate(n) or f != chain[n]:
-                failures.append((kind, k))
+                failures.append((scheme.kind, k))
     return CheckResult(
         name="composition",
         params={"newton_k_max": newton_k_max, "halley_k_max": halley_k_max},
@@ -341,18 +344,16 @@ def check_ratio_identity(
 
 
 def _disk_bound_factor(scheme: Scheme, k: int):
-    # bound factor and |z|-power for the closed-unit-disk error bound
-    if scheme.kind == "v":
-        if k < 1:
-            raise BadIndex("disk bound needs k >= 1")
-        return 2 / mpmath.sqrt(mpmath.pi * k), k + 1
-    if scheme.p != 2:
+    # factor and |z|-power of the closed-unit-disk error bound.  By the
+    # composition identity the k-th iterate is v_n with n = head_length(k) - 1,
+    # so every scheme takes the v bound 2/sqrt(pi n) with power n + 1
+    if scheme.kind != "v" and scheme.p != 2:
         raise BadRootOrder("closed-disk bounds are proved for p = 2 only")
-    base = 2 if scheme.kind == "newton" else 3
     if k < 1:
         raise BadIndex("disk bound needs k >= 1")
-    power = base**k
-    return 2 / mpmath.sqrt(mpmath.pi) / mpmath.sqrt(power - 1), power
+    capped_degree(scheme, k)
+    n = scheme.head_length(k) - 1
+    return 2 / mpmath.sqrt(mpmath.pi * n), n + 1
 
 
 def check_disk_bound(scheme: Scheme, k: int, grid: DiskGrid) -> CheckResult:
@@ -730,18 +731,7 @@ class GuoReport:
     note: str = ""
 
     def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "scheme": self.scheme,
-            "k": self.k,
-            "M": self.M,
-            "coeffs_checked": self.coeffs_checked,
-            "head_agreement_length": self.head_agreement_length,
-            "first_sign_violation": self.first_sign_violation,
-            "is_polynomial": self.is_polynomial,
-            "sign_counts": self.sign_counts,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def guo_explore(p: int, scheme_kind: str, k: int, M: int) -> GuoReport:
@@ -820,11 +810,11 @@ def check_head_lengths(
     """Head agreement reaches 2^k (Newton) and 3^k (Halley) at p = 2."""
     bad = None
     samples = 0
-    for kind, k_max, base in (("newton", newton_k_max, 2), ("halley", halley_k_max, 3)):
+    for kind, k_max in (("newton", newton_k_max), ("halley", halley_k_max)):
         for k in range(1, k_max + 1):
             report = guo_explore(2, kind, k, M)
             samples += 1
-            required = min(M + 1, base**k)
+            required = min(M + 1, Scheme(kind, 2).head_length(k))
             if report.head_agreement_length < required and bad is None:
                 bad = {
                     "scheme": kind,

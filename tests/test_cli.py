@@ -317,6 +317,11 @@ class TestDeterminismAndConfig:
     ("explore-guo", "--p", "3", "--scheme", "newton", "--k", "9", "--M", "8"),
     ("verify", "--check", "disk-bound", "--scheme", "halley", "--k", "9",
      "--grid-radial", "1", "--grid-angular", "1"),
+    # refused before the bound's 3^k is computed
+    ("verify", "--check", "disk-bound", "--scheme", "halley", "--k", "1000000000"),
+    # past the coefficient cap: refused before any Taylor work
+    ("verify", "--check", "tail-signs", "--n", "2", "--M", "20000"),
+    ("verify", "--check", "tail-signs", "--n", "64", "--M", "200000"),
     # n_max < 1 would crash or pass with no samples
     ("verify", "--all", "--n-max", "0"),
     ("verify", "--check", "uniform-compact", "--n-max", "0"),

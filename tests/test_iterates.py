@@ -264,6 +264,11 @@ class TestIterate:
         assert str(Scheme.halley(3)) == "halley(p=3)"
         assert str(Scheme.v()) == "v"
 
+    def test_head_length(self):
+        assert [Scheme.v().head_length(k) for k in range(4)] == [1, 2, 3, 4]
+        assert [Scheme.newton(3).head_length(k) for k in range(4)] == [1, 2, 4, 8]
+        assert [Scheme.halley(2).head_length(k) for k in range(4)] == [1, 3, 9, 27]
+
     @pytest.mark.parametrize("scheme", [Scheme.v(), Scheme.newton(3), Scheme.halley(2)])
     def test_negative_index_rejected(self, scheme):
         with pytest.raises(BadIndex):
