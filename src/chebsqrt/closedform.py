@@ -20,27 +20,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import mpmath
-from mpmath import mpf, workprec
+from mpmath import mpc, mpf, workprec
+from mpmath.libmp import fzero, to_fixed
 
 from .chebyshev import DEFAULT_PREC, GUARD_BITS, u_zero_nodes
-from .errors import BadIndex, NearPole
-from .exact import Polynomial, central_binomial_ratio
+from .errors import BadIndex, ChebsqrtError, NearPole
+from .exact import central_binomial_ratio
 # Not used here: perfbench/tests/test_perfbench.py reads closedform.v_iterate.
 from .iterates import v_iterate  # noqa: F401
-
-HEAD = Polynomial((1, Fraction(-1, 2)))  # the fixed head 1 - z/2
 
 
 @dataclass(frozen=True)
 class PartialFractionForm:
     """Pole expansion of the n-th linear-fraction iterate.
 
-    Represents head(z) - scale * z**2 * sum_k weight_k / (1 - z * pole_param_k)
+    Represents 1 - z/2 - scale * z**2 * sum_k weight_k / (1 - z * pole_param_k)
     with weight_k = sin^2(2 pi k/(n+1)), pole_param_k = cos^2(pi k/(n+1)) for
     k = 1..floor(n/2) and scale = 1/(2(n+1)).  For n = 1 the term list is
-    empty and the form is exactly the head polynomial.
+    empty and the form is exactly 1 - z/2.
 
     Stored floats carry guard bits beyond the nominal precision so that
     downstream evaluation stays honest to ``prec``.
@@ -53,27 +53,62 @@ class PartialFractionForm:
     prec: int
 
     @property
-    def head(self) -> Polynomial:
-        return HEAD
-
-    @property
     def term_count(self) -> int:
         return len(self.weights)
+
+    @cached_property
+    def _fixed_terms(self) -> tuple:
+        """(w_k, rho_k) pairs as integers scaled by 2**(prec + GUARD_BITS)."""
+        work = self.prec + GUARD_BITS
+        return tuple((to_fixed(w._mpf_, work), to_fixed(rho._mpf_, work))
+                     for w, rho in zip(self.weights, self.pole_params))
 
     def eval(self, z):
         """Value of the partial-fraction expression at a complex point.
 
-        Raises NearPole when z is within 2**-(prec/2) of a pole 1/pole_param.
+        The sum runs on integers scaled by 2**W, W = prec + GUARD_BITS.  With
+        X, Y, w_k and r_k the truncations of 2**W times Re z, Im z, weight_k
+        and rho_k = pole_param_k, 1 - z rho_k is (a - ib) / 2**W for
+        a = 2**W - (X r_k >> W) and b = Y r_k >> W, and term k adds
+        floor(w_k a 2**W / den) and floor(w_k b 2**W / den), den = a**2 + b**2,
+        to the real and imaginary sums.  The head 1 - z/2 - scale z**2 sum is
+        then formed at W bits and the result is rounded to prec bits.
+
+        Error bound.  Let u = 2**-W and delta = min_k |1 - z rho_k|.  Each
+        truncation and each floor costs under one unit u, so a u and b u are
+        within (|z| + 3) u of the real and imaginary parts of 1 - z rho_k on
+        the stored (weight_k, rho_k).  While (2|z| + 6) u <= delta/2, each
+        term is then within (2 + 2/delta + (4|z| + 13)/delta**2) u of
+        weight_k / (1 - z rho_k), and as scale * floor(n/2) < 1/4 the sum
+        moves the result by at most |z|**2/4 (2 + 2/delta + (4|z| + 13)/delta**2) u
+        before the W-bit head and the final rounding.  On |z| <= 1,
+        delta >= sin^2(pi/(n+1)).
+
+        Raises NearPole when z is within 2**-h, h = prec // 2, of a pole
+        1/rho_k, tested exactly as den * 2**(2h) < r_k**2, and ChebsqrtError
+        when z is not finite.
         """
-        with workprec(self.prec + GUARD_BITS):
+        work = self.prec + GUARD_BITS
+        with workprec(work):
             z = mpmath.mpmathify(z)
-            cutoff = mpf(2) ** -(self.prec // 2)
-            for rho in self.pole_params:
-                if abs(z - 1 / rho) < cutoff:
-                    raise NearPole(f"z = {z} is within {mpmath.nstr(cutoff, 3)} of a pole")
-            acc = mpf(0)
-            for w, rho in zip(self.weights, self.pole_params):
-                acc += w / (1 - z * rho)
+            if not mpmath.isfinite(z):
+                raise ChebsqrtError(f"z = {z} is not a finite point")
+            re, im = z._mpc_ if isinstance(z, mpc) else (z._mpf_, fzero)
+            x, y = to_fixed(re, work), to_fixed(im, work)
+            one = 1 << work
+            h = self.prec // 2
+            acc_re = acc_im = 0
+            for w, r in self._fixed_terms:
+                a = one - (x * r >> work)
+                b = y * r >> work
+                den = a * a + b * b
+                if den << 2 * h < r * r:
+                    raise NearPole(f"z = {z} is within {mpmath.nstr(mpf(2) ** -h, 3)} of a pole")
+                acc_re += (w * a << work) // den
+                acc_im += (w * b << work) // den
+            acc = mpf((acc_re, -work))
+            if isinstance(z, mpc):
+                acc = mpc(acc, mpf((acc_im, -work)))
             out = 1 - z / 2 - self.scale * z * z * acc
         with workprec(self.prec):
             return +out

@@ -1,6 +1,7 @@
 """CLI surface: formats, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -277,6 +278,17 @@ class TestDeterminismAndConfig:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+    def test_verify_all_golden_output(self, capsys, suite_rows):
+        # the determinism acceptance: these bytes and this float row must not drift
+        code, out, _ = run_cli(capsys, "--format", "json", "verify", "--all", "--n-max", "4")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "5eee9e154669ccd083ad574f6e629c682acd0bc5b54e8b1c9d82b7aabf275ea7")
+        (row,) = [r for r in suite_rows["16"] if r["name"] == "resummation"]
+        assert row["worst_case"]["n"] == 10
+        assert row["worst_case"]["z"] == "(-0.25 + 0.375j)"
+        assert row["worst_case"]["error"] == "8.6218051612963361e-78"
 
     def test_precision_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("PREC_BITS", "128")

@@ -1,5 +1,6 @@
 """Closed-form layer: partial fractions, coefficient formula, radius, tail sums."""
 
+import random
 from fractions import Fraction as F
 
 import mpmath
@@ -8,6 +9,7 @@ from mpmath import mpc, mpf, workprec
 
 from chebsqrt import (
     BadIndex,
+    ChebsqrtError,
     NearPole,
     coeff_closed_range,
     decompose,
@@ -17,9 +19,41 @@ from chebsqrt import (
     taylor_coefficients,
     v_iterate,
 )
+from chebsqrt.chebyshev import GUARD_BITS
+from chebsqrt.cli import _random_disk_rationals
+from chebsqrt.verify import resummation_points
 
 PREC = 256
+WORK = PREC + GUARD_BITS
 TIGHT = mpf(2) ** -(PREC - 16)
+
+
+def naive_pf_eval(pf, z):
+    """The partial-fraction sum as one mpc division per term, at the kernel's W bits."""
+    with workprec(pf.prec + GUARD_BITS):
+        z = mpmath.mpmathify(z)
+        acc = mpf(0)
+        for w, rho in zip(pf.weights, pf.pole_params):
+            acc += w / (1 - z * rho)
+        out = 1 - z / 2 - pf.scale * z * z * acc
+    with workprec(pf.prec):
+        return +out
+
+
+def dyadic(x) -> F:
+    """x rounded to a multiple of 2**-24, so every input type holds it exactly."""
+    return F(round(float(x) * 2**24), 2**24)
+
+
+def input_forms(re, im):
+    """The point re + i*im in each input type that holds it exactly."""
+    with workprec(WORK):
+        forms = [mpc(mpmath.mpmathify(re), mpmath.mpmathify(im)), complex(re, im)]
+        if im == 0:
+            forms.append(mpmath.mpmathify(re))
+            if re.denominator == 1:
+                forms.append(int(re))
+    return forms
 
 
 class TestDecompose:
@@ -30,7 +64,10 @@ class TestDecompose:
     def test_head_only_for_degree_one(self):
         pf = decompose(1, PREC)
         assert pf.term_count == 0
-        assert pf.head.coeffs == (F(1), F(-1, 2))
+        for z in (0, 1, -2, mpf(3) / 8, complex(0.5, -1), mpc("0.375", "0.3125")):
+            with workprec(WORK):
+                want = 1 - mpmath.mpmathify(z) / 2
+            assert pf.eval(z) == want
 
     def test_single_term_values(self):
         pf = decompose(2, PREC)
@@ -102,6 +139,82 @@ class TestPartialFractionEval:
                     got = pf.eval(mpc(mpmath.mpmathify(re), mpmath.mpmathify(im)))
                     ref = mpc(mpmath.mpmathify(exact[0]), mpmath.mpmathify(exact[1]))
                     assert abs(got - ref) <= TIGHT
+
+
+class TestFixedPointKernel:
+    """The integer kernel against exact values and against the mpc loop it replaced."""
+
+    @pytest.fixture(scope="class", params=[32, 64, 128])
+    def case(self, request):
+        n = request.param
+        return n, v_iterate(n), decompose(n, PREC)
+
+    @staticmethod
+    def assert_matches_exact(f, pf, pts):
+        for re, im in pts:
+            exact = eval_ratfun_complex(f, re, im)
+            for z in input_forms(re, im):
+                got = pf.eval(z)
+                with workprec(WORK + 32):
+                    ref = mpc(mpmath.mpmathify(exact[0]), mpmath.mpmathify(exact[1]))
+                    assert abs(got - ref) <= TIGHT, (re, im, type(z))
+
+    def test_random_disk_points(self, case):
+        n, f, pf = case
+        self.assert_matches_exact(f, pf, _random_disk_rationals(random.Random(n), 24))
+
+    def test_annulus_inside_the_nearest_pole(self, case):
+        n, f, pf = case
+        with workprec(WORK):
+            nearest = 1 / pf.pole_params[0]
+            mid = (1 + nearest) / 2
+            pts = [(dyadic(mid * mpmath.cospi(mpf(j) / 4)), dyadic(mid * mpmath.sinpi(mpf(j) / 4)))
+                   for j in range(8)]
+        for re, im in pts:
+            assert 1 < re * re + im * im < dyadic(nearest) ** 2
+        self.assert_matches_exact(f, pf, pts)
+
+    def test_real_points_between_and_beyond_the_poles(self, case):
+        n, f, pf = case
+        with workprec(WORK):
+            poles = [1 / rho for rho in pf.pole_params]
+            xs = [(poles[k] + poles[k + 1]) / 2 for k in (0, 1, len(poles) // 2, len(poles) - 2)]
+            xs += [poles[-1] * 3 / 2, poles[-1] * 4]
+        self.assert_matches_exact(f, pf, [(dyadic(x), F(0)) for x in xs])
+        self.assert_matches_exact(f, pf, [(F(x), F(0)) for x in (-3, -1, 0, 1, 2, 7)])
+
+    def test_bit_for_bit_with_the_mpc_loop(self):
+        for n in range(2, 17):
+            pf = decompose(n, PREC)
+            for re, im in resummation_points():
+                for z in input_forms(re, im):
+                    got, want = pf.eval(z), naive_pf_eval(pf, z)
+                    assert type(got) is type(want)
+                    assert got == want, (n, re, im, type(z))
+
+    def test_non_finite_point_rejected(self):
+        for n in (1, 8):
+            pf = decompose(n, PREC)
+            for z in (mpf("inf"), mpf("-inf"), mpf("nan"), mpc(1, mpf("inf")),
+                      float("inf"), complex(0, float("nan"))):
+                with pytest.raises(ChebsqrtError, match="not a finite point"):
+                    pf.eval(z)
+
+    def test_near_pole_at_every_pole(self):
+        cutoff = mpf(2) ** -(PREC // 2)
+        assert mpmath.nstr(cutoff, 3) == "2.94e-39"
+        for n in range(2, 17):
+            pf = decompose(n, PREC)
+            with workprec(WORK):
+                for rho in pf.pole_params:
+                    pole = 1 / rho
+                    for off in (cutoff / 2, -cutoff / 2, mpc(0, cutoff / 2)):
+                        z = pole + off
+                        with pytest.raises(NearPole) as info:
+                            pf.eval(z)
+                        assert str(info.value) == f"z = {z} is within 2.94e-39 of a pole"
+                    for off in (4 * cutoff, -4 * cutoff):
+                        assert mpmath.isfinite(pf.eval(pole + off))
 
 
 class TestCoefficientFormula:
