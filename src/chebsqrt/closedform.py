@@ -42,8 +42,11 @@ class PartialFractionForm:
     k = 1..floor(n/2) and scale = 1/(2(n+1)).  For n = 1 the term list is
     empty and the form is exactly 1 - z/2.
 
-    Stored floats carry guard bits beyond the nominal precision so that
-    downstream evaluation stays honest to ``prec``.
+    Stored floats carry GUARD_BITS beyond ``prec``, which keeps evaluation
+    honest to ``prec`` away from the poles but not near one: where
+    |1 - z pole_param_k| = 2**-d the relative error grows like 2**d, up to
+    2**(4 - prec) + 2**(d + 4 - prec - GUARD_BITS).  (At n = 16, prec 256, the
+    worst over all poles is 2**-221.2 at d = 64 and 2**-165.4 at d = 120.)
     """
 
     n: int

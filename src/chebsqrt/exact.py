@@ -14,14 +14,14 @@ reducing only the final real and imaginary parts.  They convert back to
 `Fraction` exactly and never round either.  Floating point lives in the
 closed-form and verification layers.
 
-A ``RationalFunction`` is stored along one path: a coprime integer pair
-(``_integer_pair`` puts num and den over one common denominator) goes to
-``RationalFunction._store``, which divides both by the lead of den.  The
-iterate constructions prove coprimality and call the trusted constructor
-``_from_coprime``, as do copy and pickle; the general constructor runs
-``poly_gcd`` and removes a nontrivial factor by integer exact division
-(``_exact_quotient``), so there is no rational long division.  Rational
-functions carry no arithmetic operators; polynomials keep ``+ - * **``.
+A ``RationalFunction`` stores only its canonical integer pair, which the
+steps, Taylor, exact evaluation and pickle read as it is; ``num`` and
+``den`` are monic views for printing and float work.  ``_store`` is the
+pair's only writer.  The iterates prove coprimality and call the trusted
+``_from_coprime``, as does unpickling; the general constructor runs
+``poly_gcd`` and divides the gcd out by integer exact division
+(``_exact_quotient``).  Rational functions carry no arithmetic operators;
+polynomials keep ``+ - * **``.
 
 Wire format: a rational scalar serializes as ``"p/q"`` in base 10 (``"p"``
 when the denominator is 1, which is what ``str(Fraction)`` produces); a
@@ -215,14 +215,6 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _integer_pair(num: Polynomial, den: Polynomial) -> tuple[list[int], list[int]]:
-    """Integer coefficient lists A, B with num/den = A/B: both over one common denominator."""
-    da, a = _integer_form(num.coeffs)
-    db, b = _integer_form(den.coeffs)
-    g = math.gcd(da, db)
-    return [c * (db // g) for c in a], [c * (da // g) for c in b]
-
-
 def _exact_quotient(a: list[int], g: list[int]) -> list[int]:
     """Coefficient list of a / g for a primitive g that divides a over Q.
 
@@ -288,11 +280,12 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 class RationalFunction:
     """Quotient of two polynomials in canonical form.
 
-    Canonical means gcd(num, den) = 1 and den monic, so structural equality
-    of two instances is equality of the functions they represent.
+    The only state, ``pair``, is the integer coefficient tuples (A, B) with
+    f = A/B, coprime over Q, joint content 1, lead of B positive and no
+    trailing zeros.  That pair is unique, so ``==`` and ``hash`` compare it.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("pair",)
 
     def __init__(self, num, den=ONE):
         num = _coerce_poly(num)
@@ -301,57 +294,61 @@ class RationalFunction:
             raise TypeError("num and den must be Polynomial or rational scalars")
         if den.is_zero:
             raise ZeroDenominator("denominator is the zero polynomial")
-        if num.is_zero:
-            self._store([], [1])
-            return
-        g = poly_gcd(num, den)
-        if g.degree == 0 and den.coeffs[-1] == 1:
-            # already canonical: the given coefficients are kept
-            object.__setattr__(self, "num", num)
-            object.__setattr__(self, "den", den)
-            return
-        a, b = _integer_pair(num, den)
-        if g.degree > 0:
-            h = _clear_denominators(g)
-            a, b = _exact_quotient(a, h), _exact_quotient(b, h)
-        self._store(a, b)
+        h = _clear_denominators(poly_gcd(num, den))
+        da, a = _integer_form(num.coeffs)
+        db, b = _integer_form(den.coeffs)
+        self._store(_exact_quotient([c * db for c in a], h),
+                    _exact_quotient([c * da for c in b], h))
 
     @classmethod
-    def _from_coprime(cls, num: list[int], den: list[int]) -> "RationalFunction":
-        """Trusted constructor from integer lists that are coprime over Q.
-
-        The caller proves gcd(num, den) = 1, so no poly_gcd runs.
-        """
+    def _from_coprime(cls, num: Sequence[int], den: Sequence[int]) -> "RationalFunction":
+        """Trusted constructor from integer lists the caller proves coprime over Q: no poly_gcd."""
         self = object.__new__(cls)
         self._store(num, den)
         return self
 
-    def _store(self, num: list[int], den: list[int]) -> None:
-        """Set num and den from a coprime integer pair divided by the lead of den."""
-        lead = next(c for c in reversed(den) if c)
-        object.__setattr__(self, "num", Polynomial(Fraction(c, lead) for c in num))
-        object.__setattr__(self, "den", Polynomial(Fraction(c, lead) for c in den))
+    def _store(self, num: Sequence[int], den: Sequence[int]) -> None:
+        """Set the pair from integer lists coprime over Q: stripped, primitive, lead of den > 0."""
+        num, den = list(num), list(den)
+        while num and not num[-1]:
+            num.pop()
+        while not den[-1]:
+            den.pop()
+        g = math.gcd(*num, *den) * (1 if den[-1] > 0 else -1)
+        object.__setattr__(self, "pair", (tuple(c // g for c in num), tuple(c // g for c in den)))
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
 
     def __reduce__(self):
         # the stored pair is already coprime, so copy and pickle skip the gcd
-        return (RationalFunction._from_coprime, _integer_pair(self.num, self.den))
+        return (RationalFunction._from_coprime, self.pair)
+
+    @property
+    def num(self) -> Polynomial:
+        """Numerator over the monic denominator, A / lead(B); built on each access."""
+        a, b = self.pair
+        return Polynomial(Fraction(c, b[-1]) for c in a)
+
+    @property
+    def den(self) -> Polynomial:
+        """Monic denominator B / lead(B); built on each access."""
+        b = self.pair[1]
+        return Polynomial(Fraction(c, b[-1]) for c in b)
 
     @property
     def is_polynomial(self) -> bool:
-        return self.den.degree == 0
+        return len(self.pair[1]) == 1
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RationalFunction):
-            return self.num == other.num and self.den == other.den
+            return self.pair == other.pair
         if isinstance(other, (int, Fraction, Polynomial)):
             return self == RationalFunction(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash(self.pair)
 
     def __call__(self, x: RationalLike) -> Fraction:
         """Exact value at a rational point; raises PoleAtPoint on a pole.
@@ -369,7 +366,7 @@ class RationalFunction:
         return f"RationalFunction({self.num!r}, {self.den!r})"
 
     def __str__(self):
-        if self.den == ONE:
+        if self.is_polynomial:
             return str(self.num)
         return f"({self.num}) / ({self.den})"
 
@@ -381,19 +378,18 @@ def taylor_coefficients(f: RationalFunction, M: int) -> tuple[Fraction, ...]:
     """Exact Taylor coefficients c_0..c_M of f at the origin.
 
     Uses the linear recurrence c_m = (A_m - sum_{j>=1} B_j c_{m-j}) / B_0,
-    so the cost is O(M * deg den).  It runs on integers: num and den are put
-    over their common denominators and cross-scaled so that f = A/B with
-    integer coefficient lists A and B.  For each m the window c_{m-1..m-d}
-    (d = deg den) is put over L, the lcm of its denominators -- almost
+    so the cost is O(M * deg den).  It runs on integers, on the stored pair
+    f = A/B.  For each m the window c_{m-1..m-d} (d = deg den) is put over
+    L, the lcm of its denominators -- almost
     always the denominator of c_{m-1}, so the lcm is rarely computed -- and
     the integer numerator A_m*L - sum_j B_j*num(c_{m-j})*(L/den(c_{m-j})) is
     reduced once, as the Fraction over L*B_0.  That is one gcd per term.
     """
     if M < 0:
         raise BadIndex("series cutoff must be >= 0")
-    if f.den.coeff(0) == 0:
+    a, b = f.pair
+    if b[0] == 0:
         raise NotAnalyticAtZero("denominator vanishes at 0")
-    a, b = _integer_pair(f.num, f.den)
     b0, d = b[0], len(b) - 1
     nums: list[int] = []
     dens: list[int] = []
@@ -456,51 +452,44 @@ def _gaussian_point(re: RationalLike, im: RationalLike) -> tuple[int, int, int]:
     return re.numerator * (D // re.denominator), im.numerator * (D // im.denominator), D
 
 
-def _gaussian_horner(p: Polynomial, x: int, y: int, D: int, e: int):
-    """Integers (ar, ai, d) with p((x + y*i)/D) = (ar + ai*i) / (d * D**e), e >= deg p.
+def _gaussian_horner(ints: Sequence[int], x: int, y: int, D: int, e: int) -> tuple[int, int]:
+    """Integers (ar, ai) with P((x + y*i)/D) = (ar + ai*i) / D**e, e >= deg P.
 
-    With p = P/d (``_integer_form``), Horner runs on w = x + y*i and adds
-    P_j * D**(e - j) at step j, so the accumulator ends as
+    P has the integer coefficients ``ints``.  Horner runs on w = x + y*i and
+    adds P_j * D**(e - j) at step j, so the accumulator ends as
     sum_j P_j * w**j * D**(e - j).
     """
-    if not p.coeffs:
-        return 0, 0, 1
-    d, ints = _integer_form(p.coeffs)
     ar, ai = 0, 0
-    scale = D ** (e - p.degree)
+    scale = D ** (e - len(ints) + 1)
     for c in reversed(ints):
         ar, ai = ar * x - ai * y + c * scale, ar * y + ai * x
         scale *= D
-    return ar, ai, d
+    return ar, ai
 
 
 def eval_poly_complex(p: Polynomial, re: RationalLike, im: RationalLike):
-    """Exact Horner evaluation at the complex rational point re + im*i.
+    """Exact value of p at re + im*i as a (real, imaginary) Fraction pair.
 
-    Runs on Gaussian integers: with the point written as (x + y*i)/D and p
-    as P/d over its common denominator, Horner gives integers (ar, ai) and
-    the scale s = d * D**deg p with p(re + im*i) = (ar + ai*i) / s.  Returns
-    the (real, imaginary) parts as the Fractions ar/s and ai/s.
+    p is the rational function P/d, P over its common denominator d, and
+    runs through the Gaussian-integer kernel of ``eval_ratfun_complex``.
     """
-    x, y, D = _gaussian_point(re, im)
-    e = max(p.degree, 0)
-    ar, ai, d = _gaussian_horner(p, x, y, D, e)
-    s = d * D**e
-    return Fraction(ar, s), Fraction(ai, s)
+    d, ints = _integer_form(p.coeffs)
+    return eval_ratfun_complex(RationalFunction._from_coprime(ints, [d]), re, im)
 
 
 def _ratfun_gaussian(f: RationalFunction, x: int, y: int, D: int) -> tuple[int, int, int]:
     """Integers (a, b, s) with f((x + y*i)/D) = (a + b*i) / s; s = 0 at a pole.
 
-    num and den run through the Gaussian-integer Horner with the same power
-    D**e, so it cancels in the quotient:
-    f = (nr + ni*i) * dd / ((dr + di*i) * dn), and multiplying through by
-    the conjugate dr - di*i makes s = (dr**2 + di**2) * dn an integer.
+    A and B of the stored pair run through the Gaussian-integer Horner with
+    the same power D**e, so it cancels in the quotient
+    f = (nr + ni*i) / (dr + di*i), and multiplying through by the conjugate
+    dr - di*i makes s = dr**2 + di**2 an integer.
     """
-    e = max(f.num.degree, f.den.degree)
-    nr, ni, dn = _gaussian_horner(f.num, x, y, D, e)
-    dr, di, dd = _gaussian_horner(f.den, x, y, D, e)
-    return (nr * dr + ni * di) * dd, (ni * dr - nr * di) * dd, (dr * dr + di * di) * dn
+    a, b = f.pair
+    e = max(len(a), len(b)) - 1
+    nr, ni = _gaussian_horner(a, x, y, D, e)
+    dr, di = _gaussian_horner(b, x, y, D, e)
+    return nr * dr + ni * di, ni * dr - nr * di, dr * dr + di * di
 
 
 def eval_ratfun_complex(f: RationalFunction, re: RationalLike, im: RationalLike):

@@ -1,20 +1,20 @@
 """The three iterate families approximating sqrt(1 - z) (and its p-th root cousins).
 
 All constructions are exact, and each reaches canonical (coprime,
-monic-denominator) form by a lemma, not a gcd.  The linear-fraction iterate
-v_n comes straight from the paper's Chebyshev form T_N / U_(N-1), N = n + 1
-(``v_iterate``; Pell's identity proves the pair coprime).  The steps write
-their input f = A/B as integer coefficient lists over one common denominator
-and build the new numerator and denominator on integers (``exact._convolve``,
-integer powers, a (1 - z) shift); since gcd(A, B) = 1, a cheap test --
-D(0) != 0 for the v step, A(1) != 0 for Newton and Halley -- proves the new
-pair coprime.  ``RationalFunction._from_coprime`` then only scales to a monic
-denominator.  Every iterate built from 1 passes the test; other inputs fall
-back to the constructor's gcd.  The v step stays as an independent
-construction of v_n.  Canonical form is what makes the composition
-identities -- the k-th Newton iterate equals the (2^k - 1)-th
-linear-fraction iterate, the k-th Halley iterate the (3^k - 1)-th --
-checkable by plain ``==``.
+primitive integer pair) form by a lemma, not a gcd.  The linear-fraction
+iterate v_n comes straight from the paper's Chebyshev form T_N / U_(N-1),
+N = n + 1 (``v_iterate``; Pell's identity proves the pair coprime).  The
+steps read their input's stored integer pair f = A/B and build the new
+numerator and denominator on integers (``exact._convolve``, integer powers,
+a (1 - z) shift); since gcd(A, B) = 1, a cheap test -- D(0) != 0 for the v
+step, A(1) != 0 for Newton and Halley -- proves the new pair coprime.
+``RationalFunction._from_coprime`` then only strips trailing zeros, divides
+out the joint content and fixes the sign of the denominator's lead.  Every
+iterate built from 1 passes the test; other inputs fall back to the
+constructor's gcd.  The v step stays as an independent construction of v_n.
+Canonical form is what makes the composition identities -- the k-th Newton
+iterate equals the (2^k - 1)-th linear-fraction iterate, the k-th Halley
+iterate the (3^k - 1)-th -- checkable by plain ``==``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .chebyshev import ChebKind, _cheb_ints
 from .errors import BadIndex, BadRootOrder, CapExceeded, DegenerateStep
-from .exact import ONE_RF, Polynomial, RationalFunction, _convolve, _integer_pair
+from .exact import ONE_RF, Polynomial, RationalFunction, _convolve
 
 # The largest degree, max(deg num, deg den), an iterate may have: that of
 # v_4096.  Work grows with the degree, not with k, so one degree cap bounds
@@ -119,11 +119,11 @@ def v_step(f: RationalFunction) -> RationalFunction:
     Along the chain from 1 every iterate has value 1 at 0, so A(0) = B(0)
     and D(0) = 2B(0) != 0; other inputs fall back to the gcd.
     """
-    a, b = _integer_pair(f.num, f.den)
+    a, b = f.pair
     den = _scaled_sum(1, a, 1, b)
     if not any(den):
         raise DegenerateStep("1 + f vanishes identically")
-    num = _scaled_sum(1, den, -1, [0] + b)
+    num = _scaled_sum(1, den, -1, [0, *b])
     return _canonical(num, den, den[0] != 0)
 
 
@@ -137,7 +137,7 @@ def newton_step(f: RationalFunction, p: int = 2) -> RationalFunction:
     """
     if not isinstance(p, int) or p < 2:
         raise BadRootOrder(f"root order must be an integer >= 2, got {p}")
-    a, b = _integer_pair(f.num, f.den)
+    a, b = f.pair
     if not a:
         raise DegenerateStep("Newton step undefined for the zero function")
     ap1 = _power(a, p - 1)
@@ -160,7 +160,7 @@ def halley_step(f: RationalFunction, p: int = 2) -> RationalFunction:
     """
     if not isinstance(p, int) or p < 2:
         raise BadRootOrder(f"root order must be an integer >= 2, got {p}")
-    a, b = _integer_pair(f.num, f.den)
+    a, b = f.pair
     ap = _power(a, p)
     wbp = _times_one_minus_z(_power(b, p))
     y = _scaled_sum(p + 1, ap, p - 1, wbp)

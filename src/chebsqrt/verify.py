@@ -44,8 +44,11 @@ from .iterates import Scheme, capped_degree, iterate, v_iterate, v_step
 
 SLACK_BITS = 16
 
-# Largest series index a coefficient scan may ask for.
+# Largest series index of a coefficient scan, n_max of the mu-bound scan (the
+# suite's is 10 000) and sample count of a DiskGrid (the default is 16 x 32).
 MAX_COEFF_INDEX = 4096
+MAX_MU_N = 100_000
+MAX_GRID_POINTS = 1024
 
 # The monic-form coefficients of v_n grow about 1.25*n bits (numerator or
 # denominator bit length, measured: 39 at n = 32, 80 at n = 64, 160 at
@@ -109,6 +112,8 @@ class DiskGrid:
             raise BadIndex("grid radius must be in (0, 1]")
         if self.radial_steps < 1 or self.angular_steps < 1:
             raise BadIndex("grid steps must be positive")
+        if self.radial_steps * self.angular_steps > MAX_GRID_POINTS:
+            raise CapExceeded(f"the grid exceeds the cap of {MAX_GRID_POINTS} samples")
 
     def points(self) -> list:
         with workprec(self.prec + GUARD_BITS):
@@ -279,6 +284,8 @@ def check_mu_bound(n_max: int = 10_000, prec: int = DEFAULT_PREC) -> CheckResult
     """
     if n_max < 1:
         raise BadIndex("mu-bound check needs n_max >= 1")
+    if n_max > MAX_MU_N:
+        raise CapExceeded(f"n_max = {n_max} exceeds the mu-bound cap {MAX_MU_N}")
     worst = None
     worst_val = mpf(0)
     with workprec(prec + GUARD_BITS):

@@ -340,6 +340,12 @@ class TestDeterminismAndConfig:
     ("verify", "--check", "monotone-improvement", "--n-max", "0"),
     ("verify", "--check", "head", "--n-max", "0"),
     ("verify", "--check", "mu-bound", "--n", "-5"),
+    # past the mu-bound and grid caps: refused before any float work
+    ("verify", "--check", "mu-bound", "--n", "100001"),
+    ("verify", "--check", "sqrt-consistency", "--grid-radial", "1000000000",
+     "--grid-angular", "1000000000"),
+    ("verify", "--check", "disk-bound", "--scheme", "v", "--k", "2",
+     "--grid-radial", "33", "--grid-angular", "32"),
 ])
 def test_bad_input_is_usage_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)

@@ -216,6 +216,24 @@ class TestFixedPointKernel:
                     for off in (4 * cutoff, -4 * cutoff):
                         assert mpmath.isfinite(pf.eval(pole + off))
 
+    @pytest.mark.parametrize("d", [8, 32, 64, 120])
+    def test_relative_error_near_a_pole(self, d):
+        # the pole parameters hold prec + GUARD_BITS bits, so where
+        # |1 - z rho_k| = 2**-d the kernel loses about d of its guard bits
+        f, pf = v_iterate(16), decompose(16, PREC)
+        bits = PREC + 16  # z is a dyadic rational that fits an mpf at WORK bits
+        bound = F(1, 2 ** (PREC - 4)) + F(2 ** (d + 4), 2 ** (PREC + GUARD_BITS))
+        for rho in pf.pole_params:
+            for side in (1, -1):
+                with workprec(WORK + 2 * d):
+                    z = F(int(mpmath.nint(mpmath.ldexp((1 + side * mpf(2) ** -d) / rho, bits))),
+                          2**bits)
+                with workprec(WORK):
+                    got = pf.eval(mpf((z.numerator * (2**bits // z.denominator), -bits)))
+                exact = f(z)
+                assert abs(F(*map(int, mpmath.libmp.to_rational(got._mpf_))) - exact) \
+                    <= bound * abs(exact), (d, rho, side)
+
 
 class TestCoefficientFormula:
     def test_spot_values(self):

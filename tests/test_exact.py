@@ -7,7 +7,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chebsqrt import (
@@ -29,6 +29,7 @@ from chebsqrt import (
     sqrt_series_coeff,
     taylor_coefficients,
     v_iterate,
+    v_step,
 )
 from chebsqrt.cli import _random_disk_rationals
 from test_iterates import direct_v
@@ -217,6 +218,18 @@ class TestCopyAndPickle:
             assert type(twin) is RationalFunction and twin == f
             assert twin.num.coeffs == f.num.coeffs and twin.den.coeffs == f.den.coeffs
 
+    def test_older_pickle_loads(self):
+        # written by a version that stored monic Fraction coefficients and
+        # pickled the pair over one common denominator; any coprime integer
+        # pair, whatever its scale and sign, stores as the primitive pair
+        f = RationalFunction(Polynomial([4, -3]), Polynomial([4, -1]))
+        old = (b"\x80\x04\x95l\x00\x00\x00\x00\x00\x00\x00\x8c\x08builtins\x94\x8c\x07"
+               b"getattr\x94\x93\x94\x8c\x0echebsqrt.exact\x94\x8c\x10RationalFunction\x94"
+               b"\x93\x94\x8c\r_from_coprime\x94\x86\x94R\x94]\x94(J\xfc\xff\xff\xffK\x03e]\x94"
+               b"(J\xfc\xff\xff\xffK\x01e\x86\x94R\x94.")
+        for twin in (pickle.loads(old), RationalFunction._from_coprime([8, -6, 0], [8, -2])):
+            assert twin == f and hash(twin) == hash(f) and twin.pair == ((-4, 3), (-4, 1))
+
     def test_assignment_still_raises(self):
         p = pickle.loads(pickle.dumps(Polynomial([1, 2])))
         with pytest.raises(AttributeError):
@@ -272,14 +285,25 @@ class TestRationalFunction:
         assert f(F(0)) == f.num.coeff(0) / f.den.coeff(0)
 
     @given(coeff_lists, coeff_lists)
+    # v_step of (1 - z)/(1 + z) and of 1 + z: the top coefficients of D = A + B
+    # and of N = D - zB cancel, so the store must strip a trailing zero
+    @example([1, -1], [1, 1])
+    @example([1, 1], [1])
     @settings(max_examples=60, deadline=None)
     def test_canonical_invariants(self, num, den):
         d = Polynomial(den)
         if d.is_zero:
             return
         f = RationalFunction(Polynomial(num), d)
-        assert f.den.coeffs[-1] == 1
-        assert poly_gcd(f.num, f.den).degree <= 0 or f.num.is_zero
+        for g in (f, v_step(f)) if f != -1 else (f,):
+            a, b = g.pair
+            assert math.gcd(*a, *b) == 1
+            assert b[-1] > 0
+            assert (not a or a[-1] != 0) and b[-1] != 0
+            assert g.den.coeffs[-1] == 1
+            assert poly_gcd(g.num, g.den).degree <= 0 or g.num.is_zero
+            again = RationalFunction(g.num, g.den)
+            assert again == g and hash(again) == hash(g)
 
 
 class TestTaylor:

@@ -1,5 +1,7 @@
 """Iterate construction: steps, composition identities, degrees, series heads."""
 
+import hashlib
+import json
 import math
 from fractions import Fraction as F
 
@@ -36,6 +38,9 @@ HALF_SLOPE = RationalFunction(Polynomial([1, F(-1, 2)]))  # 1 - z/2
 V2 = RationalFunction(Polynomial([4, -3]), Polynomial([4, -1]))
 V3 = RationalFunction(Polynomial([8, -8, 1]), Polynomial([8, -4]))
 V4 = RationalFunction(Polynomial([16, -20, 5]), Polynomial([16, -12, 1]))
+# the Newton and Halley iterates of the benchmark's build workload
+BUILD_SCHEMES = [(Scheme.newton(2), 9), (Scheme.halley(2), 6), (Scheme.newton(3), 5),
+                 (Scheme.halley(3), 4)]
 
 
 def direct_v(n):
@@ -280,13 +285,16 @@ class TestIterate:
 
 
 class TestCompositionIdentities:
-    def test_newton_iterates_are_v_iterates(self):
+    # three routes to one function store one pair, so == and hash agree
+    def test_newton_iterates_are_v_iterates(self, v_chain):
         for k in range(1, 10):
-            assert iterate(Scheme.newton(2), k) == v_iterate(2**k - 1)
+            f, g, h = iterate(Scheme.newton(2), k), v_iterate(2**k - 1), v_chain[2**k - 1]
+            assert f == g == h and hash(f) == hash(g) == hash(h)
 
-    def test_halley_iterates_are_v_iterates(self):
+    def test_halley_iterates_are_v_iterates(self, v_chain):
         for k in range(1, 7):
-            assert iterate(Scheme.halley(2), k) == v_iterate(3**k - 1)
+            f, g, h = iterate(Scheme.halley(2), k), v_iterate(3**k - 1), v_chain[3**k - 1]
+            assert f == g == h and hash(f) == hash(g) == hash(h)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 8, 26, 31, 64, 255, 511])
     def test_chain_matches_direct_binomial_form(self, v_chain, n):
@@ -327,14 +335,26 @@ class TestStructuralInvariants:
             f = v_iterate(n)
             assert coeff_tuples(RationalFunction(f.num, f.den)) == coeff_tuples(f)
 
-    @pytest.mark.parametrize(
-        "scheme, k_max",
-        [(Scheme.newton(2), 9), (Scheme.halley(2), 6), (Scheme.newton(3), 5), (Scheme.halley(3), 4)],
-    )
+    @pytest.mark.parametrize("scheme, k_max", BUILD_SCHEMES)
     def test_newton_halley_iterates_are_canonical(self, scheme, k_max):
         for k in range(1, k_max + 1):
             f = iterate(scheme, k)
             assert coeff_tuples(RationalFunction(f.num, f.den)) == coeff_tuples(f)
+
+    def test_build_output_bytes(self):
+        # the build digest of the benchmark: a sha256 prefix of the JSON of each
+        # iterate's [poly_to_json(num), poly_to_json(den)], then of that list
+        def digest(obj):
+            return hashlib.sha256(json.dumps(obj).encode()).hexdigest()[:16]
+
+        chain = [ONE]
+        for _ in range(256):
+            chain.append(v_step(chain[-1]))
+        built = chain[1:]
+        for scheme, k_max in BUILD_SCHEMES:
+            built += [iterate(scheme, k) for k in range(1, k_max + 1)]
+        rows = [digest([poly_to_json(f.num), poly_to_json(f.den)]) for f in built]
+        assert digest(rows) == "44284483c608361f"
 
     def test_degree_growth(self):
         for n in range(1, 65):
