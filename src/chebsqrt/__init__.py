@@ -8,7 +8,7 @@ suite for the identities, sign patterns and disk error bounds these objects
 satisfy.
 """
 
-from .chebyshev import ChebKind, cheb_poly, u_zero_nodes
+from .chebyshev import ChebKind, u_zero_nodes
 from .closedform import (
     PartialFractionForm,
     coeff_closed_range,

@@ -1,10 +1,10 @@
 """Chebyshev polynomials of the first and second kind.
 
-Exact coefficients come from their explicit integer formulas, which also
-build the linear-fraction iterates (``iterates.v_iterate``); the zeros of the
-second-kind polynomials, which give the pole parameters of the partial
-fractions, are produced directly from their angle form cos(k*pi/(n+1))
-rather than by numeric root-finding.
+Exact coefficients are integer lists from the explicit formulas
+(``_cheb_ints``), which build the linear-fraction iterates
+(``iterates.v_iterate``); the zeros of the second-kind polynomials, which
+give the pole parameters of the partial fractions, are produced directly
+from their angle form cos(k*pi/(n+1)) rather than by numeric root-finding.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import mpmath
 from mpmath import mpf, workprec
 
 from .errors import BadIndex
-from .exact import Polynomial
 
 DEFAULT_PREC = 256
 
@@ -46,13 +45,6 @@ def _cheb_ints(kind: ChebKind, n: int) -> list[int]:
         c = -c * (n - 2 * j) * (n - 2 * j - 1) // (4 * (j + 1) * (n - j - first))
         coeffs[n - 2 * j - 2] = c
     return coeffs
-
-
-def cheb_poly(kind: ChebKind, n: int) -> Polynomial:
-    """Exact coefficients of the degree-n Chebyshev polynomial."""
-    if n < 0:
-        raise BadIndex("polynomial degree must be >= 0")
-    return Polynomial(_cheb_ints(kind, n))
 
 
 def u_zero_nodes(n: int, prec: int = DEFAULT_PREC) -> list:

@@ -5,8 +5,9 @@ Exit codes: 0 = success / all checks pass, 1 = a mathematical check failed,
 invocations (timing fields excluded); random sampling in `bench` is seeded
 and the seed is echoed.
 
-Environment override: PREC_BITS (default working precision).  Every iterate
-is bounded by ``iterates.MAX_DEGREE``, checked before it is built.
+Environment override: PREC_BITS (default working precision).  The precision
+is bounded by ``MAX_PREC`` and every iterate by ``iterates.MAX_DEGREE``, both
+checked before any work.
 """
 
 from __future__ import annotations
@@ -42,14 +43,20 @@ from .verify import (
 )
 
 
+# Largest working precision in bits.  Float work grows faster than the
+# precision, so without this cap the admitted float checks would have no
+# time bound.
+MAX_PREC = 4096
+
+
 @dataclass
 class CliConfig:
     precision_bits: int = 256
     output_format: str = "human"
 
     def __post_init__(self):
-        if self.precision_bits < 64:
-            raise ChebsqrtError("precision must be at least 64 bits")
+        if not 64 <= self.precision_bits <= MAX_PREC:
+            raise ChebsqrtError(f"precision must be between 64 and {MAX_PREC} bits")
 
 
 def _float_str(x, prec: int) -> str:

@@ -1,12 +1,10 @@
 """Exact arithmetic: dense rational-coefficient polynomials and rational functions.
 
 Scalars are `fractions.Fraction` throughout, so nothing in this module ever
-rounds.  The four costly kernels, the polynomial product, the gcd, the
-Taylor extraction and exact evaluation, work on integers internally: the
-product convolves the operands' numerators over a common denominator with
-``_convolve``, which the v, Newton and Halley steps of ``iterates`` share;
-the gcd is the primitive remainder sequence on integer forms; the Taylor
-recurrence puts each window of earlier coefficients over one common
+rounds.  The costly kernels work on integers internally: ``_convolve`` is
+the integer product that the v, Newton and Halley steps of ``iterates``
+share; the gcd is the primitive remainder sequence on integer forms; the
+Taylor recurrence puts each window of earlier coefficients over one common
 denominator, so every new coefficient is an integer numerator reduced once;
 and evaluation at a rational or complex rational point runs Horner on
 Gaussian integers against powers of the point's common denominator,
@@ -20,8 +18,9 @@ steps, Taylor, exact evaluation and pickle read as it is; ``num`` and
 pair's only writer.  The iterates prove coprimality and call the trusted
 ``_from_coprime``, as does unpickling; the general constructor runs
 ``poly_gcd`` and divides the gcd out by integer exact division
-(``_exact_quotient``).  Rational functions carry no arithmetic operators;
-polynomials keep ``+ - * **``.
+(``_exact_quotient``).  Neither class carries arithmetic operators: a
+``Polynomial`` is only the view that printing, JSON, float work and ``==``
+read.
 
 Wire format: a rational scalar serializes as ``"p/q"`` in base 10 (``"p"``
 when the denominator is 1, which is what ``str(Fraction)`` produces); a
@@ -52,9 +51,9 @@ def as_fraction(x: RationalLike) -> Fraction:
 class Polynomial:
     """Dense univariate polynomial; ``coeffs[i]`` multiplies ``z**i``.
 
-    The zero polynomial stores no coefficients; otherwise the last stored
-    coefficient is nonzero, so two equal polynomials are structurally equal.
-    Instances are immutable.
+    A read-only view with no arithmetic.  The zero polynomial stores no
+    coefficients; otherwise the last stored coefficient is nonzero, so two
+    equal polynomials are structurally equal.  Instances are immutable.
     """
 
     __slots__ = ("coeffs",)
@@ -99,70 +98,6 @@ class Polynomial:
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self.coeffs)
-
-    def __add__(self, other) -> "Polynomial":
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return Polynomial(c * other for c in self.coeffs)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return ZERO
-        da, a = _integer_form(self.coeffs)
-        db, b = _integer_form(other.coeffs)
-        d = da * db
-        return Polynomial(Fraction(c, d) for c in _convolve(a, b))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Polynomial":
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        result, base = ONE, self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __call__(self, x):
-        """Horner evaluation; works for Fraction, mpf, mpc or complex x."""
-        acc = x * 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
     def __repr__(self):
         return f"Polynomial({[str(c) for c in self.coeffs]})"

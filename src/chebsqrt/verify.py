@@ -50,6 +50,11 @@ MAX_COEFF_INDEX = 4096
 MAX_MU_N = 100_000
 MAX_GRID_POINTS = 1024
 
+# The p = 2 iterates of the composition and head-lengths checks (Newton
+# k = 1..4, Halley k = 1..3) and of the guo-p2 sign scan.
+NEWTON_K_MAX, HALLEY_K_MAX = 4, 3
+GUO_NEWTON_KS, GUO_HALLEY_KS = (2, 3, 4), (1, 2, 3)
+
 # The monic-form coefficients of v_n grow about 1.25*n bits (numerator or
 # denominator bit length, measured: 39 at n = 32, 80 at n = 64, 160 at
 # n = 128, 323 at n = 256), so polynomial evaluation needs far more guard
@@ -233,6 +238,7 @@ def check_value_at_one(n_max: int) -> CheckResult:
     """Exact evaluation at 1 gives 1/(n+1) for n = 0..n_max."""
     if n_max < 0:
         raise BadIndex("need n_max >= 0")
+    capped_degree(Scheme.v(), n_max)
     bad = None
     for n in range(n_max + 1):
         if v_iterate(n)(1) != Fraction(1, n + 1):
@@ -247,7 +253,7 @@ def check_value_at_one(n_max: int) -> CheckResult:
     )
 
 
-def check_composition(newton_k_max: int = 4, halley_k_max: int = 3) -> CheckResult:
+def check_composition() -> CheckResult:
     """Structural equality of three v-iterate constructions that share no code.
 
     The k-th Newton iterate must equal the (2^k - 1)-th linear-fraction
@@ -256,7 +262,7 @@ def check_composition(newton_k_max: int = 4, halley_k_max: int = 3) -> CheckResu
     ``v_iterate`` and a ``v_step`` chain built from 1 up to the largest
     index compared.  Zero tolerance: this is data equality.
     """
-    schemes = ((Scheme.newton(2), newton_k_max), (Scheme.halley(2), halley_k_max))
+    schemes = ((Scheme.newton(2), NEWTON_K_MAX), (Scheme.halley(2), HALLEY_K_MAX))
     chain = [ONE_RF]
     for _ in range(max(scheme.head_length(k_max) for scheme, k_max in schemes) - 1):
         chain.append(v_step(chain[-1]))
@@ -268,9 +274,9 @@ def check_composition(newton_k_max: int = 4, halley_k_max: int = 3) -> CheckResu
                 failures.append((scheme.kind, k))
     return CheckResult(
         name="composition",
-        params={"newton_k_max": newton_k_max, "halley_k_max": halley_k_max},
+        params={"newton_k_max": NEWTON_K_MAX, "halley_k_max": HALLEY_K_MAX},
         passed=not failures,
-        samples=newton_k_max + halley_k_max,
+        samples=NEWTON_K_MAX + HALLEY_K_MAX,
         worst_case=None if not failures else {"first_failure": str(failures[0])},
     )
 
@@ -406,6 +412,7 @@ def check_uniform_compact(
         raise BadIndex("uniform-compact check needs n_max >= 1")
     if not 0 < compact_radius < 1:
         raise BadIndex("compact radius must be in (0, 1)")
+    capped_degree(Scheme.v(), n_max)
     grid = DiskGrid(compact_radius, 8, 16, prec)
     tol = _slack(prec)
     sups = [max(_grid_errors(v_iterate(n), grid)) for n in range(1, n_max + 1)]
@@ -447,6 +454,7 @@ def check_monotone_improvement(
     """
     if n_max < 1:
         raise BadIndex("monotone-improvement check needs n_max >= 1")
+    capped_degree(Scheme.v(), n_max + 1)
     grid = DiskGrid(radius, 8, 16, prec)
     tol = _slack(prec)
     bad = None
@@ -533,6 +541,7 @@ def check_resummation(n_max: int, prec: int = DEFAULT_PREC) -> CheckResult:
     """
     if n_max < 2:
         raise BadIndex("resummation check starts at n = 2")
+    capped_degree(Scheme.v(), n_max)
     pts = resummation_points()
     tol = _slack(prec)
     worst = None
@@ -572,6 +581,7 @@ def check_coeff_formula(n_max: int, prec: int = DEFAULT_PREC) -> CheckResult:
     """Closed-form coefficients match exact ones for m = 1..4n and are negative."""
     if n_max < 2:
         raise BadIndex("coefficient-formula check starts at n = 2")
+    capped_degree(Scheme.v(), n_max)
     tol = _slack(prec)
     worst = None
     worst_err = mpf(0)
@@ -620,6 +630,7 @@ def check_radius_pole(n_max: int, prec: int = DEFAULT_PREC) -> CheckResult:
     """
     if n_max < 2:
         raise BadIndex("radius check starts at n = 2")
+    capped_degree(Scheme.v(), n_max)
     tol = Fraction(1, 2 ** (prec - 56))
     worst = None
     worst_res = Fraction(0)
@@ -662,6 +673,7 @@ def check_tail_sum(n_max: int, prec: int = DEFAULT_PREC) -> CheckResult:
     """
     if n_max < 1:
         raise BadIndex("tail-sum check starts at n = 1")
+    capped_degree(Scheme.v(), n_max)
     close_tol = Fraction(1, 2 ** (prec // 4))
     worst = None
     worst_gap = Fraction(-1)
@@ -790,13 +802,11 @@ def guo_explore(p: int, scheme_kind: str, k: int, M: int) -> GuoReport:
     )
 
 
-def check_guo_p2(
-    newton_ks=(2, 3, 4), halley_ks=(1, 2, 3), M: int = 256
-) -> CheckResult:
+def check_guo_p2(M: int = 256) -> CheckResult:
     """No sign violation may appear at p = 2 (the proved case)."""
     bad = None
     samples = 0
-    for kind, ks in (("newton", newton_ks), ("halley", halley_ks)):
+    for kind, ks in (("newton", GUO_NEWTON_KS), ("halley", GUO_HALLEY_KS)):
         for k in ks:
             report = guo_explore(2, kind, k, M)
             samples += report.coeffs_checked
@@ -804,20 +814,18 @@ def check_guo_p2(
                 bad = {"scheme": kind, "k": k, "m": report.first_sign_violation}
     return CheckResult(
         name="guo-p2",
-        params={"newton_k": list(newton_ks), "halley_k": list(halley_ks), "M": M},
+        params={"newton_k": list(GUO_NEWTON_KS), "halley_k": list(GUO_HALLEY_KS), "M": M},
         passed=bad is None,
         samples=samples,
         worst_case=bad,
     )
 
 
-def check_head_lengths(
-    newton_k_max: int = 4, halley_k_max: int = 3, M: int = 300
-) -> CheckResult:
+def check_head_lengths(M: int = 300) -> CheckResult:
     """Head agreement reaches 2^k (Newton) and 3^k (Halley) at p = 2."""
     bad = None
     samples = 0
-    for kind, k_max in (("newton", newton_k_max), ("halley", halley_k_max)):
+    for kind, k_max in (("newton", NEWTON_K_MAX), ("halley", HALLEY_K_MAX)):
         for k in range(1, k_max + 1):
             report = guo_explore(2, kind, k, M)
             samples += 1
@@ -831,7 +839,7 @@ def check_head_lengths(
                 }
     return CheckResult(
         name="head-lengths",
-        params={"newton_k_max": newton_k_max, "halley_k_max": halley_k_max, "M": M},
+        params={"newton_k_max": NEWTON_K_MAX, "halley_k_max": HALLEY_K_MAX, "M": M},
         passed=bad is None,
         samples=samples,
         worst_case=bad,
@@ -843,6 +851,7 @@ def check_head_lengths(
 
 
 def _indices(n: Optional[int], hi: int):
+    capped_degree(Scheme.v(), n or hi)
     return [n] if n else range(1, hi + 1)
 
 

@@ -1,0 +1,62 @@
+"""Schoolbook polynomial arithmetic for test oracles.
+
+A polynomial is a plain coefficient sequence, index = power of z, of any
+number type (int, Fraction, mpf).  Every list result carries no trailing
+zeros, so equal polynomials compare equal as lists.  Nothing here imports
+chebsqrt: an oracle built on these functions shares no code with the
+kernels it checks.
+"""
+
+from itertools import zip_longest
+
+
+def strip(a):
+    """a as a list without trailing zeros."""
+    out = list(a)
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def add(a, b):
+    return strip(x + y for x, y in zip_longest(a, b, fillvalue=0))
+
+
+def sub(a, b):
+    return strip(x - y for x, y in zip_longest(a, b, fillvalue=0))
+
+
+def scale(c, a):
+    """c * a for a scalar c."""
+    return strip(c * x for x in a)
+
+
+def mul(a, b):
+    """Schoolbook product: every pair of coefficients, one by one."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return strip(out)
+
+
+def power(a, n):
+    """a**n for n >= 0 by repeated products."""
+    out = [1]
+    for _ in range(n):
+        out = mul(out, a)
+    return out
+
+
+def derivative(a):
+    return strip(i * c for i, c in enumerate(a) if i)
+
+
+def horner(a, x):
+    """Value at x; works for Fraction, mpf, mpc or complex x."""
+    acc = x * 0
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc

@@ -4,15 +4,17 @@ import mpmath
 import pytest
 from mpmath import mpf, workprec
 
-from chebsqrt import BadIndex, ChebKind, Polynomial, cheb_poly, u_zero_nodes
+from chebsqrt import BadIndex, ChebKind, u_zero_nodes
+from chebsqrt.chebyshev import _cheb_ints
+from oracles import derivative, horner, mul, scale, sub
 
 PREC = 256
 
 
-def cheb_value(poly, x):
+def cheb_value(coeffs, x):
     """Value of an exact Chebyshev polynomial by Horner at PREC + 128 bits."""
     with workprec(PREC + 128):
-        return poly(x)
+        return horner(coeffs, x)
 
 
 def closed_form_first(n, x, prec=PREC + 64):
@@ -35,49 +37,44 @@ def closed_form_second(n, x, prec=PREC + 64):
 
 class TestExactPolynomials:
     def test_textbook_values(self):
-        assert cheb_poly(ChebKind.FIRST, 0) == Polynomial([1])
-        assert cheb_poly(ChebKind.FIRST, 1) == Polynomial([0, 1])
-        assert cheb_poly(ChebKind.FIRST, 2) == Polynomial([-1, 0, 2])
-        assert cheb_poly(ChebKind.FIRST, 3) == Polynomial([0, -3, 0, 4])
-        assert cheb_poly(ChebKind.SECOND, 0) == Polynomial([1])
-        assert cheb_poly(ChebKind.SECOND, 1) == Polynomial([0, 2])
-        assert cheb_poly(ChebKind.SECOND, 2) == Polynomial([-1, 0, 4])
-        assert cheb_poly(ChebKind.SECOND, 3) == Polynomial([0, -4, 0, 8])
+        assert _cheb_ints(ChebKind.FIRST, 0) == [1]
+        assert _cheb_ints(ChebKind.FIRST, 1) == [0, 1]
+        assert _cheb_ints(ChebKind.FIRST, 2) == [-1, 0, 2]
+        assert _cheb_ints(ChebKind.FIRST, 3) == [0, -3, 0, 4]
+        assert _cheb_ints(ChebKind.SECOND, 0) == [1]
+        assert _cheb_ints(ChebKind.SECOND, 1) == [0, 2]
+        assert _cheb_ints(ChebKind.SECOND, 2) == [-1, 0, 4]
+        assert _cheb_ints(ChebKind.SECOND, 3) == [0, -4, 0, 8]
 
     @pytest.mark.parametrize("kind", [ChebKind.FIRST, ChebKind.SECOND])
     def test_recurrence_consistency(self, kind):
-        two_x = Polynomial([0, 2])
         for n in range(1, 64):
-            assert cheb_poly(kind, n + 1) == two_x * cheb_poly(kind, n) - cheb_poly(
-                kind, n - 1
+            assert _cheb_ints(kind, n + 1) == sub(
+                mul([0, 2], _cheb_ints(kind, n)), _cheb_ints(kind, n - 1)
             )
 
     def test_derivative_identity(self):
         for n in range(65):
-            lhs = (n + 1) * cheb_poly(ChebKind.SECOND, n)
-            assert lhs == cheb_poly(ChebKind.FIRST, n + 1).derivative()
+            lhs = scale(n + 1, _cheb_ints(ChebKind.SECOND, n))
+            assert lhs == derivative(_cheb_ints(ChebKind.FIRST, n + 1))
 
     @pytest.mark.parametrize("kind", [ChebKind.FIRST, ChebKind.SECOND])
     def test_parity(self, kind):
         for n in range(32):
-            p = cheb_poly(kind, n)
-            assert all(c == 0 for i, c in enumerate(p.coeffs) if (i - n) % 2)
-
-    def test_negative_degree_rejected(self):
-        with pytest.raises(BadIndex):
-            cheb_poly(ChebKind.FIRST, -1)
+            p = _cheb_ints(kind, n)
+            assert all(c == 0 for i, c in enumerate(p) if (i - n) % 2)
 
 
 class TestEvaluation:
     def test_value_one_is_fixed(self):
         for n in range(0, 64, 7):
-            assert abs(cheb_value(cheb_poly(ChebKind.FIRST, n), mpf(1)) - 1) < mpf(2) ** -240
+            assert abs(cheb_value(_cheb_ints(ChebKind.FIRST, n), mpf(1)) - 1) < mpf(2) ** -240
 
     def test_defining_angle_identity(self):
         # cos(3 * pi/6) = 0
         with workprec(PREC + 64):
             x = mpmath.cospi(mpf(1) / 6)
-        assert abs(cheb_value(cheb_poly(ChebKind.FIRST, 3), x)) < mpf(2) ** -240
+        assert abs(cheb_value(_cheb_ints(ChebKind.FIRST, 3), x)) < mpf(2) ** -240
 
     @pytest.mark.parametrize("x_str", ["1.1", "1.5", "2.0"])
     def test_closed_form_agreement(self, x_str):
@@ -85,15 +82,15 @@ class TestEvaluation:
         with workprec(PREC + 64):
             x = mpf(x_str)
             for n in range(33):
-                t = cheb_value(cheb_poly(ChebKind.FIRST, n), x)
+                t = cheb_value(_cheb_ints(ChebKind.FIRST, n), x)
                 ref = closed_form_first(n, x)
                 assert abs(t - ref) <= tol * abs(ref)
-                u = cheb_value(cheb_poly(ChebKind.SECOND, n), x)
+                u = cheb_value(_cheb_ints(ChebKind.SECOND, n), x)
                 ref = closed_form_second(n, x)
                 assert abs(u - ref) <= tol * abs(ref)
 
     def test_quintic_spot_value(self):
-        got = cheb_value(cheb_poly(ChebKind.FIRST, 5), mpf("1.25"))
+        got = cheb_value(_cheb_ints(ChebKind.FIRST, 5), mpf("1.25"))
         ref = closed_form_first(5, mpf("1.25"))
         with workprec(PREC):
             assert abs(got - ref) < mpf(2) ** -(PREC - 10)
@@ -120,16 +117,16 @@ class TestZeroNodes:
     def test_nodes_are_roots_of_exact_polynomial(self):
         # cross-check against the exact coefficients: the degree-3 case has
         # roots of 8x^3 - 4x, i.e. 0 and +-sqrt(1/2)
-        p = cheb_poly(ChebKind.SECOND, 3)
-        assert p == Polynomial([0, -4, 0, 8])
+        p = _cheb_ints(ChebKind.SECOND, 3)
+        assert p == [0, -4, 0, 8]
         for node in u_zero_nodes(3, PREC):
             with workprec(PREC):
-                assert abs(p(node)) < mpf(2) ** -(PREC - 12)
+                assert abs(horner(p, node)) < mpf(2) ** -(PREC - 12)
 
     def test_node_property_via_cheb_poly(self):
         tol = mpf(2) ** -(PREC - 12)
         for n in range(1, 65):
-            u_n = cheb_poly(ChebKind.SECOND, n)
+            u_n = _cheb_ints(ChebKind.SECOND, n)
             for node in u_zero_nodes(n, PREC):
                 assert abs(cheb_value(u_n, node)) <= tol, n
 

@@ -12,7 +12,7 @@ import mpmath
 import pytest
 from mpmath import mpf, workprec
 
-from chebsqrt.cli import main
+from chebsqrt.cli import MAX_PREC, main
 from chebsqrt.verify import CHECKS
 from test_exact import naive_ratfun_complex
 from test_iterates import direct_v
@@ -24,16 +24,27 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def verify_rows(*argv):
+def verify_stdout(*argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         main(["--format", "json", "verify", *argv])
-    return [json.loads(line) for line in buf.getvalue().splitlines()]
+    return buf.getvalue()
+
+
+def verify_rows(*argv):
+    return [json.loads(line) for line in verify_stdout(*argv).splitlines()]
 
 
 @pytest.fixture(scope="module")
-def suite_rows():
-    return {n_max: verify_rows("--all", "--n-max", n_max) for n_max in ("4", "16")}
+def suite_stdout():
+    """Raw stdout of verify --all at n-max 4 and 16, one suite run each."""
+    return {n_max: verify_stdout("--all", "--n-max", n_max) for n_max in ("4", "16")}
+
+
+@pytest.fixture(scope="module")
+def suite_rows(suite_stdout):
+    return {n_max: [json.loads(line) for line in out.splitlines()]
+            for n_max, out in suite_stdout.items()}
 
 
 class TestCoeffs:
@@ -279,12 +290,14 @@ class TestDeterminismAndConfig:
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
 
-    def test_verify_all_golden_output(self, capsys, suite_rows):
+    def test_verify_all_golden_output(self, capsys, suite_stdout, suite_rows):
         # the determinism acceptance: these bytes and this float row must not drift
         code, out, _ = run_cli(capsys, "--format", "json", "verify", "--all", "--n-max", "4")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "5eee9e154669ccd083ad574f6e629c682acd0bc5b54e8b1c9d82b7aabf275ea7")
+        assert hashlib.sha256(suite_stdout["16"].encode()).hexdigest() == (
+            "98ffc11c5c4a7a2875d86c6c05c098ff8f8f57a0292d1f7f38c7b980d52971d3")
         (row,) = [r for r in suite_rows["16"] if r["name"] == "resummation"]
         assert row["worst_case"]["n"] == 10
         assert row["worst_case"]["z"] == "(-0.25 + 0.375j)"
@@ -299,6 +312,13 @@ class TestDeterminismAndConfig:
     def test_precision_floor(self, capsys):
         code, _, err = run_cli(capsys, "--prec", "32", "decompose", "--n", "2")
         assert code == 2
+
+    def test_precision_cap(self, capsys, monkeypatch):
+        code, _, _ = run_cli(capsys, "--prec", str(MAX_PREC), "decompose", "--n", "2")
+        assert code == 0
+        monkeypatch.setenv("PREC_BITS", str(MAX_PREC + 1))
+        code, _, err = run_cli(capsys, "decompose", "--n", "2")
+        assert code == 2 and err.startswith("error:")
 
     def test_global_flags_in_either_position(self, capsys):
         _, out1, _ = run_cli(capsys, "--format", "json", "decompose", "--n", "2")
@@ -346,6 +366,19 @@ class TestDeterminismAndConfig:
      "--grid-angular", "1000000000"),
     ("verify", "--check", "disk-bound", "--scheme", "v", "--k", "2",
      "--grid-radial", "33", "--grid-angular", "32"),
+    # past the v degree cap (v_4096): refused before the first of thousands of builds
+    ("verify", "--check", "value-at-one", "--n", "4097"),
+    ("verify", "--check", "uniform-compact", "--n-max", "5000"),
+    ("verify", "--check", "resummation", "--n-max", "5000"),
+    ("verify", "--check", "coeff-formula", "--n-max", "5000"),
+    ("verify", "--check", "radius-pole", "--n-max", "5000"),
+    ("verify", "--check", "tail-sum", "--n-max", "5000"),
+    ("verify", "--check", "head", "--n-max", "5000"),
+    ("verify", "--check", "tail-signs", "--n-max", "5000"),
+    ("verify", "--check", "ratio-identity", "--n", "5000"),
+    ("verify", "--all", "--n-max", "5000"),
+    # past the precision cap
+    ("--prec", str(MAX_PREC + 1), "verify", "--check", "mu-bound", "--n", "100000"),
 ])
 def test_bad_input_is_usage_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)

@@ -32,6 +32,8 @@ from chebsqrt import (
     v_step,
 )
 from chebsqrt.cli import _random_disk_rationals
+from chebsqrt.exact import _convolve
+from oracles import mul, scale, strip
 from test_iterates import direct_v
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=12)
@@ -48,21 +50,12 @@ nonzero_polys = st.lists(small_fractions, min_size=1, max_size=4).filter(
 nonconstant_polys = st.lists(small_fractions, min_size=2, max_size=4).filter(
     lambda cs: cs[-1] != 0
 )
+# integer coefficients as the step kernels see them: zeros and 70-bit values
+int_coeffs = st.one_of(st.just(0), st.integers(-(2**70), 2**70))
 
 
-def naive_product(a, b):
-    """Schoolbook convolution of two Fraction coefficient lists."""
-    if not a or not b:
-        return []
-    out = [F(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return out
-
-
-def monic(p):
-    return p * (1 / p.coeffs[-1])
+def monic(a):
+    return scale(1 / a[-1], a)
 
 
 def naive_taylor(f, M):
@@ -109,52 +102,33 @@ class TestPolynomial:
         assert Polynomial([0, 0]).is_zero
         assert Polynomial().degree == -1
 
-    def test_arithmetic(self):
-        one_plus = Polynomial([1, 1])
-        one_minus = Polynomial([1, -1])
-        assert one_plus * one_minus == Polynomial([1, 0, -1])
-        assert one_plus + one_minus == Polynomial([2])
-        assert one_plus - one_plus == Polynomial()
-        assert 2 * one_plus == Polynomial([2, 2])
-        assert one_plus**3 == Polynomial([1, 3, 3, 1])
-
-    def test_eval_horner(self):
-        p = Polynomial([1, -2, 3])
-        assert p(F(1, 2)) == F(1) - 1 + F(3, 4)
-        assert Polynomial()(F(7)) == 0
-
-    def test_derivative(self):
-        p = Polynomial([5, 1, -2, 3])
-        assert p.derivative() == Polynomial([1, -4, 9])
-        assert Polynomial([3]).derivative().is_zero
-
     def test_gcd(self):
         z2m1 = Polynomial([-1, 0, 1])
         zm1 = Polynomial([-1, 1])
         assert poly_gcd(z2m1, zm1) == zm1
         # result is monic regardless of input scaling
-        assert poly_gcd(4 * z2m1, 6 * zm1) == zm1
+        assert poly_gcd(Polynomial([-4, 0, 4]), Polynomial([-6, 6])) == zm1
         assert poly_gcd(Polynomial(), zm1) == zm1
         assert poly_gcd(Polynomial([1, 1]), Polynomial([2])).degree == 0
 
-    @given(st.lists(wide_fractions, max_size=7), st.lists(wide_fractions, max_size=7))
+    @given(st.lists(int_coeffs, min_size=1, max_size=7),
+           st.lists(int_coeffs, min_size=1, max_size=7))
     @settings(max_examples=100, deadline=None)
     def test_product_matches_naive_convolution(self, a, b):
-        expected = Polynomial(naive_product(a, b))
-        assert Polynomial(a) * Polynomial(b) == expected
-        assert Polynomial(b) * Polynomial(a) == expected
+        # _convolve, the step kernels' product, keeps every slot: no stripping
+        for x, y in ((a, b), (b, a)):
+            out = _convolve(x, y)
+            assert len(out) == len(a) + len(b) - 1
+            assert strip(out) == mul(a, b)
 
     def test_product_edge_operands(self):
-        p = Polynomial([F(1, 3), 0, F(-5, 7)])
-        assert p * Polynomial() == Polynomial() and Polynomial() * p == Polynomial()
-        assert p * Polynomial([F(3, 2)]) == Polynomial([F(1, 2), 0, F(-15, 14)])
-        half_third = Polynomial([F(1, 2), F(1, 3)])
-        assert half_third * Polynomial([F(1, 3), F(-1, 2)]) == Polynomial(
-            [F(1, 6), F(-5, 36), F(-1, 6)]
-        )
-        # the common denominator 2 cancels: coefficients come back as integers
-        product = Polynomial([F(1, 2), F(1, 2)]) * Polynomial([2, 2])
-        assert product.coeffs == (F(1), F(2), F(1))
+        assert _convolve([3], [1, 0, -5]) == [3, 0, -15]
+        assert _convolve([1, 0, -5], [0]) == [0, 0, 0]
+        assert _convolve([1, 1], [1, -1]) == [1, 0, -1]
+        # zero slots at either end are kept; only the store strips trailing zeros
+        assert _convolve([0, 1], [1, 0]) == [0, 1, 0]
+        # the middle term cancels between two 200-bit partial products
+        assert _convolve([2**100, -1], [2**100, 1]) == [2**200, 0, -1]
 
     def test_gcd_falls_back_when_residues_share_a_factor(self):
         # z + P and z are coprime over Q but equal mod the prime P
@@ -167,8 +141,7 @@ class TestPolynomial:
         # G = P*z + 1 is invisible mod the prime P, where the cofactors
         # z + 1 and z + 2 are coprime; the gcd over Q must still find it
         P = 2**30 - 35
-        g = Polynomial([1, P])
-        u, v = g * Polynomial([1, 1]), g * Polynomial([2, 1])
+        u, v = Polynomial(mul([1, P], [1, 1])), Polynomial(mul([1, P], [2, 1]))
         assert poly_gcd(u, v) == Polynomial([F(1, P), 1])
         coprime = Polynomial([1, 1, P])
         assert poly_gcd(coprime, Polynomial([5, 1])) == Polynomial([1])
@@ -176,8 +149,8 @@ class TestPolynomial:
     @given(nonzero_polys, nonzero_polys, nonzero_polys)
     @settings(max_examples=50, deadline=None)
     def test_gcd_of_planted_common_factor(self, h, f, g):
-        h, f, g = Polynomial(h), Polynomial(f), Polynomial(g)
-        assert poly_gcd(h * f, h * g) == monic(h) * poly_gcd(f, g)
+        got = poly_gcd(Polynomial(mul(h, f)), Polynomial(mul(h, g)))
+        assert got == Polynomial(mul(monic(h), poly_gcd(Polynomial(f), Polynomial(g)).coeffs))
 
     def test_json_round_trip(self):
         p = Polynomial([F(1, 2), 0, F(-3, 7)])
@@ -264,10 +237,9 @@ class TestRationalFunction:
     def test_planted_common_factor_cancelled(self, num, den, h):
         # h has Fraction coefficients and a negative lead, so the constructor
         # must both cancel it and rescale to a monic denominator
-        h = Polynomial(h) if h[-1] < 0 else -Polynomial(h)
-        num, den = Polynomial(num), Polynomial(den)
-        f = RationalFunction(num, den)
-        planted = RationalFunction(num * h, den * h)
+        h = h if h[-1] < 0 else scale(-1, h)
+        f = RationalFunction(Polynomial(num), Polynomial(den))
+        planted = RationalFunction(Polynomial(mul(num, h)), Polynomial(mul(den, h)))
         assert planted == f
         assert (planted.num.coeffs, planted.den.coeffs) == (f.num.coeffs, f.den.coeffs)
 

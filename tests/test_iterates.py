@@ -32,6 +32,7 @@ from chebsqrt import (
 from chebsqrt.chebyshev import _cheb_ints
 from chebsqrt import iterates
 from chebsqrt.iterates import MAX_DEGREE, capped_degree
+from oracles import add, mul, power, scale, sub
 
 ONE = RationalFunction(Polynomial([1]))
 HALF_SLOPE = RationalFunction(Polynomial([1, F(-1, 2)]))  # 1 - z/2
@@ -64,7 +65,7 @@ def direct_v(n):
     return tuple(F(c, lead) for c in num), tuple(F(c, lead) for c in den)
 
 
-ONE_MINUS_Z = Polynomial([1, -1])
+ONE_MINUS_Z = [1, -1]
 
 
 @pytest.fixture(scope="module")
@@ -77,21 +78,24 @@ def v_chain():
 
 
 def naive_step(kind, f, p=2):
-    """Oracle: the step written on Polynomials, canonicalised by RationalFunction's gcd."""
-    a, b = f.num, f.den
+    """Oracle: the step in schoolbook arithmetic, canonicalised by RationalFunction's gcd."""
+    a, b = f.num.coeffs, f.den.coeffs
     if kind == "v":
-        if (a + b).is_zero:
+        if not add(a, b):
             raise DegenerateStep("1 + f vanishes identically")
-        return RationalFunction(ONE_MINUS_Z * b + a, a + b)
-    if kind == "newton":
-        if a.is_zero:
+        num, den = add(mul(ONE_MINUS_Z, b), a), add(a, b)
+    elif kind == "newton":
+        if not a:
             raise DegenerateStep("zero function")
-        return RationalFunction((p - 1) * a**p + ONE_MINUS_Z * b**p, p * a ** (p - 1) * b)
-    ap, wbp = a**p, ONE_MINUS_Z * b**p
-    den = b * ((p + 1) * ap + (p - 1) * wbp)
-    if den.is_zero:
-        raise DegenerateStep("zero denominator")
-    return RationalFunction(a * ((p - 1) * ap + (p + 1) * wbp), den)
+        num = add(scale(p - 1, power(a, p)), mul(ONE_MINUS_Z, power(b, p)))
+        den = scale(p, mul(power(a, p - 1), b))
+    else:
+        ap, wbp = power(a, p), mul(ONE_MINUS_Z, power(b, p))
+        num = mul(a, add(scale(p - 1, ap), scale(p + 1, wbp)))
+        den = mul(b, add(scale(p + 1, ap), scale(p - 1, wbp)))
+        if not den:
+            raise DegenerateStep("zero denominator")
+    return RationalFunction(Polynomial(num), Polynomial(den))
 
 
 STEPS = {"v": lambda f, p: v_step(f), "newton": newton_step, "halley": halley_step}
@@ -319,8 +323,7 @@ class TestChebyshevForm:
         N = n + 1
         a = _cheb_ints(ChebKind.FIRST, N)[N::-2]
         b = _cheb_ints(ChebKind.SECOND, N - 1)[N - 1 :: -2]
-        pell = Polynomial(a) ** 2 - ONE_MINUS_Z * Polynomial(b) ** 2
-        assert pell == Polynomial([0] * N + [1])
+        assert sub(power(a, 2), mul(ONE_MINUS_Z, power(b, 2))) == [0] * N + [1]
         assert b[0] == 2 ** (N - 1)
         # the gcd finds nothing to remove, and the pair is v_n
         assert coeff_tuples(RationalFunction(Polynomial(a), Polynomial(b))) == coeff_tuples(

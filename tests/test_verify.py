@@ -45,6 +45,10 @@ from chebsqrt.verify import _FloatEvaluator
 PREC = 256
 
 
+def _no_build(n):
+    raise AssertionError("an iterate was built before the degree cap")
+
+
 class TestSqrtPrincipal:
     def test_real_spot_values(self):
         assert sqrt_principal(mpf(0), PREC) == 1
@@ -150,6 +154,27 @@ class TestExactChecks:
             check_monotone_improvement(0, 0.9, PREC)
         with pytest.raises(BadIndex):
             default_suite(n_max=0, prec=PREC)
+
+    @pytest.mark.parametrize("name, n_max", [
+        ("value_at_one", 4097), ("uniform_compact", 4097), ("monotone_improvement", 4096),
+        ("resummation", 4097), ("coeff_formula", 4097), ("radius_pole", 4097),
+        ("tail_sum", 4097),
+    ])
+    def test_index_cap_refuses_before_any_build(self, monkeypatch, name, n_max):
+        # each check builds v_n for n up to its top index, v_(n_max + 1) for
+        # monotone-improvement; past v_4096 the cap must fire before v_0
+        monkeypatch.setattr(verify, "v_iterate", _no_build)
+        with pytest.raises(CapExceeded):
+            getattr(verify, f"check_{name}")(n_max)
+
+    def test_row_indices_refuse_before_any_build(self, monkeypatch):
+        monkeypatch.setattr(verify, "v_iterate", _no_build)
+        for name in ("head", "tail-signs", "ratio-identity"):
+            with pytest.raises(CapExceeded):
+                verify.CHECKS[name](16, PREC, n=4097)
+        for name in ("head", "tail-signs"):
+            with pytest.raises(CapExceeded):
+                verify.CHECKS[name](4097, PREC)
 
 
 class TestFloatChecks:
