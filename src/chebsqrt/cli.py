@@ -48,6 +48,11 @@ from .verify import (
 # time bound.
 MAX_PREC = 4096
 
+# Largest bench --points x --reps.  The points are drawn before any work,
+# so an uncapped request could exhaust memory or run for days; the
+# largest admitted run, 1000 points at n = 4096, takes about 300 s.
+MAX_BENCH_EVALS = 1000
+
 
 @dataclass
 class CliConfig:
@@ -205,6 +210,8 @@ def cmd_verify(args, cfg: CliConfig) -> int:
         )
     else:
         raise ChebsqrtError("choose --all or --check NAME")
+    if not results:
+        raise ChebsqrtError(f"check {args.check!r} has no rows for these selectors")
     failed = 0
     for r in results:
         if cfg.output_format == "human":
@@ -260,6 +267,8 @@ def cmd_bench(args, cfg: CliConfig) -> int:
         raise ChebsqrtError("bench needs n >= 2 (no decomposition terms below that)")
     if args.points < 1 or args.reps < 1:
         raise ChebsqrtError("bench needs --points >= 1 and --reps >= 1")
+    if args.points * args.reps > MAX_BENCH_EVALS:
+        raise ChebsqrtError(f"--points x --reps exceeds the bench cap {MAX_BENCH_EVALS}")
     prec = cfg.precision_bits
     rng = random.Random(args.seed)
     pts = _random_disk_rationals(rng, args.points)

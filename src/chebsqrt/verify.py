@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -50,6 +51,23 @@ MAX_COEFF_INDEX = 4096
 MAX_MU_N = 100_000
 MAX_GRID_POINTS = 1024
 
+# Largest n_max of each v-range check.  A range builds and checks every v_n
+# up to n_max, and its work grows as n_max**2 to n_max**3, so the degree cap
+# alone would admit runs of days.  Each maximum is the largest power of two
+# whose run stays within about 5 s at the default 256 bits; tail-sum's
+# cutoff also grows with the precision.  All lie far below the degree cap
+# (v_4096).  The suite passes its n_max to every range, so it admits the
+# least of them.
+MAX_RANGE_N = {
+    "value-at-one": 1024,
+    "uniform-compact": 64,
+    "monotone-improvement": 64,
+    "resummation": 128,
+    "coeff-formula": 64,
+    "radius-pole": 256,
+    "tail-sum": 16,
+}
+
 # The p = 2 iterates of the composition and head-lengths checks (Newton
 # k = 1..4, Halley k = 1..3) and of the guo-p2 sign scan.
 NEWTON_K_MAX, HALLEY_K_MAX = 4, 3
@@ -61,6 +79,24 @@ GUO_NEWTON_KS, GUO_HALLEY_KS = (2, 3, 4), (1, 2, 3)
 # than scalar arithmetic does; past n of about 100 they outgrow this fixed
 # guard.
 EVAL_GUARD_BITS = 128
+
+
+def _v_range(name: str, start: int, n_max: int, ahead: int = 0):
+    """The lazy sequence (n, v_iterate(n)), n = start..n_max + ahead, of a range check.
+
+    Refuses before the first build: BadIndex when n_max < start, CapExceeded
+    when n_max passes the check's MAX_RANGE_N entry.
+    """
+    if n_max < start:
+        raise BadIndex(f"{name} check starts at n = {start}")
+    if n_max > MAX_RANGE_N[name]:
+        raise CapExceeded(f"n_max = {n_max} exceeds the {name} cap {MAX_RANGE_N[name]}")
+    return ((n, v_iterate(n)) for n in range(start, n_max + ahead + 1))
+
+
+def _worst(samples):
+    """The first (error, where) pair of largest error; ties keep the earlier sample."""
+    return max(samples, key=lambda sample: sample[0])
 
 
 def _slack(prec: int):
@@ -236,14 +272,8 @@ def check_tail_signs(n: int, M: int) -> CheckResult:
 
 def check_value_at_one(n_max: int) -> CheckResult:
     """Exact evaluation at 1 gives 1/(n+1) for n = 0..n_max."""
-    if n_max < 0:
-        raise BadIndex("need n_max >= 0")
-    capped_degree(Scheme.v(), n_max)
-    bad = None
-    for n in range(n_max + 1):
-        if v_iterate(n)(1) != Fraction(1, n + 1):
-            bad = n
-            break
+    vs = _v_range("value-at-one", 0, n_max)
+    bad = next((n for n, f in vs if f(1) != Fraction(1, n + 1)), None)
     return CheckResult(
         name="value-at-one",
         params={"n_max": n_max},
@@ -292,16 +322,11 @@ def check_mu_bound(n_max: int = 10_000, prec: int = DEFAULT_PREC) -> CheckResult
         raise BadIndex("mu-bound check needs n_max >= 1")
     if n_max > MAX_MU_N:
         raise CapExceeded(f"n_max = {n_max} exceeds the mu-bound cap {MAX_MU_N}")
-    worst = None
-    worst_val = mpf(0)
     with workprec(prec + GUARD_BITS):
         pi = +mpmath.pi
-        mu = mpf(1)
-        for n in range(1, n_max + 1):
-            mu = mu * (2 * n - 1) / (2 * n)
-            val = pi * n * mu * mu
-            if val > worst_val:
-                worst_val, worst = val, n
+        mus = accumulate(range(1, n_max + 1), lambda mu, n: mu * (2 * n - 1) / (2 * n),
+                         initial=mpf(1))
+        worst_val, worst = _worst((pi * n * mu * mu, n) for n, mu in enumerate(mus) if n)
         passed = worst_val < 1
     return CheckResult(
         name="mu-bound",
@@ -332,21 +357,20 @@ def check_ratio_identity(
             Fraction(3, 4),
             Fraction(9, 10),
         )
+    if not samples:
+        raise BadIndex("ratio-identity needs at least one sample")
     f = v_iterate(n)
     tol = _slack(prec)
-    worst = None
-    worst_err = mpf(0)
     with workprec(prec + GUARD_BITS):
-        for x in samples:
+
+        def error(x):
             if not 0 < x < 1:
                 raise BadIndex(f"sample {x} outside (0, 1)")
             v = mpmath.mpmathify(f(x))
             w = mpmath.sqrt(1 - mpmath.mpmathify(x))
-            lhs = (v - w) / (v + w)
-            rhs = ((1 - w) / (1 + w)) ** (n + 1)
-            err = abs(lhs - rhs)
-            if worst is None or err > worst_err:
-                worst_err, worst = err, x
+            return abs((v - w) / (v + w) - ((1 - w) / (1 + w)) ** (n + 1))
+
+        worst_err, worst = _worst((error(x), x) for x in samples)
     return CheckResult(
         name="ratio-identity",
         params={"n": n},
@@ -382,13 +406,9 @@ def check_disk_bound(scheme: Scheme, k: int, grid: DiskGrid) -> CheckResult:
         factor, power = _disk_bound_factor(scheme, k)  # validates before the build
     errs = _grid_errors(iterate(scheme, k), grid)
     tol = _slack(prec)
-    worst = None
-    worst_excess = mpf("-inf")
     with workprec(work):
-        for (z, _), err in zip(grid.samples, errs):
-            excess = err - factor * abs(z) ** power
-            if excess > worst_excess:
-                worst_excess, worst = excess, z
+        worst_excess, worst = _worst(
+            (err - factor * abs(z) ** power, z) for (z, _), err in zip(grid.samples, errs))
     return CheckResult(
         name="disk-bound",
         params={"scheme": str(scheme), "k": k, "radius": grid.radius,
@@ -408,14 +428,12 @@ def check_uniform_compact(
     the sup at step n must lie below C * q**(n+1) and be non-increasing in n
     (both up to slack).
     """
-    if n_max < 1:
-        raise BadIndex("uniform-compact check needs n_max >= 1")
+    vs = _v_range("uniform-compact", 1, n_max)
     if not 0 < compact_radius < 1:
         raise BadIndex("compact radius must be in (0, 1)")
-    capped_degree(Scheme.v(), n_max)
     grid = DiskGrid(compact_radius, 8, 16, prec)
     tol = _slack(prec)
-    sups = [max(_grid_errors(v_iterate(n), grid)) for n in range(1, n_max + 1)]
+    sups = [max(_grid_errors(f, grid)) for _, f in vs]
     with workprec(prec + EVAL_GUARD_BITS):
         ws = [w for _, w in grid.samples]
         q = max(abs((1 - w) / (1 + w)) for w in ws)
@@ -452,23 +470,22 @@ def check_monotone_improvement(
     improvement is only a heuristic, so |z| = 1 points are reported in the
     note as warnings rather than failures.
     """
-    if n_max < 1:
-        raise BadIndex("monotone-improvement check needs n_max >= 1")
-    capped_degree(Scheme.v(), n_max + 1)
+    vs = _v_range("monotone-improvement", 1, n_max, ahead=1)
     grid = DiskGrid(radius, 8, 16, prec)
     tol = _slack(prec)
     bad = None
     warnings = 0
-    errs = _grid_errors(v_iterate(1), grid)
+    _, f = next(vs)
+    errs = _grid_errors(f, grid)
     with workprec(prec + EVAL_GUARD_BITS):
-        for n in range(1, n_max + 1):
-            new_errs = _grid_errors(v_iterate(n + 1), grid)
+        for n, f in vs:  # v_n against v_(n - 1), reported at n - 1
+            new_errs = _grid_errors(f, grid)
             for (z, _), before, after in zip(grid.samples, errs, new_errs):
                 if after > before + tol:
                     if abs(z) >= 1:
                         warnings += 1
                     elif bad is None:
-                        bad = {"n": n, "z": _nstr(z), "increase": _nstr(after - before)}
+                        bad = {"n": n - 1, "z": _nstr(z), "increase": _nstr(after - before)}
             errs = new_errs
     return CheckResult(
         name="monotone-improvement",
@@ -484,21 +501,14 @@ def check_sqrt_consistency(grid: DiskGrid) -> CheckResult:
     """sqrt_principal squares back to 1 - z and has nonnegative real part."""
     prec = grid.prec
     tol = mpf(2) ** (8 - prec)
-    worst = None
-    worst_err = mpf(0)
-    sign_bad = None
     with workprec(prec + GUARD_BITS):
-        for z in grid.points():
-            w = sqrt_principal(z, prec)
-            err = abs(w * w - (1 - z))
-            if worst is None or err > worst_err:
-                worst_err, worst = err, z
-            if w.real < 0:
-                sign_bad = z
+        roots = [(z, sqrt_principal(z, prec)) for z in grid.points()]
+        worst_err, worst = _worst((abs(w * w - (1 - z)), z) for z, w in roots)
+    sign_bad = any(w.real < 0 for _, w in roots)
     return CheckResult(
         name="sqrt-consistency",
         params={"radius": grid.radius, "grid": f"{grid.radial_steps}x{grid.angular_steps}"},
-        passed=bool(worst_err <= tol and sign_bad is None),
+        passed=bool(worst_err <= tol and not sign_bad),
         samples=grid.radial_steps * grid.angular_steps,
         worst_case={"z": _nstr(worst), "residual": _nstr(worst_err), "tolerance": _nstr(tol)},
     )
@@ -539,35 +549,26 @@ def check_resummation(n_max: int, prec: int = DEFAULT_PREC) -> CheckResult:
     the rational-function call, complex points through exact complex Horner),
     compared within 2**-(prec - 16).
     """
-    if n_max < 2:
-        raise BadIndex("resummation check starts at n = 2")
-    capped_degree(Scheme.v(), n_max)
+    vs = _v_range("resummation", 2, n_max)
     pts = resummation_points()
     tol = _slack(prec)
-    worst = None
-    worst_err = mpf(0)
-    samples = 0
-    for n in range(2, n_max + 1):
-        f = v_iterate(n)
-        pf = decompose(n, prec)
-        with workprec(prec + GUARD_BITS):
-            for re, im in pts:
-                if im == 0:
-                    exact = (f(re), Fraction(0))
-                else:
-                    exact = eval_ratfun_complex(f, re, im)
-                z = mpc(mpmath.mpmathify(re), mpmath.mpmathify(im))
-                got = pf.eval(z)
-                ref = mpc(mpmath.mpmathify(exact[0]), mpmath.mpmathify(exact[1]))
-                err = abs(got - ref)
-                samples += 1
-                if worst is None or err > worst_err:
-                    worst_err, worst = err, (n, z)
+
+    def samples():
+        for n, f in vs:
+            pf = decompose(n, prec)
+            with workprec(prec + GUARD_BITS):
+                for re, im in pts:
+                    exact = (f(re), 0) if im == 0 else eval_ratfun_complex(f, re, im)
+                    z = mpc(mpmath.mpmathify(re), mpmath.mpmathify(im))
+                    ref = mpc(mpmath.mpmathify(exact[0]), mpmath.mpmathify(exact[1]))
+                    yield abs(pf.eval(z) - ref), (n, z)
+
+    worst_err, worst = _worst(samples())
     return CheckResult(
         name="resummation",
         params={"n": "2..%d" % n_max},
         passed=bool(worst_err <= tol),
-        samples=samples,
+        samples=(n_max - 1) * len(pts),
         worst_case={
             "n": worst[0],
             "z": _nstr(worst[1]),
@@ -579,32 +580,27 @@ def check_resummation(n_max: int, prec: int = DEFAULT_PREC) -> CheckResult:
 
 def check_coeff_formula(n_max: int, prec: int = DEFAULT_PREC) -> CheckResult:
     """Closed-form coefficients match exact ones for m = 1..4n and are negative."""
-    if n_max < 2:
-        raise BadIndex("coefficient-formula check starts at n = 2")
-    capped_degree(Scheme.v(), n_max)
+    vs = _v_range("coeff-formula", 2, n_max)
     tol = _slack(prec)
-    worst = None
-    worst_err = mpf(0)
     sign_bad = None
-    samples = 0
-    for n in range(2, n_max + 1):
-        M = 4 * n
-        exact = taylor_coefficients(v_iterate(n), M)
-        closed = coeff_closed_range(n, M, prec)
-        with workprec(prec + GUARD_BITS):
-            for m in range(1, M + 1):
-                got = closed[m - 1]
-                err = abs(got - mpmath.mpmathify(exact[m]))
-                samples += 1
-                if worst is None or err > worst_err:
-                    worst_err, worst = err, (n, m)
-                if got >= 0 and sign_bad is None:
-                    sign_bad = (n, m)
+
+    def samples():
+        nonlocal sign_bad
+        for n, f in vs:
+            exact = taylor_coefficients(f, 4 * n)
+            closed = coeff_closed_range(n, 4 * n, prec)
+            with workprec(prec + GUARD_BITS):
+                for m, got in enumerate(closed, start=1):
+                    if got >= 0 and sign_bad is None:
+                        sign_bad = (n, m)
+                    yield abs(got - mpmath.mpmathify(exact[m])), (n, m)
+
+    worst_err, worst = _worst(samples())
     return CheckResult(
         name="coeff-formula",
         params={"n": "2..%d" % n_max},
         passed=bool(worst_err <= tol and sign_bad is None),
-        samples=samples,
+        samples=sum(4 * n for n in range(2, n_max + 1)),
         worst_case={
             "n": worst[0],
             "m": worst[1],
@@ -628,24 +624,22 @@ def check_radius_pole(n_max: int, prec: int = DEFAULT_PREC) -> CheckResult:
     2**-(prec - 56); and no pole parameter of the decomposition may exceed
     cos^2(pi/(n+1)).
     """
-    if n_max < 2:
-        raise BadIndex("radius check starts at n = 2")
-    capped_degree(Scheme.v(), n_max)
+    vs = _v_range("radius-pole", 2, n_max)
     tol = Fraction(1, 2 ** (prec - 56))
-    worst = None
-    worst_res = Fraction(0)
     pole_bad = None
-    for n in range(2, n_max + 1):
-        f = v_iterate(n)
-        radius = radius_of_convergence(n, prec)
-        residual = abs(eval_poly_complex(f.den, _mpf_to_fraction(radius), 0)[0])
-        if worst is None or residual > worst_res:
-            worst_res, worst = residual, n
-        pf = decompose(n, prec)
-        with workprec(prec + GUARD_BITS):
-            ref = mpmath.cospi(mpf(1) / (n + 1)) ** 2
-            if any(rho > ref + _slack(prec) for rho in pf.pole_params):
-                pole_bad = n
+
+    def samples():
+        nonlocal pole_bad
+        for n, f in vs:
+            radius = radius_of_convergence(n, prec)
+            yield abs(eval_poly_complex(f.den, _mpf_to_fraction(radius), 0)[0]), n
+            pf = decompose(n, prec)
+            with workprec(prec + GUARD_BITS):
+                ref = mpmath.cospi(mpf(1) / (n + 1)) ** 2
+                if any(rho > ref + _slack(prec) for rho in pf.pole_params):
+                    pole_bad = n
+
+    worst_res, worst = _worst(samples())
     return CheckResult(
         name="radius-pole",
         params={"n": "2..%d" % n_max},
@@ -666,48 +660,35 @@ def check_tail_sum(n_max: int, prec: int = DEFAULT_PREC) -> CheckResult:
 
     Cutoff M = n + ceil((prec/2) / log2(radius)) makes the geometric tail
     beyond M smaller than 2**-(prec/2), so the final partial sum must land
-    within 2**-(prec/4) of C(2n,n)/4**n - 1/(n+1).  Partial sums are exact
-    rationals, kept as an integer numerator over a running denominator; every
-    one of them must stay strictly at or below the limit.  The first
+    within 2**-(prec/4) of C(2n,n)/4**n - 1/(n+1).  Every partial sum, an
+    exact rational, must stay strictly at or below the limit.  The first
     overshoot found ends the check and is reported as its worst case.
+
+    The partial sums come from the Taylor layer: coefficient m of
+    A/((1 - z)B) is c_0 + ... + c_m for v_n = A/B, so the tail sum to m is
+    sums[n] - sums[m].  The pair stays coprime, as A(1)/B(1) = 1/(n+1) != 0.
     """
-    if n_max < 1:
-        raise BadIndex("tail-sum check starts at n = 1")
-    capped_degree(Scheme.v(), n_max)
     close_tol = Fraction(1, 2 ** (prec // 4))
-    worst = None
-    worst_gap = Fraction(-1)
-    bad = None
-    samples = 0
-    for n in range(1, n_max + 1):
+    gaps, bad, samples = [], None, 0
+    for n, f in _v_range("tail-sum", 1, n_max):
         identity = tail_sum_identity(n)
         if n == 1:
-            gap = identity  # empty tail: partial sum is exactly 0
+            gaps.append((identity, n))  # empty tail: partial sum is exactly 0
             samples += 1
-        else:
-            radius = radius_of_convergence(n, prec)
-            cutoff = n + int(math.ceil((prec / 2) / math.log2(float(radius))))
-            cs = taylor_coefficients(v_iterate(n), cutoff)
-            # partial sum = num / den, compared with identity = i_num / i_den
-            num, den = 0, 1
-            i_num, i_den = identity.numerator, identity.denominator
-            for m in range(n + 1, cutoff + 1):
-                c = cs[m]
-                q = c.denominator
-                if den % q:
-                    lcm = math.lcm(den, q)
-                    num *= lcm // den
-                    den = lcm
-                num -= c.numerator * (den // q)
-                samples += 1
-                if num * i_den > i_num * den:
-                    bad = {"n": n, "m": m, "overshoot": str(Fraction(num, den) - identity)}
-                    break
-            if bad:
-                break
-            gap = identity - Fraction(num, den)
-        if gap > worst_gap:
-            worst_gap, worst = gap, n
+            continue
+        radius = radius_of_convergence(n, prec)
+        cutoff = n + int(math.ceil((prec / 2) / math.log2(float(radius))))
+        a, b = f.pair
+        one_minus_z_b = [x - y for x, y in zip(b + (0,), (0,) + b)]
+        sums = taylor_coefficients(RationalFunction._from_coprime(a, one_minus_z_b), cutoff)
+        floor = sums[n] - identity  # the tail sum to m overshoots when sums[m] < floor
+        m = next((m for m in range(n + 1, cutoff + 1) if sums[m] < floor), None)
+        samples += (m or cutoff) - n
+        if m:
+            bad = {"n": n, "m": m, "overshoot": str(floor - sums[m])}
+            break
+        gaps.append((sums[cutoff] - floor, n))
+    worst_gap, worst = _worst(gaps)
     passed = bad is None and worst_gap <= close_tol
     return CheckResult(
         name="tail-sum",
@@ -882,7 +863,7 @@ CHECKS = {
     "uniform-compact": lambda n_max, prec, compact_radius=0.9, **_: [
         check_uniform_compact(n_max, compact_radius, prec)],
     "monotone-improvement": lambda n_max, prec, compact_radius=0.9, **_: [
-        check_monotone_improvement(min(n_max, 16), compact_radius, prec)],
+        check_monotone_improvement(n_max, compact_radius, prec)],
     "resummation": lambda n_max, prec, **_: [check_resummation(max(n_max, 2), prec)],
     "coeff-formula": lambda n_max, prec, **_: [check_coeff_formula(max(n_max, 2), prec)],
     "radius-pole": lambda n_max, prec, **_: [check_radius_pole(max(n_max, 2), prec)],
@@ -897,4 +878,6 @@ def default_suite(n_max: int = 16, prec: int = DEFAULT_PREC) -> list[CheckResult
     """The full default check battery: every row of CHECKS, in table order."""
     if n_max < 1:
         raise BadIndex("the suite needs n_max >= 1")
+    if n_max > min(MAX_RANGE_N.values()):
+        raise CapExceeded(f"n_max = {n_max} exceeds the suite cap {min(MAX_RANGE_N.values())}")
     return [r for rows in CHECKS.values() for r in rows(n_max, prec)]

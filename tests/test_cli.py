@@ -12,8 +12,9 @@ import mpmath
 import pytest
 from mpmath import mpf, workprec
 
-from chebsqrt.cli import MAX_PREC, main
-from chebsqrt.verify import CHECKS
+from chebsqrt import cli, verify
+from chebsqrt.cli import MAX_BENCH_EVALS, MAX_PREC, main
+from chebsqrt.verify import CHECKS, MAX_RANGE_N
 from test_exact import naive_ratfun_complex
 from test_iterates import direct_v
 
@@ -249,6 +250,13 @@ class TestBench:
             "exact-horner", "bigfloat-horner", "partial-fraction",
         ]
 
+    def test_cap_admits_its_maximum(self, capsys):
+        code, out, _ = run_cli(capsys, "--format", "json", "bench", "--n", "2",
+                               "--points", str(MAX_BENCH_EVALS // 4), "--reps", "4")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["points"] * doc["reps"] == MAX_BENCH_EVALS
+
     def test_rejects_headless_iterate(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--n", "1", "--points", "5")
         assert code == 2
@@ -344,6 +352,10 @@ class TestDeterminismAndConfig:
     ("bench", "--n", "2", "--points", "0"),
     ("bench", "--n", "2", "--points", "-5"),
     ("bench", "--n", "2", "--points", "5", "--reps", "0"),
+    # past the bench cap: refused before the first point is drawn
+    ("bench", "--n", "8", "--points", "1000000000"),
+    ("bench", "--n", "8", "--points", str(MAX_BENCH_EVALS + 1)),
+    ("bench", "--n", "8", "--points", str(MAX_BENCH_EVALS // 2 + 1), "--reps", "2"),
     # past the degree cap: refused before any step would run for minutes
     ("coeffs", "--scheme", "halley", "--k", "9", "--M", "4"),
     ("explore-guo", "--p", "3", "--scheme", "newton", "--k", "9", "--M", "8"),
@@ -377,10 +389,20 @@ class TestDeterminismAndConfig:
     ("verify", "--check", "tail-signs", "--n-max", "5000"),
     ("verify", "--check", "ratio-identity", "--n", "5000"),
     ("verify", "--all", "--n-max", "5000"),
+    # the first n_max past each range check's runtime cap, and so the suite's
+    *[("verify", "--check", name, "--n-max", str(cap + 1)) for name, cap in MAX_RANGE_N.items()],
+    ("verify", "--all", "--n-max", str(min(MAX_RANGE_N.values()) + 1)),
+    # a check that selects no rows would be a hollow pass
+    ("verify", "--check", "disk-bound", "--scheme", "v", "--n-max", "1"),
     # past the precision cap
     ("--prec", str(MAX_PREC + 1), "verify", "--check", "mu-bound", "--n", "100000"),
 ])
-def test_bad_input_is_usage_error(capsys, argv):
+def test_bad_input_is_usage_error(capsys, monkeypatch, argv):
+    def no_work(*args):
+        raise AssertionError("work started before the input was refused")
+
+    monkeypatch.setattr(verify, "v_iterate", no_work)
+    monkeypatch.setattr(cli, "_random_disk_rationals", no_work)
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")

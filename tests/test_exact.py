@@ -2,12 +2,13 @@
 
 import copy
 import math
+from itertools import accumulate
 import pickle
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chebsqrt import (
@@ -330,6 +331,24 @@ class TestTaylor:
         # often falls below deg num
         f = RationalFunction(Polynomial(num), Polynomial([den0, *den_rest]))
         assert list(taylor_coefficients(f, M)) == naive_taylor(f, M)
+
+    @given(
+        st.lists(wide_fractions, min_size=1, max_size=6),
+        den_constants,
+        st.lists(wide_fractions, max_size=4),
+        st.integers(0, 12),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_one_minus_z_denominator_gives_running_sums(self, num, den0, den_rest, M):
+        # coefficient m of A/((1 - z)B) is c_0 + ... + c_m of f = A/B; when
+        # A(1) != 0 (f(1) != 0, a pole at 1 included) the pair stays coprime
+        f = RationalFunction(Polynomial(num), Polynomial([den0, *den_rest]))
+        a, b = f.pair
+        assume(sum(a) != 0)
+        b_one_minus_z = mul(b, [1, -1])
+        g = RationalFunction._from_coprime(a, b_one_minus_z)
+        assert g == RationalFunction(Polynomial(a), Polynomial(b_one_minus_z))
+        assert list(taylor_coefficients(g, M)) == list(accumulate(taylor_coefficients(f, M)))
 
     @pytest.mark.parametrize(
         "num, den",

@@ -3,6 +3,7 @@
 import json
 import math
 from fractions import Fraction as F
+from itertools import accumulate
 
 import mpmath
 import pytest
@@ -14,6 +15,7 @@ from chebsqrt import (
     CapExceeded,
     DiskGrid,
     OnBranchCut,
+    RationalFunction,
     Scheme,
     check_coeff_formula,
     check_composition,
@@ -40,7 +42,8 @@ from chebsqrt import (
     v_iterate,
 )
 from chebsqrt import verify
-from chebsqrt.verify import _FloatEvaluator
+from chebsqrt.verify import _FloatEvaluator, _worst
+from oracles import mul
 
 PREC = 256
 
@@ -185,6 +188,8 @@ class TestFloatChecks:
     def test_ratio_identity_rejects_bad_sample(self):
         with pytest.raises(BadIndex):
             check_ratio_identity(2, samples=[F(3, 2)], prec=PREC)
+        with pytest.raises(BadIndex):
+            check_ratio_identity(2, samples=[], prec=PREC)
 
     def test_disk_bound_spot_arithmetic(self):
         # |value at 1 - 0| = 1/3 for the 2nd iterate vs 2/sqrt(2 pi)
@@ -269,6 +274,16 @@ class TestFloatChecks:
             "gap": "2.3023607520404257e-40",
             "tolerance": "5.4210108624275222e-20",
         }
+
+    def test_tail_sum_partial_sums_are_running_sums(self):
+        # the check reads its partial sums off A/((1 - z)B); at every n of the
+        # suite they must equal the running sums of v_n's own coefficients
+        for n in range(2, 17):
+            radius = radius_of_convergence(n, PREC)
+            cutoff = n + int(math.ceil((PREC / 2) / math.log2(float(radius))))
+            a, b = v_iterate(n).pair
+            sums = taylor_coefficients(RationalFunction._from_coprime(a, mul(b, [1, -1])), cutoff)
+            assert list(sums) == list(accumulate(taylor_coefficients(v_iterate(n), cutoff)))
 
     def test_tail_sum_overshoot_fires(self, monkeypatch):
         # a limit lowered by 2**-40 must be overshot by the partial sums at
@@ -363,9 +378,9 @@ class TestSuiteRunner:
         assert blob1 == blob2
 
     def test_table_calls_each_check_by_its_module_name(self, monkeypatch):
-        # a timer that rebinds verify.check_<name> must see one call per row
-        from chebsqrt import verify
-
+        # a timer that rebinds every verify.check_* attribute, as perfbench's
+        # verify-all gate does, must see one call per row: the table looks
+        # each check up by name, and no check calls another
         calls = []
 
         def counting(name, real):
@@ -375,11 +390,15 @@ class TestSuiteRunner:
 
             return wrapper
 
-        for name in verify.CHECKS:
-            attr = "check_" + name.replace("-", "_")
+        for attr in [a for a in vars(verify) if a.startswith("check_")]:
+            name = attr[len("check_"):].replace("_", "-")
             monkeypatch.setattr(verify, attr, counting(name, getattr(verify, attr)))
-        rows = default_suite(n_max=2, prec=PREC)
+        rows = default_suite(n_max=4, prec=PREC)
         assert calls == [r.name for r in rows]
+
+    def test_worst_keeps_the_first_of_equal_errors(self):
+        assert _worst([(1, "a"), (3, "b"), (2, "c"), (3, "d")]) == (3, "b")
+        assert _worst(iter([(mpf(0), 1), (mpf(0), 2)])) == (0, 1)
 
     def test_results_carry_sample_counts(self):
         for r in default_suite(n_max=3, prec=PREC):
