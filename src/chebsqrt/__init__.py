@@ -32,7 +32,6 @@ from .exact import (
     Polynomial,
     RationalFunction,
     central_binomial_ratio,
-    eval_poly_complex,
     eval_ratfun_complex,
     poly_gcd,
     poly_to_json,

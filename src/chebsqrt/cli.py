@@ -23,6 +23,7 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mpc, mpf, workprec
+from mpmath.libmp import from_rational
 
 from .chebyshev import DEFAULT_PREC, GUARD_BITS
 from .closedform import decompose, radius_of_convergence, tail_sum_identity
@@ -262,6 +263,11 @@ def _random_disk_rationals(rng: random.Random, count: int, denom: int = 64):
     return pts
 
 
+def _to_mpf(x: Fraction):
+    """x at the working precision, bit for bit as mpmathify(x) without its gcd on the pair."""
+    return mpmath.mp.make_mpf(from_rational(x.numerator, x.denominator, mpmath.mp.prec))
+
+
 def cmd_bench(args, cfg: CliConfig) -> int:
     if args.n < 2:
         raise ChebsqrtError("bench needs n >= 2 (no decomposition terms below that)")
@@ -275,8 +281,7 @@ def cmd_bench(args, cfg: CliConfig) -> int:
     f = v_iterate(args.n)
     pf = decompose(args.n, prec)
     # float Horner on f cancels about as many bits as its coefficients carry
-    coeff_bits = max(max(abs(c.numerator).bit_length(), c.denominator.bit_length())
-                     for c in f.num.coeffs + f.den.coeffs)
+    coeff_bits = max(abs(c).bit_length() for c in f.pair[0] + f.pair[1])
     work = prec + GUARD_BITS + coeff_bits
 
     t0 = time.perf_counter()
@@ -302,7 +307,7 @@ def cmd_bench(args, cfg: CliConfig) -> int:
     t_pf = time.perf_counter() - t0
 
     with workprec(work):
-        refs = [mpc(mpmath.mpmathify(re), mpmath.mpmathify(im)) for re, im in exact_vals]
+        refs = [mpc(_to_mpf(re), _to_mpf(im)) for re, im in exact_vals]
         dev_horner = max(abs(a - b) for a, b in zip(horner_vals, refs))
         dev_pf = max(abs(a - b) for a, b in zip(pf_vals, refs))
         tol = mpf(2) ** (16 - prec)
@@ -409,6 +414,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = CliConfig(precision_bits=args.prec, output_format=args.format)
+        if cfg.output_format == "csv" and args.command in ("eval", "verify", "explore-guo"):
+            raise ChebsqrtError(f"{args.command} has no CSV form; use --format json or human")
         if args.command == "eval" and args.at is None and (
             args.at_re is None or args.at_im is None
         ):

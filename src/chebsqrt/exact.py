@@ -12,15 +12,15 @@ reducing only the final real and imaginary parts.  They convert back to
 `Fraction` exactly and never round either.  Floating point lives in the
 closed-form and verification layers.
 
-A ``RationalFunction`` stores only its canonical integer pair, which the
-steps, Taylor, exact evaluation and pickle read as it is; ``num`` and
-``den`` are monic views for printing and float work.  ``_store`` is the
-pair's only writer.  The iterates prove coprimality and call the trusted
-``_from_coprime``, as does unpickling; the general constructor runs
-``poly_gcd`` and divides the gcd out by integer exact division
-(``_exact_quotient``).  Neither class carries arithmetic operators: a
-``Polynomial`` is only the view that printing, JSON, float work and ``==``
-read.
+A ``RationalFunction`` stores only its canonical integer pair, which every
+computation reads as it is: the steps, Taylor, exact and float evaluation
+and pickle.  ``num`` and ``den`` are monic views for printing and the
+public API.  ``_store`` is the pair's only writer.  The iterates prove
+coprimality and call the trusted ``_from_coprime``, as does unpickling;
+the general constructor and the steps' fallback cancel on integer lists
+(``_cancel``: the primitive gcd ``_int_gcd``, then integer exact division
+by ``_exact_quotient``).  Neither class carries arithmetic operators: a
+``Polynomial`` is only the view that printing, JSON and ``==`` read.
 
 Wire format: a rational scalar serializes as ``"p/q"`` in base 10 (``"p"``
 when the denominator is 1, which is what ``str(Fraction)`` produces); a
@@ -130,7 +130,6 @@ def _coerce_poly(x):
     return NotImplemented
 
 
-ZERO = Polynomial()
 ONE = Polynomial((1,))
 
 
@@ -150,6 +149,11 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
+def _times_one_minus_z(a: Sequence[int]) -> list[int]:
+    """Coefficient list of (1 - z) * a."""
+    return [c - d for c, d in zip([*a, 0], [0, *a])]
+
+
 def _exact_quotient(a: list[int], g: list[int]) -> list[int]:
     """Coefficient list of a / g for a primitive g that divides a over Q.
 
@@ -167,9 +171,12 @@ def _exact_quotient(a: list[int], g: list[int]) -> list[int]:
     return q
 
 
-def _clear_denominators(p: Polynomial) -> list[int]:
-    """Primitive integer coefficient list of a scalar multiple of p."""
-    return _primitive(_integer_form(p.coeffs)[1])
+def _stripped(ints: Sequence[int]) -> list[int]:
+    """The coefficient list without trailing zeros."""
+    out = list(ints)
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def _primitive(ints: list[int]) -> list[int]:
@@ -194,22 +201,26 @@ def _pseudo_rem(u: list[int], v: list[int]) -> list[int]:
     return r
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd by the primitive polynomial remainder sequence.
-
-    Both inputs are first scaled to primitive integer polynomials; each
-    pseudo-remainder is made primitive again.  Working over integers with
-    content removal keeps the sequence's intermediate coefficients from
-    swelling the way a naive rational Euclid does.
-    """
-    if a.is_zero and b.is_zero:
-        return ZERO
-    u = _clear_denominators(a) if not a.is_zero else []
-    v = _clear_denominators(b) if not b.is_zero else []
+def _int_gcd(u: Sequence[int], v: Sequence[int]) -> list[int]:
+    """Primitive gcd of two integer coefficient lists ([] when both are zero) by the
+    primitive remainder sequence: content removal at every step keeps the
+    coefficients from swelling the way a naive rational Euclid does."""
+    u, v = _primitive(_stripped(u)), _primitive(_stripped(v))
     while v:
         u, v = v, _primitive(_pseudo_rem(u, v))
-    lead = Fraction(u[-1])
-    return Polynomial(Fraction(c) / lead for c in u)
+    return u
+
+
+def _cancel(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Integer lists num/h and den/h for h = gcd(num, den): a coprime pair."""
+    h = _int_gcd(num, den)
+    return _exact_quotient(num, h), _exact_quotient(den, h)
+
+
+def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic gcd of two polynomials, by ``_int_gcd`` on their integer forms."""
+    g = _int_gcd(_integer_form(a.coeffs)[1], _integer_form(b.coeffs)[1])
+    return Polynomial(Fraction(c, g[-1]) for c in g)
 
 
 class RationalFunction:
@@ -229,26 +240,20 @@ class RationalFunction:
             raise TypeError("num and den must be Polynomial or rational scalars")
         if den.is_zero:
             raise ZeroDenominator("denominator is the zero polynomial")
-        h = _clear_denominators(poly_gcd(num, den))
         da, a = _integer_form(num.coeffs)
         db, b = _integer_form(den.coeffs)
-        self._store(_exact_quotient([c * db for c in a], h),
-                    _exact_quotient([c * da for c in b], h))
+        self._store(*_cancel([c * db for c in a], [c * da for c in b]))
 
     @classmethod
     def _from_coprime(cls, num: Sequence[int], den: Sequence[int]) -> "RationalFunction":
-        """Trusted constructor from integer lists the caller proves coprime over Q: no poly_gcd."""
+        """Trusted constructor from integer lists the caller proves coprime over Q: no gcd."""
         self = object.__new__(cls)
         self._store(num, den)
         return self
 
     def _store(self, num: Sequence[int], den: Sequence[int]) -> None:
         """Set the pair from integer lists coprime over Q: stripped, primitive, lead of den > 0."""
-        num, den = list(num), list(den)
-        while num and not num[-1]:
-            num.pop()
-        while not den[-1]:
-            den.pop()
+        num, den = _stripped(num), _stripped(den)
         g = math.gcd(*num, *den) * (1 if den[-1] > 0 else -1)
         object.__setattr__(self, "pair", (tuple(c // g for c in num), tuple(c // g for c in den)))
 
@@ -306,7 +311,7 @@ class RationalFunction:
         return f"({self.num}) / ({self.den})"
 
 
-ONE_RF = RationalFunction(ONE)
+ONE_RF = RationalFunction._from_coprime([1], [1])
 
 
 def taylor_coefficients(f: RationalFunction, M: int) -> tuple[Fraction, ...]:
@@ -400,16 +405,6 @@ def _gaussian_horner(ints: Sequence[int], x: int, y: int, D: int, e: int) -> tup
         ar, ai = ar * x - ai * y + c * scale, ar * y + ai * x
         scale *= D
     return ar, ai
-
-
-def eval_poly_complex(p: Polynomial, re: RationalLike, im: RationalLike):
-    """Exact value of p at re + im*i as a (real, imaginary) Fraction pair.
-
-    p is the rational function P/d, P over its common denominator d, and
-    runs through the Gaussian-integer kernel of ``eval_ratfun_complex``.
-    """
-    d, ints = _integer_form(p.coeffs)
-    return eval_ratfun_complex(RationalFunction._from_coprime(ints, [d]), re, im)
 
 
 def _ratfun_gaussian(f: RationalFunction, x: int, y: int, D: int) -> tuple[int, int, int]:

@@ -11,7 +11,7 @@ step, A(1) != 0 for Newton and Halley -- proves the new pair coprime.
 ``RationalFunction._from_coprime`` then only strips trailing zeros, divides
 out the joint content and fixes the sign of the denominator's lead.  Every
 iterate built from 1 passes the test; other inputs fall back to the
-constructor's gcd.  The v step stays as an independent construction of v_n.
+integer gcd.  The v step stays as an independent construction of v_n.
 Canonical form is what makes the composition identities -- the k-th Newton
 iterate equals the (2^k - 1)-th linear-fraction iterate, the k-th Halley
 iterate the (3^k - 1)-th -- checkable by plain ``==``.
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .chebyshev import ChebKind, _cheb_ints
 from .errors import BadIndex, BadRootOrder, CapExceeded, DegenerateStep
-from .exact import ONE_RF, Polynomial, RationalFunction, _convolve
+from .exact import ONE_RF, RationalFunction, _cancel, _convolve, _times_one_minus_z
 
 # The largest degree, max(deg num, deg den), an iterate may have: that of
 # v_4096.  Work grows with the degree, not with k, so one degree cap bounds
@@ -88,11 +88,6 @@ def _scaled_sum(x: int, a: list[int], y: int, b: list[int]) -> list[int]:
     return out
 
 
-def _times_one_minus_z(a: list[int]) -> list[int]:
-    """Coefficient list of (1 - z) * a."""
-    return [c - d for c, d in zip(a + [0], [0] + a)]
-
-
 def _power(a: list[int], p: int) -> list[int]:
     """Coefficient list of a**p, p >= 1."""
     if len(a) == 1:  # the first step: degree 1 whatever p, so the cap leaves p unbounded
@@ -104,10 +99,10 @@ def _power(a: list[int], p: int) -> list[int]:
 
 
 def _canonical(num: list[int], den: list[int], coprime: bool) -> RationalFunction:
-    """num/den in canonical form: trusted when the step's lemma proved coprimality."""
-    if coprime:
-        return RationalFunction._from_coprime(num, den)
-    return RationalFunction(Polynomial(num), Polynomial(den))
+    """num/den in canonical form; the gcd is cancelled unless the step's lemma proved it 1."""
+    if not coprime:
+        num, den = _cancel(num, den)
+    return RationalFunction._from_coprime(num, den)
 
 
 def v_step(f: RationalFunction) -> RationalFunction:

@@ -33,9 +33,8 @@ from .closedform import (
 from .errors import BadIndex, BadRootOrder, CapExceeded, OnBranchCut
 from .exact import (
     ONE_RF,
-    Polynomial,
     RationalFunction,
-    eval_poly_complex,
+    _times_one_minus_z,
     eval_ratfun_complex,
     root_series_coeffs,
     sqrt_series_coeff,
@@ -51,14 +50,17 @@ MAX_COEFF_INDEX = 4096
 MAX_MU_N = 100_000
 MAX_GRID_POINTS = 1024
 
-# Largest n_max of each v-range check.  A range builds and checks every v_n
-# up to n_max, and its work grows as n_max**2 to n_max**3, so the degree cap
-# alone would admit runs of days.  Each maximum is the largest power of two
-# whose run stays within about 5 s at the default 256 bits; tail-sum's
-# cutoff also grows with the precision.  All lie far below the degree cap
-# (v_4096).  The suite passes its n_max to every range, so it admits the
-# least of them.
+# Largest n_max of each v-range check, and largest n (or n_max) of the per-n
+# rows.  A range builds and checks every v_n up to n_max, and its work grows
+# as n_max**2 to n_max**3, so the degree cap alone would admit runs of days.
+# Each maximum is the largest power of two whose run stays within about 5 s
+# at the default 256 bits; tail-sum's cutoff also grows with the precision.
+# ratio-identity runs at most 32 rows, so it keeps the degree cap (v_4096).
+# The suite passes its n_max to every check, so it admits the least of them.
 MAX_RANGE_N = {
+    "head": 256,
+    "tail-signs": 128,
+    "ratio-identity": 4096,
     "value-at-one": 1024,
     "uniform-compact": 64,
     "monotone-improvement": 64,
@@ -73,9 +75,9 @@ MAX_RANGE_N = {
 NEWTON_K_MAX, HALLEY_K_MAX = 4, 3
 GUO_NEWTON_KS, GUO_HALLEY_KS = (2, 3, 4), (1, 2, 3)
 
-# The monic-form coefficients of v_n grow about 1.25*n bits (numerator or
-# denominator bit length, measured: 39 at n = 32, 80 at n = 64, 160 at
-# n = 128, 323 at n = 256), so polynomial evaluation needs far more guard
+# The integer pair coefficients of v_n grow about 1.25*n bits (bit length,
+# measured: 39 at n = 32, 80 at n = 64, 160 at n = 128, 323 at n = 256, as
+# in the monic form at even n), so polynomial evaluation needs far more guard
 # than scalar arithmetic does; past n of about 100 they outgrow this fixed
 # guard.
 EVAL_GUARD_BITS = 128
@@ -89,9 +91,13 @@ def _v_range(name: str, start: int, n_max: int, ahead: int = 0):
     """
     if n_max < start:
         raise BadIndex(f"{name} check starts at n = {start}")
-    if n_max > MAX_RANGE_N[name]:
-        raise CapExceeded(f"n_max = {n_max} exceeds the {name} cap {MAX_RANGE_N[name]}")
+    _refuse_past_cap(name, n_max)
     return ((n, v_iterate(n)) for n in range(start, n_max + ahead + 1))
+
+
+def _refuse_past_cap(name: str, top: int) -> None:
+    if top > MAX_RANGE_N[name]:
+        raise CapExceeded(f"n = {top} exceeds the {name} cap {MAX_RANGE_N[name]}")
 
 
 def _worst(samples):
@@ -186,11 +192,6 @@ def sqrt_principal(z, prec: int = DEFAULT_PREC):
         return +w
 
 
-def _mpf_coeffs(p: Polynomial) -> list:
-    # convert under the caller's working precision
-    return [mpmath.mpmathify(c) for c in p.coeffs]
-
-
 def _horner(coeffs: list, z):
     acc = z * 0
     for c in reversed(coeffs):
@@ -199,16 +200,14 @@ def _horner(coeffs: list, z):
 
 
 class _FloatEvaluator:
-    """Rational function evaluator with pre-converted float coefficients."""
+    """Evaluator of f = A/B, the stored pair pre-converted to floats (f at any scale)."""
 
     def __init__(self, f: RationalFunction, workbits: int):
-        self.workbits = workbits
         with workprec(workbits):
-            self.num = _mpf_coeffs(f.num)
-            self.den = _mpf_coeffs(f.den)
+            self.a, self.b = ([mpf(c) for c in ints] for ints in f.pair)
 
     def __call__(self, z):
-        return _horner(self.num, z) / _horner(self.den, z)
+        return _horner(self.a, z) / _horner(self.b, z)
 
 
 def _grid_errors(f: RationalFunction, grid: DiskGrid) -> list:
@@ -558,7 +557,7 @@ def check_resummation(n_max: int, prec: int = DEFAULT_PREC) -> CheckResult:
             pf = decompose(n, prec)
             with workprec(prec + GUARD_BITS):
                 for re, im in pts:
-                    exact = (f(re), 0) if im == 0 else eval_ratfun_complex(f, re, im)
+                    exact = eval_ratfun_complex(f, re, im)
                     z = mpc(mpmath.mpmathify(re), mpmath.mpmathify(im))
                     ref = mpc(mpmath.mpmathify(exact[0]), mpmath.mpmathify(exact[1]))
                     yield abs(pf.eval(z) - ref), (n, z)
@@ -632,7 +631,8 @@ def check_radius_pole(n_max: int, prec: int = DEFAULT_PREC) -> CheckResult:
         nonlocal pole_bad
         for n, f in vs:
             radius = radius_of_convergence(n, prec)
-            yield abs(eval_poly_complex(f.den, _mpf_to_fraction(radius), 0)[0]), n
+            b = f.pair[1]  # B / lead(B), the monic denominator, evaluated exactly
+            yield abs(RationalFunction._from_coprime(b, b[-1:])(_mpf_to_fraction(radius))), n
             pf = decompose(n, prec)
             with workprec(prec + GUARD_BITS):
                 ref = mpmath.cospi(mpf(1) / (n + 1)) ** 2
@@ -679,8 +679,8 @@ def check_tail_sum(n_max: int, prec: int = DEFAULT_PREC) -> CheckResult:
         radius = radius_of_convergence(n, prec)
         cutoff = n + int(math.ceil((prec / 2) / math.log2(float(radius))))
         a, b = f.pair
-        one_minus_z_b = [x - y for x, y in zip(b + (0,), (0,) + b)]
-        sums = taylor_coefficients(RationalFunction._from_coprime(a, one_minus_z_b), cutoff)
+        running = RationalFunction._from_coprime(a, _times_one_minus_z(b))
+        sums = taylor_coefficients(running, cutoff)
         floor = sums[n] - identity  # the tail sum to m overshoots when sums[m] < floor
         m = next((m for m in range(n + 1, cutoff + 1) if sums[m] < floor), None)
         samples += (m or cutoff) - n
@@ -758,7 +758,8 @@ def guo_explore(p: int, scheme_kind: str, k: int, M: int) -> GuoReport:
     while head <= M and cs[head] == ref[head]:
         head += 1
     is_poly = f.is_polynomial
-    scan_hi = min(M, f.num.degree) if is_poly else M
+    degree = len(f.pair[0]) - 1
+    scan_hi = min(M, degree) if is_poly else M
     violation = next((m for m in range(1, scan_hi + 1) if cs[m] >= 0), None)
     neg = sum(1 for m in range(1, scan_hi + 1) if cs[m] < 0)
     zero = sum(1 for m in range(1, scan_hi + 1) if cs[m] == 0)
@@ -766,7 +767,7 @@ def guo_explore(p: int, scheme_kind: str, k: int, M: int) -> GuoReport:
     note = ""
     if is_poly:
         note = (
-            f"polynomial iterate of degree {f.num.degree}: zero coefficients "
+            f"polynomial iterate of degree {degree}: zero coefficients "
             "beyond the degree are structural and excluded from the sign scan"
         )
     return GuoReport(
@@ -831,9 +832,10 @@ def check_head_lengths(M: int = 300) -> CheckResult:
 # suite runner
 
 
-def _indices(n: Optional[int], hi: int):
-    capped_degree(Scheme.v(), n or hi)
-    return [n] if n else range(1, hi + 1)
+def _indices(name: str, n: Optional[int], n_max: int):
+    """The indices of a per-n row, [n] or 1..n_max, refused past the row's cap before any build."""
+    _refuse_past_cap(name, n or n_max)
+    return [n] if n else range(1, n_max + 1)
 
 
 def _disk_bound_rows(n_max, prec, k=None, scheme=None, grid=None, **_):
@@ -852,11 +854,11 @@ def _disk_bound_rows(n_max, prec, k=None, scheme=None, grid=None, **_):
 CHECKS = {
     "sqrt-consistency": lambda n_max, prec, grid=None, **_: [
         check_sqrt_consistency(grid or DiskGrid(1.0, 8, 16, prec))],
-    "head": lambda n_max, prec, n=None, **_: [check_head(i) for i in _indices(n, n_max)],
+    "head": lambda n_max, prec, n=None, **_: [check_head(i) for i in _indices("head", n, n_max)],
     "tail-signs": lambda n_max, prec, n=None, M=None, **_: [
-        check_tail_signs(i, M or max(4 * n_max, i + 16)) for i in _indices(n, n_max)],
+        check_tail_signs(i, M or max(4 * n_max, i + 16)) for i in _indices("tail-signs", n, n_max)],
     "ratio-identity": lambda n_max, prec, n=None, **_: [
-        check_ratio_identity(i, prec=prec) for i in _indices(n, min(n_max, 32))],
+        check_ratio_identity(i, prec=prec) for i in _indices("ratio-identity", n, n_max)[:32]],
     "value-at-one": lambda n_max, prec, n=None, **_: [check_value_at_one(n or max(n_max, 100))],
     "composition": lambda n_max, prec, **_: [check_composition()],
     "disk-bound": _disk_bound_rows,

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -12,7 +13,8 @@ import mpmath
 import pytest
 from mpmath import mpf, workprec
 
-from chebsqrt import cli, verify
+from chebsqrt import cli, eval_ratfun_complex, v_iterate, verify
+from chebsqrt.chebyshev import GUARD_BITS
 from chebsqrt.cli import MAX_BENCH_EVALS, MAX_PREC, main
 from chebsqrt.verify import CHECKS, MAX_RANGE_N
 from test_exact import naive_ratfun_complex
@@ -280,6 +282,15 @@ class TestBench:
         tol = float(doc["tolerance"])
         assert all(float(row["max_deviation"]) <= tol for row in doc["rows"])
 
+    def test_reference_conversion_matches_mpmathify(self):
+        # the direct from_rational call rounds exactly as mpmathify's mpq path does
+        f = v_iterate(64)
+        for re, im in cli._random_disk_rationals(random.Random(3), 20):
+            for x in eval_ratfun_complex(f, re, im):
+                for prec in (53, 256 + GUARD_BITS + 80):
+                    with workprec(prec):
+                        assert cli._to_mpf(x)._mpf_ == mpmath.mpmathify(x)._mpf_
+
     def test_deterministic_modulo_timing(self, capsys):
         _, out1, _ = run_cli(capsys, "--format", "json", "bench",
                              "--n", "8", "--points", "10", "--seed", "5")
@@ -396,6 +407,16 @@ class TestDeterminismAndConfig:
     ("verify", "--check", "disk-bound", "--scheme", "v", "--n-max", "1"),
     # past the precision cap
     ("--prec", str(MAX_PREC + 1), "verify", "--check", "mu-bound", "--n", "100000"),
+    # the first --n past each per-n row's runtime cap
+    *[("verify", "--check", name, "--n", str(MAX_RANGE_N[name] + 1))
+      for name in ("head", "tail-signs", "ratio-identity")],
+    ("verify", "--check", "head", "--n", "4096"),
+    ("verify", "--check", "head", "--n-max", "512"),
+    ("verify", "--check", "tail-signs", "--n-max", "1024"),
+    # commands without a CSV form refuse it instead of printing another format
+    ("--format", "csv", "eval", "--scheme", "v", "--k", "2", "--at", "1/2"),
+    ("--format", "csv", "explore-guo", "--p", "3", "--scheme", "newton", "--k", "2", "--M", "8"),
+    ("verify", "--all", "--n-max", "2", "--format", "csv"),
 ])
 def test_bad_input_is_usage_error(capsys, monkeypatch, argv):
     def no_work(*args):

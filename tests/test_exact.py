@@ -20,7 +20,6 @@ from chebsqrt import (
     Scheme,
     ZeroDenominator,
     central_binomial_ratio,
-    eval_poly_complex,
     eval_ratfun_complex,
     iterate,
     poly_gcd,
@@ -33,7 +32,7 @@ from chebsqrt import (
     v_step,
 )
 from chebsqrt.cli import _random_disk_rationals
-from chebsqrt.exact import _convolve
+from chebsqrt.exact import _convolve, _int_gcd
 from oracles import mul, scale, strip
 from test_iterates import direct_v
 
@@ -153,6 +152,22 @@ class TestPolynomial:
         got = poly_gcd(Polynomial(mul(h, f)), Polynomial(mul(h, g)))
         assert got == Polynomial(mul(monic(h), poly_gcd(Polynomial(f), Polynomial(g)).coeffs))
 
+    @pytest.mark.parametrize("u, v, want", [
+        ([2, 4, 0, 0], [1, 2], [F(1, 2), 1]),  # trailing zeros on one side
+        ([-1, 0, 1, 0], [5, 5, 0], [1, 1]),  # trailing zeros on both sides
+        ([0, 0], [-3, 0, 3], [-1, 0, 1]),  # an all-zero side
+        ([], [0, 7, 0], [0, 1]),  # an empty side against a monomial
+        ([0], [0, 0, 0], []),  # both sides zero
+        ([6, -9, 3], [4], [1]),  # a constant side
+        ([-4], [0, 2, 0], [1]),  # a constant against trailing zeros
+    ])
+    def test_integer_gcd_matches_poly_gcd(self, u, v, want):
+        # poly_gcd sees the stripped Polynomials; the integer gcd strips its lists itself
+        g = _int_gcd(u, v)
+        assert not g or (g[-1] != 0 and math.gcd(*g) == 1)
+        assert Polynomial(F(c, g[-1]) for c in g) == Polynomial(want)
+        assert poly_gcd(Polynomial(u), Polynomial(v)) == Polynomial(want)
+
     def test_json_round_trip(self):
         p = Polynomial([F(1, 2), 0, F(-3, 7)])
         strings = poly_to_json(p)
@@ -184,10 +199,11 @@ class TestCopyAndPickle:
         from chebsqrt import exact
 
         def no_gcd(a, b):
-            raise AssertionError("poly_gcd called on a canonical object")
+            raise AssertionError("a gcd ran on a canonical object")
 
         f = build()
         monkeypatch.setattr(exact, "poly_gcd", no_gcd)
+        monkeypatch.setattr(exact, "_int_gcd", no_gcd)
         for twin in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
             assert type(twin) is RationalFunction and twin == f
             assert twin.num.coeffs == f.num.coeffs and twin.den.coeffs == f.den.coeffs
@@ -438,17 +454,16 @@ point_parts = st.one_of(
 
 class TestComplexExactEval:
     def test_poly_at_i(self):
-        p = Polynomial([1, 0, 1])  # z^2 + 1 vanishes at i
-        assert eval_poly_complex(p, 0, 1) == (F(0), F(0))
+        p = RationalFunction(Polynomial([1, 0, 1]))  # z^2 + 1 vanishes at i
+        assert eval_ratfun_complex(p, 0, 1) == (F(0), F(0))
 
     @given(st.lists(wide_fractions, max_size=7), point_parts, point_parts)
     @settings(max_examples=100, deadline=None)
     def test_poly_matches_naive_horner(self, coeffs, re, im):
         # empty and one-element lists give the zero polynomial and constants
-        p = Polynomial(coeffs)
-        assert eval_poly_complex(p, re, im) == naive_eval_complex(p.coeffs, re, im)
-        assert eval_poly_complex(p, re, 0) == naive_eval_complex(p.coeffs, re, 0)
-        assert eval_poly_complex(p, 0, im) == naive_eval_complex(p.coeffs, 0, im)
+        p = RationalFunction(Polynomial(coeffs))
+        for point in ((re, im), (re, 0), (0, im)):
+            assert eval_ratfun_complex(p, *point) == naive_eval_complex(coeffs, *point)
 
     @given(
         st.lists(wide_fractions, max_size=6),

@@ -15,6 +15,7 @@ from chebsqrt import (
     CapExceeded,
     DiskGrid,
     OnBranchCut,
+    Polynomial,
     RationalFunction,
     Scheme,
     check_coeff_formula,
@@ -34,14 +35,17 @@ from chebsqrt import (
     check_uniform_compact,
     check_value_at_one,
     default_suite,
+    eval_ratfun_complex,
     guo_explore,
+    iterate,
     radius_of_convergence,
     sqrt_principal,
     tail_sum_identity,
     taylor_coefficients,
     v_iterate,
+    v_step,
 )
-from chebsqrt import verify
+from chebsqrt import cli, verify
 from chebsqrt.verify import _FloatEvaluator, _worst
 from oracles import mul
 
@@ -173,11 +177,15 @@ class TestExactChecks:
     def test_row_indices_refuse_before_any_build(self, monkeypatch):
         monkeypatch.setattr(verify, "v_iterate", _no_build)
         for name in ("head", "tail-signs", "ratio-identity"):
-            with pytest.raises(CapExceeded):
-                verify.CHECKS[name](16, PREC, n=4097)
-        for name in ("head", "tail-signs"):
-            with pytest.raises(CapExceeded):
-                verify.CHECKS[name](4097, PREC)
+            cap = verify.MAX_RANGE_N[name]
+            for n in (cap + 1, 4097):
+                with pytest.raises(CapExceeded):
+                    verify.CHECKS[name](16, PREC, n=n)
+                with pytest.raises(CapExceeded):
+                    verify.CHECKS[name](n, PREC)
+            # the cap itself is admitted: the row goes on to build its iterate
+            with pytest.raises(AssertionError, match="was built"):
+                verify.CHECKS[name](16, PREC, n=cap)
 
 
 class TestFloatChecks:
@@ -404,3 +412,25 @@ class TestSuiteRunner:
         for r in default_suite(n_max=3, prec=PREC):
             assert r.samples >= 0
             assert r.name
+
+
+def test_computations_read_only_the_pair(monkeypatch, capsys):
+    # num and den are monic views for printing and the public API; every
+    # construction, check, evaluator and bench strategy reads f.pair
+    def view(self):
+        raise AssertionError("a computation read a monic view")
+
+    monkeypatch.setattr(RationalFunction, "num", property(view))
+    monkeypatch.setattr(RationalFunction, "den", property(view))
+    assert all(r.status in ("pass", "skip") for r in default_suite(4, PREC))
+    for scheme in (Scheme.v(), Scheme.newton(2), Scheme.newton(3), Scheme.halley(2),
+                   Scheme.halley(3)):
+        iterate(scheme, 3)
+    # D = A + B = z^2 shares the factor z with N = z^2 - z: the gcd fallback
+    assert v_step(RationalFunction(Polynomial([-1, 0, 1]))).pair == ((-1, 1), (0, 1))
+    f = v_iterate(9)
+    taylor_coefficients(f, 40)
+    eval_ratfun_complex(f, F(1, 3), F(-2, 5))
+    with workprec(PREC):
+        _FloatEvaluator(f, PREC)(mpc("0.25", "0.5"))
+    assert cli.main(["bench", "--n", "8", "--points", "5"]) == 0
