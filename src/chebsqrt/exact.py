@@ -2,8 +2,8 @@
 
 Scalars are `fractions.Fraction` throughout, so nothing in this module ever
 rounds.  The costly kernels work on integers internally: ``_convolve`` is
-the integer product that the v, Newton and Halley steps of ``iterates``
-share; the gcd is the primitive remainder sequence on integer forms; the
+the integer product that the Newton and Halley steps of ``iterates`` share;
+the gcd is the primitive remainder sequence on integer forms; the
 Taylor recurrence puts each window of earlier coefficients over one common
 denominator, so every new coefficient is an integer numerator reduced once;
 and evaluation at a rational or complex rational point runs Horner on
@@ -11,6 +11,14 @@ Gaussian integers against powers of the point's common denominator,
 reducing only the final real and imaginary parts.  They convert back to
 `Fraction` exactly and never round either.  Floating point lives in the
 closed-form and verification layers.
+
+``_convolve`` is a Kronecker product: each coefficient list is packed into
+one integer, its values c_k in nb-byte two's-complement slots, the two
+integers are multiplied once, and the product is read back slot by slot.
+A slot of w >= bits(max|a|) + bits(max|b|) + bitlen(min(len a, len b)) + 1
+bits holds every product coefficient d_k with |d_k| < 2**(w-1); biasing each
+slot by 2**(w-1) makes it nonnegative and below 2**w, so no borrow crosses a
+slot and the unpacking is exact.
 
 A ``RationalFunction`` stores only its canonical integer pair, which every
 computation reads as it is: the steps, Taylor, exact and float evaluation
@@ -139,14 +147,46 @@ def _integer_form(coeffs: Sequence[Fraction]) -> tuple[int, list[int]]:
     return d, [c.numerator * (d // c.denominator) for c in coeffs]
 
 
+def _pack(ints: Sequence[int], nb: int, bias: int) -> int:
+    """The integer sum_k ints[k] * 2**(w*k), w = 8*nb, for |ints[k]| < 2**(w-1).
+
+    Each coefficient fills its nb-byte slot in two's complement.  ``bias``
+    has the top bit of at least len(ints) slots set; flipping those bits
+    turns every slot into c + 2**(w-1), which lies in [0, 2**w), so the
+    flipped integer is exactly the wanted sum plus ``bias``.
+    """
+    u = int.from_bytes(b"".join([c.to_bytes(nb, "little", signed=True) for c in ints]), "little")
+    return (u ^ bias) - bias
+
+
 def _convolve(a: list[int], b: list[int]) -> list[int]:
-    """Coefficient list of the product of two integer coefficient lists."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
+    """Coefficient list of the product of two integer coefficient lists.
+
+    The Kronecker product: a and b are packed into the integers a(2**w) and
+    b(2**w), with slots of w = 8*nb bits, and multiplied once, so CPython's
+    Karatsuba does the work (a squaring when ``b is a``).  The product
+    (ab)(2**w) is unpacked slot by slot into len(a) + len(b) - 1
+    coefficients, zero slots at either end kept, also for an empty operand.
+
+    The slot bound: each d_k = sum_i a_i b_(k-i) has at most
+    m = min(len a, len b) terms, so
+    |d_k| <= m max|a| max|b| < 2**(bits(a) + bits(b) + bitlen(m)) <= 2**(w-1).
+    The unpacking is exact: adding ``bias`` (2**(w-1) in every slot) puts
+    each slot at d_k + 2**(w-1) in [0, 2**w), so no borrow or carry crosses
+    a slot boundary.  The bytes of the sum hold the biased slots as they
+    are, and flipping each slot's top bit back leaves d_k in two's complement.
+    """
+    n = len(a) + len(b) - 1
+    if not (a and b):
+        return [0] * n
+    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+            + min(len(a), len(b)).bit_length() + 1)
+    nb = (bits + 7) // 8
+    bias = int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
+    x = _pack(a, nb, bias)
+    y = x if b is a else _pack(b, nb, bias)
+    buf = ((x * y + bias) ^ bias).to_bytes(nb * n, "little")
+    return [int.from_bytes(buf[i : i + nb], "little", signed=True) for i in range(0, nb * n, nb)]
 
 
 def _times_one_minus_z(a: Sequence[int]) -> list[int]:

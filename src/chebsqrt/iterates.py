@@ -5,8 +5,10 @@ primitive integer pair) form by a lemma, not a gcd.  The linear-fraction
 iterate v_n comes straight from the paper's Chebyshev form T_N / U_(N-1),
 N = n + 1 (``v_iterate``; Pell's identity proves the pair coprime).  The
 steps read their input's stored integer pair f = A/B and build the new
-numerator and denominator on integers (``exact._convolve``, integer powers,
-a (1 - z) shift); since gcd(A, B) = 1, a cheap test -- D(0) != 0 for the v
+numerator and denominator on integers: sums and a (1 - z) shift for the v
+step; for Newton and Halley also products and powers, each product one
+Kronecker product (``exact._convolve``: one big-integer multiply per
+polynomial product).  Since gcd(A, B) = 1, a cheap test -- D(0) != 0 for the v
 step, A(1) != 0 for Newton and Halley -- proves the new pair coprime.
 ``RationalFunction._from_coprime`` then only strips trailing zeros, divides
 out the joint content and fixes the sign of the denominator's lead.  Every

@@ -50,8 +50,19 @@ nonzero_polys = st.lists(small_fractions, min_size=1, max_size=4).filter(
 nonconstant_polys = st.lists(small_fractions, min_size=2, max_size=4).filter(
     lambda cs: cs[-1] != 0
 )
-# integer coefficients as the step kernels see them: zeros and 70-bit values
-int_coeffs = st.one_of(st.just(0), st.integers(-(2**70), 2**70))
+# integer coefficients as the step kernels see them: zeros, 70-bit values and
+# 300-bit values, whose products span several machine words
+int_coeffs = st.one_of(
+    st.just(0), st.integers(-(2**70), 2**70), st.integers(-(2**300), 2**300)
+)
+
+
+def check_product(a, b):
+    """_convolve(a, b), checked against the schoolbook oracle and the kept length."""
+    out = _convolve(a, b)
+    assert len(out) == len(a) + len(b) - 1
+    assert strip(out) == mul(a, b)
+    return out
 
 
 def monic(a):
@@ -111,15 +122,12 @@ class TestPolynomial:
         assert poly_gcd(Polynomial(), zm1) == zm1
         assert poly_gcd(Polynomial([1, 1]), Polynomial([2])).degree == 0
 
-    @given(st.lists(int_coeffs, min_size=1, max_size=7),
-           st.lists(int_coeffs, min_size=1, max_size=7))
+    @given(st.lists(int_coeffs, min_size=1, max_size=64),
+           st.lists(int_coeffs, min_size=1, max_size=64))
     @settings(max_examples=100, deadline=None)
     def test_product_matches_naive_convolution(self, a, b):
-        # _convolve, the step kernels' product, keeps every slot: no stripping
         for x, y in ((a, b), (b, a)):
-            out = _convolve(x, y)
-            assert len(out) == len(a) + len(b) - 1
-            assert strip(out) == mul(a, b)
+            check_product(x, y)
 
     def test_product_edge_operands(self):
         assert _convolve([3], [1, 0, -5]) == [3, 0, -15]
@@ -129,6 +137,36 @@ class TestPolynomial:
         assert _convolve([0, 1], [1, 0]) == [0, 1, 0]
         # the middle term cancels between two 200-bit partial products
         assert _convolve([2**100, -1], [2**100, 1]) == [2**200, 0, -1]
+        # the zero function's pair holds [], which still counts in the length
+        assert check_product([], [1, 2]) == [0]
+        assert check_product([1, 2], []) == [0]
+        # all-zero operands have no bits, and the slot still needs one byte
+        assert check_product([0], [0, 0, 0]) == [0, 0, 0]
+        # one-element operands of 2^20 bits: a single slot of about 2^21 bits
+        big = -(2 ** (2**20 - 1)) - 12345
+        assert check_product([big], [big]) == [big * big]
+        assert check_product([big], [1, 0, -big]) == [big, 0, -big * big]
+        # the squaring alias packs once; it must equal the product of a copy
+        a = [3, -(2**80), 0, 7, -1, 2**64 - 1]
+        assert check_product(a, a) == _convolve(a, list(a))
+
+    @pytest.mark.parametrize("pattern", ["all -2^b", "all 2^b - 1", "alternating"])
+    def test_product_slots_reach_their_bound(self, pattern):
+        # every middle slot reaches min(la, lb) * max|a| * max|b|, the bound
+        # the slot width is sized for; the alternating signs give negative
+        # slots, whose borrows run into the next slot up
+        for bits in range(24):
+            for la, lb in [(1, 1), (2, 3), (3, 3), (4, 7), (5, 64), (7, 7), (63, 64), (64, 64)]:
+                if pattern == "all -2^b":
+                    a, b = [-(2**bits)] * la, [-(2**bits)] * lb
+                elif pattern == "all 2^b - 1":
+                    a, b = [2**bits - 1] * la, [2**bits - 1] * lb
+                else:
+                    c = 2**bits - 1 or 1
+                    a, b = [(-1) ** i * c for i in range(la)], [(-1) ** i * -c for i in range(lb)]
+                out = check_product(a, b)
+                m = min(la, lb)
+                assert abs(out[m - 1]) == m * abs(a[0] * b[0]), (pattern, bits, la, lb)
 
     def test_gcd_falls_back_when_residues_share_a_factor(self):
         # z + P and z are coprime over Q but equal mod the prime P

@@ -306,6 +306,13 @@ class TestCompositionIdentities:
             f, g, h = iterate(Scheme.halley(2), k), v_iterate(3**k - 1), v_chain[3**k - 1]
             assert f == g == h and hash(f) == hash(g) == hash(h)
 
+    @pytest.mark.parametrize("kind, k", [("newton", 10), ("newton", 11), ("halley", 7)])
+    def test_large_iterates_are_v_iterates(self, kind, k):
+        # past the chain's reach: the last steps multiply operands of degree
+        # 256 to 729 with 646- to 1850-bit coefficients, up to degree 1093
+        scheme = Scheme(kind, 2)
+        assert iterate(scheme, k) == v_iterate(scheme.head_length(k) - 1)
+
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 8, 26, 31, 64, 255, 511])
     def test_chain_matches_direct_binomial_form(self, v_chain, n):
         f = v_chain[n]
