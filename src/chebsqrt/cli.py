@@ -25,7 +25,7 @@ import mpmath
 from mpmath import mpc, mpf, workprec
 from mpmath.libmp import from_rational
 
-from .chebyshev import DEFAULT_PREC, GUARD_BITS
+from .chebyshev import DEFAULT_PREC
 from .closedform import decompose, radius_of_convergence, tail_sum_identity
 from .errors import ChebsqrtError
 from .exact import (
@@ -39,6 +39,8 @@ from .verify import (
     MAX_COEFF_INDEX,
     DiskGrid,
     _FloatEvaluator,
+    _horner_bits,
+    _slack,
     default_suite,
     guo_explore,
 )
@@ -280,9 +282,7 @@ def cmd_bench(args, cfg: CliConfig) -> int:
     pts = _random_disk_rationals(rng, args.points)
     f = v_iterate(args.n)
     pf = decompose(args.n, prec)
-    # float Horner on f cancels about as many bits as its coefficients carry
-    coeff_bits = max(abs(c).bit_length() for c in f.pair[0] + f.pair[1])
-    work = prec + GUARD_BITS + coeff_bits
+    work = _horner_bits(f, prec)
 
     t0 = time.perf_counter()
     exact_vals = None
@@ -310,7 +310,7 @@ def cmd_bench(args, cfg: CliConfig) -> int:
         refs = [mpc(_to_mpf(re), _to_mpf(im)) for re, im in exact_vals]
         dev_horner = max(abs(a - b) for a, b in zip(horner_vals, refs))
         dev_pf = max(abs(a - b) for a, b in zip(pf_vals, refs))
-        tol = mpf(2) ** (16 - prec)
+        tol = _slack(prec)
     rows = [
         ("exact-horner", t_exact, mpf(0)),
         ("bigfloat-horner", t_horner, dev_horner),
@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact rational approximants of sqrt(1 - z) and their checks",
     )
     parser.add_argument("--prec", type=int,
-                        default=int(os.environ.get("PREC_BITS", str(DEFAULT_PREC))),
+                        default=os.environ.get("PREC_BITS", str(DEFAULT_PREC)),
                         help="working precision in bits (env PREC_BITS)")
     parser.add_argument("--format", choices=("json", "csv", "human"), default="human")
     parser.add_argument("--seed", type=int, default=0, help="PRNG seed for bench")

@@ -5,7 +5,9 @@ satisfied its bound or identity.  Exact statements (head coefficients, value
 at 1, tail signs, composition identities) are checked in exact arithmetic
 with zero tolerance; float statements carry tolerances expressed relative to
 the working precision (slack 2**-(prec - 16)) so the suite stays meaningful
-when the precision is raised.
+when the precision is raised.  Every float step runs at prec + GUARD_BITS,
+with the roots of 1 - z from ``sqrt_principal``; a float Horner on an
+iterate's pair adds its largest coefficient bit length (``_horner_bits``).
 
 Checks are pure; the suite runner executes them in a fixed order and the
 JSON-lines output is deterministic.
@@ -74,13 +76,6 @@ MAX_RANGE_N = {
 # k = 1..4, Halley k = 1..3) and of the guo-p2 sign scan.
 NEWTON_K_MAX, HALLEY_K_MAX = 4, 3
 GUO_NEWTON_KS, GUO_HALLEY_KS = (2, 3, 4), (1, 2, 3)
-
-# The integer pair coefficients of v_n grow about 1.25*n bits (bit length,
-# measured: 39 at n = 32, 80 at n = 64, 160 at n = 128, 323 at n = 256, as
-# in the monic form at even n), so polynomial evaluation needs far more guard
-# than scalar arithmetic does; past n of about 100 they outgrow this fixed
-# guard.
-EVAL_GUARD_BITS = 128
 
 
 def _v_range(name: str, start: int, n_max: int, ahead: int = 0):
@@ -172,9 +167,8 @@ class DiskGrid:
 
     @cached_property
     def samples(self) -> list:
-        """(z, sqrt(1 - z)) for every point, the root at prec + EVAL_GUARD_BITS."""
-        with workprec(self.prec + EVAL_GUARD_BITS):
-            return [(z, mpmath.sqrt(1 - z)) for z in self.points()]
+        """(z, sqrt_principal(z)) for every point, the root at prec + GUARD_BITS."""
+        return [(z, sqrt_principal(z, self.prec + GUARD_BITS)) for z in self.points()]
 
 
 def sqrt_principal(z, prec: int = DEFAULT_PREC):
@@ -210,9 +204,14 @@ class _FloatEvaluator:
         return _horner(self.a, z) / _horner(self.b, z)
 
 
+def _horner_bits(f: RationalFunction, prec: int) -> int:
+    """prec + GUARD_BITS plus f's largest pair coefficient bit length, about what Horner cancels."""
+    return prec + GUARD_BITS + max(abs(c).bit_length() for ints in f.pair for c in ints)
+
+
 def _grid_errors(f: RationalFunction, grid: DiskGrid) -> list:
-    """|f(z) - sqrt(1 - z)| at every grid sample, by float Horner at prec + EVAL_GUARD_BITS."""
-    work = grid.prec + EVAL_GUARD_BITS
+    """|f(z) - sqrt(1 - z)| at every grid sample, by float Horner at _horner_bits(f, grid.prec)."""
+    work = _horner_bits(f, grid.prec)
     ev = _FloatEvaluator(f, work)
     with workprec(work):
         return [abs(ev(z) - w) for z, w in grid.samples]
@@ -366,7 +365,7 @@ def check_ratio_identity(
             if not 0 < x < 1:
                 raise BadIndex(f"sample {x} outside (0, 1)")
             v = mpmath.mpmathify(f(x))
-            w = mpmath.sqrt(1 - mpmath.mpmathify(x))
+            w = sqrt_principal(mpmath.mpmathify(x), prec + GUARD_BITS)
             return abs((v - w) / (v + w) - ((1 - w) / (1 + w)) ** (n + 1))
 
         worst_err, worst = _worst((error(x), x) for x in samples)
@@ -400,12 +399,11 @@ def check_disk_bound(scheme: Scheme, k: int, grid: DiskGrid) -> CheckResult:
     3^k analogue for Halley.  Slack 2**-(prec - 16) covers float rounding.
     """
     prec = grid.prec
-    work = prec + EVAL_GUARD_BITS
-    with workprec(work):
+    with workprec(prec + GUARD_BITS):
         factor, power = _disk_bound_factor(scheme, k)  # validates before the build
     errs = _grid_errors(iterate(scheme, k), grid)
     tol = _slack(prec)
-    with workprec(work):
+    with workprec(prec + GUARD_BITS):
         worst_excess, worst = _worst(
             (err - factor * abs(z) ** power, z) for (z, _), err in zip(grid.samples, errs))
     return CheckResult(
@@ -433,7 +431,7 @@ def check_uniform_compact(
     grid = DiskGrid(compact_radius, 8, 16, prec)
     tol = _slack(prec)
     sups = [max(_grid_errors(f, grid)) for _, f in vs]
-    with workprec(prec + EVAL_GUARD_BITS):
+    with workprec(prec + GUARD_BITS):
         ws = [w for _, w in grid.samples]
         q = max(abs((1 - w) / (1 + w)) for w in ws)
         big_c = 2 * max(abs(w) for w in ws) / (1 - q * q)
@@ -476,7 +474,7 @@ def check_monotone_improvement(
     warnings = 0
     _, f = next(vs)
     errs = _grid_errors(f, grid)
-    with workprec(prec + EVAL_GUARD_BITS):
+    with workprec(prec + GUARD_BITS):
         for n, f in vs:  # v_n against v_(n - 1), reported at n - 1
             new_errs = _grid_errors(f, grid)
             for (z, _), before, after in zip(grid.samples, errs, new_errs):

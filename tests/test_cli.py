@@ -328,6 +328,18 @@ class TestDeterminismAndConfig:
                                "--n", "4", "--points", "2", "--seed", "1")
         assert json.loads(out)["precision_bits"] == 128
 
+    def test_malformed_precision_env_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("PREC_BITS", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--check", "head", "--n", "2"])
+        assert exc.value.code == 2
+        assert "--prec" in capsys.readouterr().err
+
+    def test_malformed_precision_env_is_unread_under_prec(self, capsys, monkeypatch):
+        monkeypatch.setenv("PREC_BITS", "abc")
+        assert run_cli(capsys, "--prec", "128", "verify", "--check", "head", "--n", "2")[0] == 0
+        assert run_cli(capsys, "verify", "--check", "head", "--n", "2", "--prec", "128")[0] == 0
+
     def test_precision_floor(self, capsys):
         code, _, err = run_cli(capsys, "--prec", "32", "decompose", "--n", "2")
         assert code == 2

@@ -46,6 +46,7 @@ from chebsqrt import (
     v_step,
 )
 from chebsqrt import cli, verify
+from chebsqrt.chebyshev import GUARD_BITS
 from chebsqrt.verify import _FloatEvaluator, _worst
 from oracles import mul
 
@@ -104,8 +105,7 @@ class TestDiskGrid:
     def test_samples_are_cached_roots(self):
         grid = DiskGrid(0.9, 2, 4, PREC)
         assert grid.samples is grid.samples
-        with workprec(PREC + verify.EVAL_GUARD_BITS):
-            assert grid.samples == [(z, mpmath.sqrt(1 - z)) for z in grid.points()]
+        assert grid.samples == [(z, sqrt_principal(z, PREC + GUARD_BITS)) for z in grid.points()]
 
 
 class TestExactChecks:
@@ -212,6 +212,18 @@ class TestFloatChecks:
         assert check_disk_bound(Scheme.v(), 17, grid).status == "pass"
         assert check_disk_bound(Scheme.newton(2), 3, grid).status == "pass"
         assert check_disk_bound(Scheme.halley(2), 2, grid).status == "pass"
+
+    def test_disk_bound_holds_at_large_k(self):
+        # v_n's pair coefficients reach about 1.25 n bits, so a Horner with a
+        # fixed guard cancels away every bit here: a division by zero at
+        # k = 512, excesses above 1 at k = 1024 and Newton k = 10
+        grid = DiskGrid(1.0, 8, 4, PREC)
+        for scheme, k in ((Scheme.v(), 512), (Scheme.v(), 1024), (Scheme.newton(2), 10)):
+            assert check_disk_bound(scheme, k, grid).status == "pass"
+        # the error at |z| = 1/8 is about 2^-387, so what remains is the
+        # root's rounding at prec + GUARD_BITS, far under the 2^-(prec - 16) slack
+        excess = mpf(check_disk_bound(Scheme.v(), 128, grid).worst_case["excess"])
+        assert excess <= mpf(2) ** (8 - PREC - GUARD_BITS)
 
     def test_disk_bound_rejects_unproved_orders(self):
         grid = DiskGrid(1.0, 4, 8, PREC)
