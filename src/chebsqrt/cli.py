@@ -18,7 +18,6 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -57,16 +56,6 @@ MAX_PREC = 4096
 MAX_BENCH_EVALS = 1000
 
 
-@dataclass
-class CliConfig:
-    precision_bits: int = 256
-    output_format: str = "human"
-
-    def __post_init__(self):
-        if not 64 <= self.precision_bits <= MAX_PREC:
-            raise ChebsqrtError(f"precision must be between 64 and {MAX_PREC} bits")
-
-
 def _float_str(x, prec: int) -> str:
     if mpmath.isinf(x):
         return "inf"
@@ -81,7 +70,7 @@ def _scheme_from(name: str, p: int) -> Scheme:
 # coeffs
 
 
-def cmd_coeffs(args, cfg: CliConfig) -> int:
+def cmd_coeffs(args) -> int:
     scheme = _scheme_from(args.scheme, args.p)
     if args.M > MAX_COEFF_INDEX:
         raise ChebsqrtError(f"M = {args.M} exceeds the coefficient cap {MAX_COEFF_INDEX}")
@@ -97,9 +86,9 @@ def cmd_coeffs(args, cfg: CliConfig) -> int:
         region = "head" if m < head_limit else "tail"
         rows.append({"m": m, "coefficient": str(value), "reference": str(ref[m]),
                      "sign": sign, "region": region})
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(json.dumps({"scheme": str(scheme), "k": args.k, "M": args.M, "rows": rows}))
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         print("m,coefficient,reference,sign,region")
         for r in rows:
             print(f"{r['m']},{r['coefficient']},{r['reference']},{r['sign']},{r['region']}")
@@ -115,18 +104,18 @@ def cmd_coeffs(args, cfg: CliConfig) -> int:
 # decompose
 
 
-def cmd_decompose(args, cfg: CliConfig) -> int:
+def cmd_decompose(args) -> int:
     capped_degree(Scheme.v(), args.n)
-    prec = cfg.precision_bits
+    prec = args.prec
     pf = decompose(args.n, prec)
     radius = radius_of_convergence(args.n, prec)
     tail = tail_sum_identity(args.n)
-    if cfg.output_format == "json":
+    if args.format == "json":
         doc = pf.to_json_dict()
         doc["radius_of_convergence"] = _float_str(radius, prec)
         doc["tail_sum_identity"] = str(tail)
         print(json.dumps(doc))
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         print("n,k,weight,pole_param,scale,radius,tail_sum")
         scale = _float_str(pf.scale, prec)
         rad = _float_str(radius, prec)
@@ -157,13 +146,13 @@ def _rational(text: str, flag: str) -> Fraction:
                             f"got {text!r}") from None
 
 
-def cmd_eval(args, cfg: CliConfig) -> int:
+def cmd_eval(args) -> int:
     """Exact value of the iterate at a rational or complex rational point.
 
     Decimal parts are exact rationals, so the complex value comes from the
     exact evaluator too; each printed decimal is rounded once, at prec bits.
     """
-    prec = cfg.precision_bits
+    prec = args.prec
     scheme = _scheme_from(args.scheme, args.p)
     f = iterate(scheme, args.k)
     if args.at is not None:
@@ -171,7 +160,7 @@ def cmd_eval(args, cfg: CliConfig) -> int:
         value = f(x)
         with workprec(prec):
             approx = mpmath.mpmathify(value)
-        if cfg.output_format == "json":
+        if args.format == "json":
             print(json.dumps({"scheme": str(scheme), "k": args.k, "at": str(x),
                               "exact": str(value), "decimal": _float_str(approx, prec)}))
         else:
@@ -181,7 +170,7 @@ def cmd_eval(args, cfg: CliConfig) -> int:
         value = eval_ratfun_complex(f, re, im)
         with workprec(prec):
             val_re, val_im = (mpmath.mpmathify(part) for part in value)
-        if cfg.output_format == "json":
+        if args.format == "json":
             print(json.dumps({"scheme": str(scheme), "k": args.k,
                               "at_re": args.at_re, "at_im": args.at_im,
                               "re": _float_str(val_re, prec),
@@ -196,19 +185,18 @@ def cmd_eval(args, cfg: CliConfig) -> int:
 # verify
 
 
-def cmd_verify(args, cfg: CliConfig) -> int:
-    prec = cfg.precision_bits
+def cmd_verify(args) -> int:
     if args.n_max < 1:
         raise ChebsqrtError("--n-max must be >= 1")
     if args.all:
-        results = default_suite(args.n_max, prec)
+        results = default_suite(args.n_max, args.prec)
     elif args.check:
         if args.check not in CHECKS:
             raise ChebsqrtError(f"unknown check {args.check!r}")
         results = CHECKS[args.check](
-            args.n_max, prec, n=args.n, k=args.k, M=args.M,
+            args.n_max, args.prec, n=args.n, k=args.k, M=args.M,
             scheme=_scheme_from(args.scheme, args.p) if args.scheme else None,
-            grid=DiskGrid(args.grid_radius, args.grid_radial, args.grid_angular, prec),
+            grid=DiskGrid(args.grid_radius, args.grid_radial, args.grid_angular, args.prec),
             compact_radius=args.compact_radius,
         )
     else:
@@ -217,7 +205,7 @@ def cmd_verify(args, cfg: CliConfig) -> int:
         raise ChebsqrtError(f"check {args.check!r} has no rows for these selectors")
     failed = 0
     for r in results:
-        if cfg.output_format == "human":
+        if args.format == "human":
             mark = {"pass": "PASS", "fail": "FAIL", "skip": "SKIP"}[r.status]
             extra = f"  ({r.note})" if r.note else ""
             print(f"{mark} {r.name} {r.params} samples={r.samples}{extra}")
@@ -232,9 +220,9 @@ def cmd_verify(args, cfg: CliConfig) -> int:
 # explore-guo
 
 
-def cmd_explore_guo(args, cfg: CliConfig) -> int:
+def cmd_explore_guo(args) -> int:
     report = guo_explore(args.p, args.scheme, args.k, args.M)
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(json.dumps(report.to_json_dict()))
     else:
         print(f"sign-pattern report: p={report.p} {report.scheme} k={report.k} M={report.M}")
@@ -270,14 +258,14 @@ def _to_mpf(x: Fraction):
     return mpmath.mp.make_mpf(from_rational(x.numerator, x.denominator, mpmath.mp.prec))
 
 
-def cmd_bench(args, cfg: CliConfig) -> int:
+def cmd_bench(args) -> int:
     if args.n < 2:
         raise ChebsqrtError("bench needs n >= 2 (no decomposition terms below that)")
     if args.points < 1 or args.reps < 1:
         raise ChebsqrtError("bench needs --points >= 1 and --reps >= 1")
     if args.points * args.reps > MAX_BENCH_EVALS:
         raise ChebsqrtError(f"--points x --reps exceeds the bench cap {MAX_BENCH_EVALS}")
-    prec = cfg.precision_bits
+    prec = args.prec
     rng = random.Random(args.seed)
     pts = _random_disk_rationals(rng, args.points)
     f = v_iterate(args.n)
@@ -316,14 +304,14 @@ def cmd_bench(args, cfg: CliConfig) -> int:
         ("bigfloat-horner", t_horner, dev_horner),
         ("partial-fraction", t_pf, dev_pf),
     ]
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(json.dumps({
             "n": args.n, "points": args.points, "reps": args.reps, "seed": args.seed,
             "precision_bits": prec, "tolerance": _float_str(tol, 53),
             "rows": [{"strategy": s, "seconds": round(t, 6),
                       "max_deviation": _float_str(d, 53)} for s, t, d in rows],
         }))
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         print("strategy,points,reps,seconds,max_deviation")
         for s, t, d in rows:
             print(f"{s},{args.points},{args.reps},{t:.6f},{_float_str(d, 53)}")
@@ -381,15 +369,15 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", parents=[common], help="run identity/bound checks, JSON lines out")
     v.add_argument("--all", action="store_true")
     v.add_argument("--check", help="run a single named check")
-    v.add_argument("--n", type=int, default=0)
+    v.add_argument("--n", type=int)
     v.add_argument("--n-max", type=int, default=16)
-    v.add_argument("--M", type=int, default=0)
-    v.add_argument("--k", type=int, default=0)
+    v.add_argument("--M", type=int)
+    v.add_argument("--k", type=int)
     v.add_argument("--scheme", choices=("v", "newton", "halley"))
     v.add_argument("--p", type=int, default=2)
-    v.add_argument("--grid-radius", type=float, default=1.0)
-    v.add_argument("--grid-radial", type=int, default=8)
-    v.add_argument("--grid-angular", type=int, default=16)
+    v.add_argument("--grid-radius", type=float, default=DiskGrid.radius)
+    v.add_argument("--grid-radial", type=int, default=DiskGrid.radial_steps)
+    v.add_argument("--grid-angular", type=int, default=DiskGrid.angular_steps)
     v.add_argument("--compact-radius", type=float, default=0.9)
     v.set_defaults(func=cmd_verify)
 
@@ -413,14 +401,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = CliConfig(precision_bits=args.prec, output_format=args.format)
-        if cfg.output_format == "csv" and args.command in ("eval", "verify", "explore-guo"):
+        if not 64 <= args.prec <= MAX_PREC:
+            raise ChebsqrtError(f"precision must be between 64 and {MAX_PREC} bits")
+        if args.format == "csv" and args.command in ("eval", "verify", "explore-guo"):
             raise ChebsqrtError(f"{args.command} has no CSV form; use --format json or human")
         if args.command == "eval" and args.at is None and (
             args.at_re is None or args.at_im is None
         ):
             raise ChebsqrtError("eval needs --at or both --at-re and --at-im")
-        return args.func(args, cfg)
+        return args.func(args)
     except ChebsqrtError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

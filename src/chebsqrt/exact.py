@@ -23,11 +23,11 @@ slot and the unpacking is exact.
 A ``RationalFunction`` stores only its canonical integer pair, which every
 computation reads as it is: the steps, Taylor, exact and float evaluation
 and pickle.  ``num`` and ``den`` are monic views for printing and the
-public API.  ``_store`` is the pair's only writer.  The iterates prove
-coprimality and call the trusted ``_from_coprime``, as does unpickling;
-the general constructor and the steps' fallback cancel on integer lists
-(``_cancel``: the primitive gcd ``_int_gcd``, then integer exact division
-by ``_exact_quotient``).  Neither class carries arithmetic operators: a
+public API.  ``_store`` is the pair's only writer.  The iterates divide
+out the one factor their lemma names and call the trusted
+``_from_coprime``, as does unpickling; only the general constructor cancels
+on integer lists (``_cancel``: the primitive gcd ``_int_gcd``, then integer
+exact division by ``_exact_quotient``).  Neither class carries arithmetic operators: a
 ``Polynomial`` is only the view that printing, JSON and ``==`` read.
 
 Wire format: a rational scalar serializes as ``"p/q"`` in base 10 (``"p"``

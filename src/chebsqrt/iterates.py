@@ -8,29 +8,36 @@ steps read their input's stored integer pair f = A/B and build the new
 numerator and denominator on integers: sums and a (1 - z) shift for the v
 step; for Newton and Halley also products and powers, each product one
 Kronecker product (``exact._convolve``: one big-integer multiply per
-polynomial product).  Since gcd(A, B) = 1, a cheap test -- D(0) != 0 for the v
-step, A(1) != 0 for Newton and Halley -- proves the new pair coprime.
-``RationalFunction._from_coprime`` then only strips trailing zeros, divides
-out the joint content and fixes the sign of the denominator's lead.  Every
-iterate built from 1 passes the test; other inputs fall back to the
-integer gcd.  The v step stays as an independent construction of v_n.
-Canonical form is what makes the composition identities -- the k-th Newton
-iterate equals the (2^k - 1)-th linear-fraction iterate, the k-th Halley
-iterate the (3^k - 1)-th -- checkable by plain ``==``.
+polynomial product).  Since gcd(A, B) = 1, each step's lemma names the one
+factor the new pair can share -- z if D(0) = 0 for the v step, 1 - z if
+A(1) = 0 for Newton and Halley -- and that lemma is the only path: the step
+divides the factor out and runs no gcd, whatever its input.  Then
+``RationalFunction._from_coprime`` only strips trailing zeros, divides out
+the joint content and fixes the sign of the denominator's lead.  The v step
+stays as an independent construction of v_n.  Canonical form is what makes
+the composition identities -- the k-th Newton iterate equals the
+(2^k - 1)-th linear-fraction iterate, the k-th Halley iterate the
+(3^k - 1)-th -- checkable by plain ``==``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .chebyshev import ChebKind, _cheb_ints
 from .errors import BadIndex, BadRootOrder, CapExceeded, DegenerateStep
-from .exact import ONE_RF, RationalFunction, _cancel, _convolve, _times_one_minus_z
+from .exact import ONE_RF, RationalFunction, _convolve, _exact_quotient, _times_one_minus_z
 
 # The largest degree, max(deg num, deg den), an iterate may have: that of
 # v_4096.  Work grows with the degree, not with k, so one degree cap bounds
 # every scheme and root order; ``capped_degree`` checks it before any step.
 MAX_DEGREE = 2048
+
+
+def _check_root_order(p) -> None:
+    if not isinstance(p, int) or p < 2:
+        raise BadRootOrder(f"root order must be an integer >= 2, got {p}")
 
 
 @dataclass(frozen=True)
@@ -47,11 +54,10 @@ class Scheme:
     def __post_init__(self):
         if self.kind not in ("v", "newton", "halley"):
             raise ValueError(f"unknown scheme kind {self.kind!r}")
-        if self.kind == "v":
-            if self.p is not None:
-                raise ValueError("the linear-fraction scheme takes no root order")
-        elif not isinstance(self.p, int) or self.p < 2:
-            raise BadRootOrder(f"root order must be an integer >= 2, got {self.p}")
+        if self.kind != "v":
+            _check_root_order(self.p)
+        elif self.p is not None:
+            raise ValueError("the linear-fraction scheme takes no root order")
 
     @classmethod
     def v(cls) -> "Scheme":
@@ -100,10 +106,10 @@ def _power(a: list[int], p: int) -> list[int]:
     return out
 
 
-def _canonical(num: list[int], den: list[int], coprime: bool) -> RationalFunction:
-    """num/den in canonical form; the gcd is cancelled unless the step's lemma proved it 1."""
-    if not coprime:
-        num, den = _cancel(num, den)
+def _over_one_minus_z(num: list[int], den: list[int], a: list[int]) -> RationalFunction:
+    """N/D of a Newton or Halley step from f = A/B; by its lemma gcd(N, D) is 1 - z iff A(1) = 0."""
+    if not sum(a):
+        num, den = _exact_quotient(num, [1, -1]), _exact_quotient(den, [1, -1])
     return RationalFunction._from_coprime(num, den)
 
 
@@ -112,16 +118,18 @@ def v_step(f: RationalFunction) -> RationalFunction:
 
     With f = A/B over integers and gcd(A, B) = 1 (f is canonical), the step
     is N/D with D = A + B and N = D - zB.  Since gcd(D, B) = gcd(A, B) = 1,
-    gcd(N, D) = gcd(zB, D) divides z, so it is 1 exactly when D(0) != 0.
-    Along the chain from 1 every iterate has value 1 at 0, so A(0) = B(0)
-    and D(0) = 2B(0) != 0; other inputs fall back to the gcd.
+    gcd(N, D) = gcd(z, D): z when D(0) = 0, and then N(0) = 0 too, so the
+    step divides both by z; else 1.  No gcd runs, whatever the input.  Along
+    the chain from 1, D(0) = 2B(0) != 0.
     """
     a, b = f.pair
-    den = _scaled_sum(1, a, 1, b)
+    den = [x + y for x, y in zip_longest(a, b, fillvalue=0)]
     if not any(den):
         raise DegenerateStep("1 + f vanishes identically")
-    num = _scaled_sum(1, den, -1, [0, *b])
-    return _canonical(num, den, den[0] != 0)
+    num = [x - y for x, y in zip_longest(den, [0, *b], fillvalue=0)]
+    if not den[0]:
+        num, den = num[1:], den[1:]
+    return RationalFunction._from_coprime(num, den)
 
 
 def newton_step(f: RationalFunction, p: int = 2) -> RationalFunction:
@@ -130,17 +138,18 @@ def newton_step(f: RationalFunction, p: int = 2) -> RationalFunction:
     With f = A/B canonical, the step is N/D with N = (p-1)A^p + (1-z)B^p
     and D = p A^(p-1) B.  gcd(N, B) = gcd((p-1)A^p, B) = 1.  A factor that
     N shares with A divides (1-z)B^p, hence divides 1 - z, which needs
-    A(1) = 0.  So A(1) != 0 proves gcd(N, D) = 1.
+    A(1) = 0; then B(1) != 0, so 1 - z divides A^p at least twice and N
+    once.  So ``_over_one_minus_z`` divides out 1 - z when A(1) = 0, and no
+    gcd runs.
     """
-    if not isinstance(p, int) or p < 2:
-        raise BadRootOrder(f"root order must be an integer >= 2, got {p}")
+    _check_root_order(p)
     a, b = f.pair
     if not a:
         raise DegenerateStep("Newton step undefined for the zero function")
     ap1 = _power(a, p - 1)
     num = _scaled_sum(p - 1, _convolve(ap1, a), 1, _times_one_minus_z(_power(b, p)))
     den = [p * c for c in _convolve(ap1, b)]
-    return _canonical(num, den, sum(a) != 0)
+    return _over_one_minus_z(num, den, a)
 
 
 def halley_step(f: RationalFunction, p: int = 2) -> RationalFunction:
@@ -153,10 +162,11 @@ def halley_step(f: RationalFunction, p: int = 2) -> RationalFunction:
     Then (p+1)X - (p-1)Y = 4pW and (p+1)Y - (p-1)X = 4pP, so a common factor
     of X and Y divides both W and P; X = (p-1)P mod B and Y = (p-1)W mod A.
     Every common factor of N and D is therefore a power of 1 - z dividing A,
-    which needs A(1) = 0.  So A(1) != 0 proves gcd(N, D) = 1.
+    which needs A(1) = 0; then B(1) != 0, so 1 - z divides P at least twice,
+    W once and D = BY once.  So ``_over_one_minus_z`` divides out 1 - z when
+    A(1) = 0, and no gcd runs; the zero function (A = 0, B = 1) goes to 0.
     """
-    if not isinstance(p, int) or p < 2:
-        raise BadRootOrder(f"root order must be an integer >= 2, got {p}")
+    _check_root_order(p)
     a, b = f.pair
     ap = _power(a, p)
     wbp = _times_one_minus_z(_power(b, p))
@@ -164,7 +174,7 @@ def halley_step(f: RationalFunction, p: int = 2) -> RationalFunction:
     if not any(y):
         raise DegenerateStep("Halley step hit an identically-zero denominator")
     num = _convolve(a, _scaled_sum(p - 1, ap, p + 1, wbp))
-    return _canonical(num, _convolve(b, y), sum(a) != 0)
+    return _over_one_minus_z(num, _convolve(b, y), a)
 
 
 def capped_degree(scheme: Scheme, k: int) -> int:

@@ -47,7 +47,7 @@ from .iterates import Scheme, capped_degree, iterate, v_iterate, v_step
 SLACK_BITS = 16
 
 # Largest series index of a coefficient scan, n_max of the mu-bound scan (the
-# suite's is 10 000) and sample count of a DiskGrid (the default is 16 x 32).
+# suite's is 10 000) and sample count of a DiskGrid (its default 8 x 16 is the suite's).
 MAX_COEFF_INDEX = 4096
 MAX_MU_N = 100_000
 MAX_GRID_POINTS = 1024
@@ -145,8 +145,8 @@ class DiskGrid:
     """
 
     radius: float = 1.0
-    radial_steps: int = 16
-    angular_steps: int = 32
+    radial_steps: int = 8
+    angular_steps: int = 16
     prec: int = DEFAULT_PREC
 
     def __post_init__(self):
@@ -428,7 +428,7 @@ def check_uniform_compact(
     vs = _v_range("uniform-compact", 1, n_max)
     if not 0 < compact_radius < 1:
         raise BadIndex("compact radius must be in (0, 1)")
-    grid = DiskGrid(compact_radius, 8, 16, prec)
+    grid = DiskGrid(compact_radius, prec=prec)
     tol = _slack(prec)
     sups = [max(_grid_errors(f, grid)) for _, f in vs]
     with workprec(prec + GUARD_BITS):
@@ -468,7 +468,7 @@ def check_monotone_improvement(
     note as warnings rather than failures.
     """
     vs = _v_range("monotone-improvement", 1, n_max, ahead=1)
-    grid = DiskGrid(radius, 8, 16, prec)
+    grid = DiskGrid(radius, prec=prec)
     tol = _slack(prec)
     bad = None
     warnings = 0
@@ -742,13 +742,11 @@ def guo_explore(p: int, scheme_kind: str, k: int, M: int) -> GuoReport:
     """
     if scheme_kind not in ("newton", "halley"):
         raise BadIndex(f"scheme must be newton or halley, got {scheme_kind!r}")
-    if not isinstance(p, int) or p < 2:
-        raise BadRootOrder(f"root order must be an integer >= 2, got {p}")
+    scheme = Scheme(scheme_kind, p)
     if k < 1 or M < 1:
         raise BadIndex("need k >= 1 and M >= 1")
     if M > MAX_COEFF_INDEX:
         raise CapExceeded(f"M = {M} exceeds the coefficient cap {MAX_COEFF_INDEX}")
-    scheme = Scheme(scheme_kind, p)
     f = iterate(scheme, k)
     cs = taylor_coefficients(f, M)
     ref = root_series_coeffs(p, M)
@@ -832,32 +830,35 @@ def check_head_lengths(M: int = 300) -> CheckResult:
 
 def _indices(name: str, n: Optional[int], n_max: int):
     """The indices of a per-n row, [n] or 1..n_max, refused past the row's cap before any build."""
-    _refuse_past_cap(name, n or n_max)
-    return [n] if n else range(1, n_max + 1)
+    _refuse_past_cap(name, n_max if n is None else n)
+    return range(1, n_max + 1) if n is None else [n]
 
 
 def _disk_bound_rows(n_max, prec, k=None, scheme=None, grid=None, **_):
     ks = {"v": range(2, min(n_max, 32) + 1), "newton": (2, 3, 4), "halley": (1, 2, 3)}
     schemes = [scheme] if scheme else [Scheme.v(), Scheme.newton(2), Scheme.halley(2)]
-    grid = grid or DiskGrid(1.0, 8, 16, prec)
-    return [check_disk_bound(s, i, grid) for s in schemes for i in ([k] if k else ks[s.kind])]
+    grid = grid or DiskGrid(prec=prec)
+    return [check_disk_bound(s, i, grid) for s in schemes
+            for i in (ks[s.kind] if k is None else [k])]
 
 
 # The check table, in suite order: name -> rows(n_max, prec, **selectors).
 # The selectors n, k, M, scheme, grid and compact_radius narrow or override a
-# check's rows; left unset (None or 0) they give the suite's rows.  Entries
+# check's rows; left unset (None) they give the suite's rows.  Entries
 # look each check_<name> up by its module-level name when they run, so a
 # caller that rebinds verify.check_<name> (a timer or a tracer) sees every
 # call; holding the function objects here would bypass it.
 CHECKS = {
     "sqrt-consistency": lambda n_max, prec, grid=None, **_: [
-        check_sqrt_consistency(grid or DiskGrid(1.0, 8, 16, prec))],
+        check_sqrt_consistency(grid or DiskGrid(prec=prec))],
     "head": lambda n_max, prec, n=None, **_: [check_head(i) for i in _indices("head", n, n_max)],
     "tail-signs": lambda n_max, prec, n=None, M=None, **_: [
-        check_tail_signs(i, M or max(4 * n_max, i + 16)) for i in _indices("tail-signs", n, n_max)],
+        check_tail_signs(i, max(4 * n_max, i + 16) if M is None else M)
+        for i in _indices("tail-signs", n, n_max)],
     "ratio-identity": lambda n_max, prec, n=None, **_: [
         check_ratio_identity(i, prec=prec) for i in _indices("ratio-identity", n, n_max)[:32]],
-    "value-at-one": lambda n_max, prec, n=None, **_: [check_value_at_one(n or max(n_max, 100))],
+    "value-at-one": lambda n_max, prec, n=None, **_: [
+        check_value_at_one(max(n_max, 100) if n is None else n)],
     "composition": lambda n_max, prec, **_: [check_composition()],
     "disk-bound": _disk_bound_rows,
     "uniform-compact": lambda n_max, prec, compact_radius=0.9, **_: [
@@ -868,9 +869,9 @@ CHECKS = {
     "coeff-formula": lambda n_max, prec, **_: [check_coeff_formula(max(n_max, 2), prec)],
     "radius-pole": lambda n_max, prec, **_: [check_radius_pole(max(n_max, 2), prec)],
     "tail-sum": lambda n_max, prec, **_: [check_tail_sum(n_max, prec)],
-    "guo-p2": lambda n_max, prec, M=None, **_: [check_guo_p2(M=M or 256)],
-    "head-lengths": lambda n_max, prec, M=None, **_: [check_head_lengths(M=M or 300)],
-    "mu-bound": lambda n_max, prec, n=None, **_: [check_mu_bound(n or 10_000, prec)],
+    "guo-p2": lambda n_max, prec, M=None, **_: [check_guo_p2(256 if M is None else M)],
+    "head-lengths": lambda n_max, prec, M=None, **_: [check_head_lengths(300 if M is None else M)],
+    "mu-bound": lambda n_max, prec, n=None, **_: [check_mu_bound(10_000 if n is None else n, prec)],
 }
 
 

@@ -205,6 +205,8 @@ class TestVerify:
         (("disk-bound", "--k", "3", "--grid-radial", "2", "--grid-angular", "4"),
          [{"scheme": s, "k": 3, "radius": 1.0, "grid": "2x4"}
           for s in ("v", "newton(p=2)", "halley(p=2)")]),
+        # an explicit 0 selects n = 0 alone, not the suite's n = 0..100
+        (("value-at-one", "--n", "0"), [{"n_max": 0}]),
     ])
     def test_selectors_narrow_the_rows(self, argv, params):
         rows = verify_rows("--check", *argv)
@@ -429,6 +431,13 @@ class TestDeterminismAndConfig:
     ("--format", "csv", "eval", "--scheme", "v", "--k", "2", "--at", "1/2"),
     ("--format", "csv", "explore-guo", "--p", "3", "--scheme", "newton", "--k", "2", "--M", "8"),
     ("verify", "--all", "--n-max", "2", "--format", "csv"),
+    # an explicit 0 is a value the check refuses, not an unset selector for the suite's rows
+    ("verify", "--check", "head", "--n", "0"),
+    ("verify", "--check", "disk-bound", "--scheme", "v", "--k", "0"),
+    ("verify", "--check", "tail-signs", "--n", "3", "--M", "0"),
+    ("verify", "--check", "mu-bound", "--n", "0"),
+    ("verify", "--check", "guo-p2", "--M", "0"),
+    ("verify", "--check", "head-lengths", "--M", "0"),
 ])
 def test_bad_input_is_usage_error(capsys, monkeypatch, argv):
     def no_work(*args):

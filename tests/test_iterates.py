@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 from fractions import Fraction as F
+from unittest import mock
 
 import mpmath
 import pytest
@@ -30,7 +31,7 @@ from chebsqrt import (
     v_step,
 )
 from chebsqrt.chebyshev import _cheb_ints
-from chebsqrt import iterates
+from chebsqrt import exact, iterates
 from chebsqrt.iterates import MAX_DEGREE, capped_degree
 from oracles import add, mul, power, scale, sub
 
@@ -114,6 +115,25 @@ def coeff_tuples(f):
     return f.num.coeffs, f.den.coeffs
 
 
+ZERO = RationalFunction(Polynomial())
+# canonical inputs whose step pair shares a factor: A + B = zC gives D(0) = 0 in the
+# v step, A = (1 - z)C gives A(1) = 0 in Newton and Halley (unless the constructor
+# cancels the planted factor against B)
+short_lists = st.lists(step_coeffs, max_size=4)
+planted_functions = st.one_of(
+    st.builds(lambda c, b: RationalFunction(Polynomial(sub([0, *c], b)), Polynomial(b)),
+              short_lists, short_lists.filter(any)),
+    st.builds(lambda c, b: RationalFunction(Polynomial(mul(ONE_MINUS_Z, c)), Polynomial(b)),
+              short_lists, short_lists.filter(any)),
+)
+
+
+def step_without_gcd(kind, f, p):
+    """The step with the general gcd patched to raise, around the step call only."""
+    with mock.patch.object(exact, "_int_gcd", side_effect=AssertionError("a step ran the gcd")):
+        return STEPS[kind](f, p)
+
+
 class TestStepKernels:
     @given(canonical_functions, st.sampled_from(sorted(STEPS)), st.sampled_from([2, 3, 4]))
     # the zero function: Halley's fallback gets the all-zero numerator [0]
@@ -156,6 +176,30 @@ class TestStepKernels:
         # A(1) = 0: N and D share a power of 1 - z that only the gcd removes
         f = RationalFunction(Polynomial([1, -1]), Polynomial([1, 1]))
         assert coeff_tuples(STEPS[kind](f, p)) == coeff_tuples(naive_step(kind, f, p))
+
+    @pytest.mark.parametrize("kind, f, p", [
+        pytest.param("v", RationalFunction(Polynomial([-1, 0, 1])), 2, id="v-D=z^2"),
+        pytest.param("v", RationalFunction(Polynomial([-1, 1])), 2, id="v-D=z-step-is-0"),
+        *[pytest.param(kind, RationalFunction(Polynomial([1, -1]), Polynomial([1, 1])), p,
+                       id=f"{kind}-p{p}-A(1)=0") for kind in ("newton", "halley") for p in (2, 3)],
+        pytest.param("halley", ZERO, 2, id="halley-p2-zero"),
+        pytest.param("halley", ZERO, 3, id="halley-p3-zero"),
+    ])
+    def test_planted_factor_cancels_by_the_lemma(self, kind, f, p):
+        got = step_without_gcd(kind, f, p)
+        assert got == naive_step(kind, f, p)
+        assert got == RationalFunction(got.num, got.den)  # the general constructor's pair
+
+    @given(st.one_of(canonical_functions, planted_functions), st.sampled_from(sorted(STEPS)),
+           st.sampled_from([2, 3, 4]))
+    @settings(max_examples=150, deadline=None)
+    def test_steps_never_run_the_gcd(self, f, kind, p):
+        try:
+            got = step_without_gcd(kind, f, p)
+        except DegenerateStep:
+            return
+        assert got == naive_step(kind, f, p)
+        assert got == RationalFunction(got.num, got.den)
 
 
 class TestSteps:
