@@ -50,13 +50,18 @@ def _cheb_ints(kind: ChebKind, n: int) -> list[int]:
 def u_zero_nodes(n: int, prec: int = DEFAULT_PREC) -> list:
     """The n simple zeros cos(k*pi/(n+1)), k = 1..n, of U_n.
 
-    Returned in decreasing order.  The values carry guard bits beyond the
-    requested precision: the polynomials are steep at their outermost zeros
-    (|U_n'| grows like (n+1)^3), so handing back exactly-prec roundings
-    would cost visibly more than an ulp when the nodes are used as roots.
+    Returned in decreasing order.  Only k <= n//2 is evaluated; the zeros
+    are symmetric about 0, so node n+1-k is the exact negative of node k,
+    and for odd n the middle node is exactly 0.  The values carry guard bits
+    beyond the requested precision: the polynomials are steep at their
+    outermost zeros (|U_n'| grows like (n+1)^3), so handing back
+    exactly-prec roundings would cost visibly more than an ulp when the
+    nodes are used as roots.
     """
     if n < 1:
         raise BadIndex("U_0 has no zeros; need n >= 1")
+    # the negation too runs at prec + GUARD_BITS: outside, -c rounds to the caller's precision
     with workprec(prec + GUARD_BITS):
-        return [mpmath.cospi(mpf(k) / (n + 1)) for k in range(1, n + 1)]
+        upper = [mpmath.cospi(mpf(k) / (n + 1)) for k in range(1, n // 2 + 1)]
+        return upper + [mpf(0)] * (n % 2) + [-c for c in reversed(upper)]
 

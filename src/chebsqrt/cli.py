@@ -13,6 +13,7 @@ checked before any work.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import random
@@ -188,11 +189,18 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     if args.n_max < 1:
         raise ChebsqrtError("--n-max must be >= 1")
+    given = [name for name in ("n", "k", "M", "scheme") if getattr(args, name) is not None]
     if args.all:
+        if given:
+            raise ChebsqrtError(f"--all takes no --{given[0]}")
         results = default_suite(args.n_max, args.prec)
     elif args.check:
         if args.check not in CHECKS:
             raise ChebsqrtError(f"unknown check {args.check!r}")
+        takes = inspect.signature(CHECKS[args.check]).parameters
+        refused = [name for name in given if name not in takes]
+        if refused:
+            raise ChebsqrtError(f"check {args.check!r} takes no --{refused[0]}")
         results = CHECKS[args.check](
             args.n_max, args.prec, n=args.n, k=args.k, M=args.M,
             scheme=_scheme_from(args.scheme, args.p) if args.scheme else None,

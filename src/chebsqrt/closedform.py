@@ -2,18 +2,22 @@
 
 The n-th iterate (n >= 1) equals
 
-    1 - z/2 - (z**2 / (2(n+1))) * sum_{k=1}^{floor(n/2)}
-        sin^2(2 pi k/(n+1)) / (1 - z cos^2(pi k/(n+1))),
+    1 - z/2 - (z**2 / (2(n+1))) * sum_{k=1}^{floor(n/2)} w_k / (1 - z rho_k),
 
-with the k = 1 pole nearest the origin, so the series radius is
-sec^2(pi/(n+1)).  The same angles give the series coefficients directly:
-for m >= 1 the coefficient of z**m is
+with pole parameters rho_k = cos^2(pi k/(n+1)), the squared zeros of U_n,
+and weights w_k = sin^2(2 pi k/(n+1)) = 4 rho_k (1 - rho_k).  The k = 1
+pole is nearest the origin, so the series radius is sec^2(pi/(n+1)).
+``decompose`` builds this one angle table, and the series coefficients are
+its Taylor series: c_1 = -1/2 and, for m >= 2,
 
-    -(1/(n+1)) * sum_{k=1}^{n} cos^(2(m-1))(k theta) sin^2(k theta),
+    c_m = -(1/(2(n+1))) * sum_{k=1}^{floor(n/2)} w_k rho_k^(m-2),
 
-theta = pi/(n+1).  Everything here is float-valued at a controlled binary
-precision; the exact-arithmetic route through Taylor extraction is the
-independent cross-check.
+which is the paper's -(1/(n+1)) * sum_{k=1}^{n} cos^(2(m-1))(k theta)
+sin^2(k theta), theta = pi/(n+1), with the angles k and n+1-k paired.
+Every term is positive, so every coefficient from m = 1 on is negative.
+Everything here is float-valued at a controlled binary precision; the
+exact-arithmetic route through Taylor extraction is the independent
+cross-check.
 """
 
 from __future__ import annotations
@@ -38,9 +42,10 @@ class PartialFractionForm:
     """Pole expansion of the n-th linear-fraction iterate.
 
     Represents 1 - z/2 - scale * z**2 * sum_k weight_k / (1 - z * pole_param_k)
-    with weight_k = sin^2(2 pi k/(n+1)), pole_param_k = cos^2(pi k/(n+1)) for
-    k = 1..floor(n/2) and scale = 1/(2(n+1)).  For n = 1 the term list is
-    empty and the form is exactly 1 - z/2.
+    with pole_param_k = rho_k = cos^2(pi k/(n+1)),
+    weight_k = sin^2(2 pi k/(n+1)) = 4 rho_k (1 - rho_k) for k = 1..floor(n/2)
+    and scale = 1/(2(n+1)).  For n = 1 the term list is empty and the form
+    is exactly 1 - z/2.
 
     Stored floats carry GUARD_BITS beyond ``prec``, which keeps evaluation
     honest to ``prec`` away from the poles but not near one: where
@@ -134,51 +139,39 @@ def decompose(n: int, prec: int = DEFAULT_PREC) -> PartialFractionForm:
 
     The pole parameters are the squared zeros of the second-kind Chebyshev
     polynomial U_n (the first floor(n/2) of them); no numeric root-finding
-    is involved.  n = 0 is rejected: the constant iterate has no pole data.
+    is involved.  Each weight 4 rho_k (1 - rho_k) comes from its own pole
+    parameter.  n = 0 is rejected: the constant iterate has no pole data.
     """
     if n < 1:
         raise BadIndex("decomposition is defined for n >= 1")
     work = prec + GUARD_BITS
     with workprec(work):
         scale = 1 / mpf(2 * (n + 1))
-        count = n // 2
-        weights = []
-        poles = []
-        if count:
-            nodes = u_zero_nodes(n, work)[:count]
-            for k in range(1, count + 1):
-                weights.append(mpmath.sinpi(mpf(2 * k) / (n + 1)) ** 2)
-                poles.append(nodes[k - 1] ** 2)
+        poles = [c * c for c in u_zero_nodes(n, work)[:n // 2]]
+        weights = [4 * rho * (1 - rho) for rho in poles]
     return PartialFractionForm(n, scale, tuple(weights), tuple(poles), prec)
 
 
 def coeff_closed_range(n: int, M: int, prec: int = DEFAULT_PREC) -> list:
-    """Closed-form coefficients for m = 1..M in one sweep.
+    """Closed-form coefficients c_1..c_M: the Taylor series of ``decompose(n, prec)``.
 
-    Shares the running powers cos^(2(m-1))(k theta) across m, so the sweep
-    costs O(n * M) multiplications instead of O(n * M * log m).
+    c_1 = -1/2 and c_m = -scale * sum_k w_k rho_k^(m-2) for m >= 2, each sum
+    one ``mpmath.fsum`` over floor(n/2) terms.  Every term is positive, so
+    the sign of every c_m is visible: all are negative (0 beyond m = 1 for
+    n = 1).  The running powers are shared across m, so the sweep costs
+    O(n * M) multiplications.
     """
     if n < 1:
         raise BadIndex("coefficient formula is defined for n >= 1")
     if M < 1:
         raise BadIndex("need at least one coefficient index")
+    pf = decompose(n, prec)
     with workprec(prec + GUARD_BITS):
-        cos2 = []
-        sin2 = []
-        for k in range(1, n + 1):
-            c = mpmath.cospi(mpf(k) / (n + 1))
-            s = mpmath.sinpi(mpf(k) / (n + 1))
-            cos2.append(c * c)
-            sin2.append(s * s)
-        powers = [mpf(1)] * n
-        out = []
-        inv = -1 / mpf(n + 1)
-        for _ in range(1, M + 1):
-            total = mpf(0)
-            for k in range(n):
-                total += powers[k] * sin2[k]
-                powers[k] *= cos2[k]
-            out.append(inv * total)
+        terms = pf.weights
+        out = [mpf(-0.5)]
+        for _ in range(2, M + 1):
+            out.append(-pf.scale * mpmath.fsum(terms))
+            terms = [t * rho for t, rho in zip(terms, pf.pole_params)]
     with workprec(prec):
         return [+x for x in out]
 

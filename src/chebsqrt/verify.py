@@ -618,8 +618,8 @@ def check_radius_pole(n_max: int, prec: int = DEFAULT_PREC) -> CheckResult:
 
     The exact denominator of the n-th iterate, evaluated *exactly* at the
     dyadic approximation of sec^2(pi/(n+1)), must have magnitude below
-    2**-(prec - 56); and no pole parameter of the decomposition may exceed
-    cos^2(pi/(n+1)).
+    2**-(prec - 56); and no pole of the decomposition may lie inside that
+    radius: rho * radius <= 1 + 2**-(prec - 16) for every pole parameter.
     """
     vs = _v_range("radius-pole", 2, n_max)
     tol = Fraction(1, 2 ** (prec - 56))
@@ -633,8 +633,7 @@ def check_radius_pole(n_max: int, prec: int = DEFAULT_PREC) -> CheckResult:
             yield abs(RationalFunction._from_coprime(b, b[-1:])(_mpf_to_fraction(radius))), n
             pf = decompose(n, prec)
             with workprec(prec + GUARD_BITS):
-                ref = mpmath.cospi(mpf(1) / (n + 1)) ** 2
-                if any(rho > ref + _slack(prec) for rho in pf.pole_params):
+                if any(rho * radius > 1 + _slack(prec) for rho in pf.pole_params):
                     pole_bad = n
 
     worst_res, worst = _worst(samples())

@@ -114,6 +114,16 @@ class TestZeroNodes:
             nodes = u_zero_nodes(n, PREC)
             assert all(a > b for a, b in zip(nodes, nodes[1:]))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 255])
+    def test_nodes_are_symmetric(self, n):
+        # node n+1-k is the exact negative of node k (a rounded sum is 0 only
+        # if the exact one is); the middle node of odd n is exactly 0
+        nodes = u_zero_nodes(n, PREC)
+        assert len(nodes) == n
+        assert all(nodes[n - k] + nodes[k - 1] == 0 for k in range(1, n + 1))
+        if n % 2:
+            assert nodes[n // 2] == 0
+
     def test_nodes_are_roots_of_exact_polynomial(self):
         # cross-check against the exact coefficients: the degree-3 case has
         # roots of 8x^3 - 4x, i.e. 0 and +-sqrt(1/2)

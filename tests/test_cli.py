@@ -324,6 +324,25 @@ class TestDeterminismAndConfig:
         assert row["worst_case"]["z"] == "(-0.25 + 0.375j)"
         assert row["worst_case"]["error"] == "8.6218051612963361e-78"
 
+    @pytest.mark.parametrize("argv, digest", [
+        pytest.param(("--format", "json", "decompose", "--n", "5"),
+                     "7e493b3014a65bb532c68e07bf5e36f0b9d65de250ec4076d296b31085ee0940",
+                     id="json-n5"),
+        pytest.param(("--format", "csv", "decompose", "--n", "16"),
+                     "b00e06fe13106ada7e482343b468c3146628c5013ec7d806dc3099dc82669f16",
+                     id="csv-n16"),
+        pytest.param(("--prec", "512", "--format", "csv", "decompose", "--n", "33"),
+                     "d510b7026a0a371542cfb33bbedac8aff843bd84399f5a7c60c690e5e7321b18",
+                     id="csv-n33-prec512"),
+        pytest.param(("--prec", "64", "--format", "json", "decompose", "--n", "255"),
+                     "a4f1679716dc84a3c3fa7b6132abeec48a70a71096999da6393b9e783b41a830",
+                     id="json-n255-prec64"),
+    ])
+    def test_decompose_golden_output(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_precision_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("PREC_BITS", "128")
         code, out, _ = run_cli(capsys, "--format", "json", "bench",
@@ -438,6 +457,13 @@ class TestDeterminismAndConfig:
     ("verify", "--check", "mu-bound", "--n", "0"),
     ("verify", "--check", "guo-p2", "--M", "0"),
     ("verify", "--check", "head-lengths", "--M", "0"),
+    # a selector the check's CHECKS row does not take, and any selector with --all
+    ("verify", "--check", "tail-sum", "--n", "5"),
+    ("verify", "--check", "head", "--k", "3"),
+    ("verify", "--check", "composition", "--scheme", "halley"),
+    ("verify", "--check", "resummation", "--M", "8"),
+    ("verify", "--check", "disk-bound", "--n", "3"),
+    ("verify", "--all", "--n", "3"),
 ])
 def test_bad_input_is_usage_error(capsys, monkeypatch, argv):
     def no_work(*args):

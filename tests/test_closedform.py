@@ -96,6 +96,15 @@ class TestDecompose:
         assert all(a > b for a, b in zip(ps, ps[1:]))
         assert all(0 < w <= 1 for w in pf.weights)
 
+    @pytest.mark.parametrize("n", [2, 3, 16, 17, 255])
+    def test_weights_are_sin_squared_of_twice_the_angle(self, n):
+        # 4 rho (1 - rho) = sin^2(2 pi k/(n+1)) to a few units of 2**-WORK, the
+        # absolute precision at which the fixed-point kernel reads each weight
+        pf = decompose(n, PREC)
+        with workprec(WORK + 64):
+            for k, w in enumerate(pf.weights, start=1):
+                assert abs(w - mpmath.sinpi(mpf(2 * k) / (n + 1)) ** 2) <= mpf(2) ** (2 - WORK), k
+
     def test_json_shape(self):
         doc = decompose(2, PREC).to_json_dict()
         assert doc["n"] == 2 and doc["precision_bits"] == PREC
@@ -263,6 +272,17 @@ class TestCoefficientFormula:
                 for m in range(1, M + 1):
                     assert closed[m - 1] < 0
                     assert abs(closed[m - 1] - mpmath.mpmathify(exact[m])) <= TIGHT
+
+    @pytest.mark.parametrize("n", [1, 63, 64])
+    def test_matches_exact_taylor_at_the_ends(self, n):
+        # n = 1 has no terms (c_m = 0 past m = 1); 64 is the coeff-formula cap
+        M = 4 * n
+        exact = taylor_coefficients(v_iterate(n), M)
+        closed = coeff_closed_range(n, M, PREC)
+        assert len(closed) == M
+        with workprec(PREC + 32):
+            for m in range(1, M + 1):
+                assert abs(closed[m - 1] - mpmath.mpmathify(exact[m])) <= TIGHT, m
 
 
 class TestRadius:

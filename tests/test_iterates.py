@@ -136,7 +136,7 @@ def step_without_gcd(kind, f, p):
 
 class TestStepKernels:
     @given(canonical_functions, st.sampled_from(sorted(STEPS)), st.sampled_from([2, 3, 4]))
-    # the zero function: Halley's fallback gets the all-zero numerator [0]
+    # the zero function: its numerator [0] has A(1) = 0, so Halley divides out 1 - z
     @example(RationalFunction(Polynomial()), "v", 2)
     @example(RationalFunction(Polynomial()), "newton", 2)
     @example(RationalFunction(Polynomial()), "halley", 2)
@@ -165,15 +165,15 @@ class TestStepKernels:
                           (Scheme.halley(3), 2)):
             iterate(scheme, k)
 
-    def test_v_step_fallback_when_den_vanishes_at_zero(self):
+    def test_v_step_cancels_z_when_den_vanishes_at_zero(self):
         # D = A + B = z^2 shares the factor z with N = z^2 - z
         f = RationalFunction(Polynomial([-1, 0, 1]))
         assert v_step(f) == RationalFunction(Polynomial([-1, 1]), Polynomial([0, 1]))
 
     @pytest.mark.parametrize("kind", ["newton", "halley"])
     @pytest.mark.parametrize("p", [2, 3])
-    def test_fallback_when_num_vanishes_at_one(self, kind, p):
-        # A(1) = 0: N and D share a power of 1 - z that only the gcd removes
+    def test_step_cancels_one_minus_z_when_num_vanishes_at_one(self, kind, p):
+        # A(1) = 0: N and D share the factor 1 - z, which the step divides out
         f = RationalFunction(Polynomial([1, -1]), Polynomial([1, 1]))
         assert coeff_tuples(STEPS[kind](f, p)) == coeff_tuples(naive_step(kind, f, p))
 
