@@ -27,7 +27,7 @@ from mpmath.libmp import from_rational
 
 from .chebyshev import DEFAULT_PREC
 from .closedform import decompose, radius_of_convergence, tail_sum_identity
-from .errors import ChebsqrtError
+from .errors import BadRootOrder, ChebsqrtError
 from .exact import (
     eval_ratfun_complex,
     root_series_coeffs,
@@ -63,8 +63,11 @@ def _float_str(x, prec: int) -> str:
     return mpmath.nstr(x, mpmath.libmp.prec_to_dps(prec) + 2)
 
 
-def _scheme_from(name: str, p: int) -> Scheme:
-    return Scheme(name, None if name == "v" else p)
+def _scheme_from(name: str, p: int | None) -> Scheme:
+    """The scheme of --scheme and --p; newton and halley take p = 2 unless --p is given."""
+    if name == "v" and p is not None:
+        raise BadRootOrder("--scheme v takes no --p")
+    return Scheme(name, 2 if p is None and name != "v" else p)
 
 
 # --------------------------------------------------------------------------
@@ -189,26 +192,23 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     if args.n_max < 1:
         raise ChebsqrtError("--n-max must be >= 1")
-    given = [name for name in ("n", "k", "M", "scheme") if getattr(args, name) is not None]
-    if args.all:
-        if given:
-            raise ChebsqrtError(f"--all takes no --{given[0]}")
-        results = default_suite(args.n_max, args.prec)
-    elif args.check:
-        if args.check not in CHECKS:
-            raise ChebsqrtError(f"unknown check {args.check!r}")
-        takes = inspect.signature(CHECKS[args.check]).parameters
-        refused = [name for name in given if name not in takes]
-        if refused:
-            raise ChebsqrtError(f"check {args.check!r} takes no --{refused[0]}")
-        results = CHECKS[args.check](
-            args.n_max, args.prec, n=args.n, k=args.k, M=args.M,
-            scheme=_scheme_from(args.scheme, args.p) if args.scheme else None,
-            grid=DiskGrid(args.grid_radius, args.grid_radial, args.grid_angular, args.prec),
-            compact_radius=args.compact_radius,
-        )
-    else:
-        raise ChebsqrtError("choose --all or --check NAME")
+    if not (args.all or args.check in CHECKS):
+        raise ChebsqrtError(f"unknown check {args.check!r}" if args.check
+                            else "choose --all or --check NAME")
+    what = "--all" if args.all else f"check {args.check!r}"
+    rows = default_suite if args.all else CHECKS[args.check]
+    # the selectors typed (the parser sets no other) are the row's keywords, --grid-* its grid
+    takes = inspect.signature(rows).parameters
+    given = [name for name in ("n", "k", "M", "scheme", "grid_radius", "grid_radial",
+                               "grid_angular", "compact_radius") if name in args]
+    refused = [name for name in given if ("grid" if "grid_" in name else name) not in takes]
+    if refused:
+        raise ChebsqrtError(f"{what} takes no --{refused[0].replace('_', '-')}")
+    selectors = {name: getattr(args, name) for name in given}
+    grid = {name.removeprefix("grid_"): selectors.pop(name) for name in given if "grid_" in name}
+    if grid:
+        selectors["grid"] = DiskGrid(**grid, prec=args.prec)
+    results = rows(args.n_max, args.prec, **selectors)
     if not results:
         raise ChebsqrtError(f"check {args.check!r} has no rows for these selectors")
     failed = 0
@@ -356,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("coeffs", parents=[common],
                        help="exact series coefficients of an iterate")
     c.add_argument("--scheme", choices=("v", "newton", "halley"), required=True)
-    c.add_argument("--p", type=int, default=2)
+    c.add_argument("--p", type=int)
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--M", type=int, required=True)
     c.set_defaults(func=cmd_coeffs)
@@ -367,26 +367,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("eval", parents=[common], help="evaluate an iterate at a point")
     e.add_argument("--scheme", choices=("v", "newton", "halley"), required=True)
-    e.add_argument("--p", type=int, default=2)
+    e.add_argument("--p", type=int)
     e.add_argument("--k", type=int, required=True)
     e.add_argument("--at", help="rational point, e.g. 1/2 (exact evaluation)")
     e.add_argument("--at-re", help="real part of a complex point (decimal)")
     e.add_argument("--at-im", help="imaginary part of a complex point (decimal)")
     e.set_defaults(func=cmd_eval)
 
-    v = sub.add_parser("verify", parents=[common], help="run identity/bound checks, JSON lines out")
+    # no abbreviations: --p must not pass for --prec
+    v = sub.add_parser("verify", parents=[common], allow_abbrev=False,
+                       help="run identity/bound checks, JSON lines out")
     v.add_argument("--all", action="store_true")
     v.add_argument("--check", help="run a single named check")
-    v.add_argument("--n", type=int)
     v.add_argument("--n-max", type=int, default=16)
-    v.add_argument("--M", type=int)
-    v.add_argument("--k", type=int)
-    v.add_argument("--scheme", choices=("v", "newton", "halley"))
-    v.add_argument("--p", type=int, default=2)
-    v.add_argument("--grid-radius", type=float, default=DiskGrid.radius)
-    v.add_argument("--grid-radial", type=int, default=DiskGrid.radial_steps)
-    v.add_argument("--grid-angular", type=int, default=DiskGrid.angular_steps)
-    v.add_argument("--compact-radius", type=float, default=0.9)
+    s = v.add_argument_group("selectors", argument_default=argparse.SUPPRESS)
+    s.add_argument("--n", type=int)
+    s.add_argument("--M", type=int)
+    s.add_argument("--k", type=int)
+    s.add_argument("--scheme", choices=("v", "newton", "halley"))
+    s.add_argument("--grid-radius", type=float)
+    s.add_argument("--grid-radial", type=int)
+    s.add_argument("--grid-angular", type=int)
+    s.add_argument("--compact-radius", type=float)
     v.set_defaults(func=cmd_verify)
 
     g = sub.add_parser("explore-guo", parents=[common], help="sign-pattern report for p-th root iterates")

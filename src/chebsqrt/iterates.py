@@ -57,7 +57,7 @@ class Scheme:
         if self.kind != "v":
             _check_root_order(self.p)
         elif self.p is not None:
-            raise ValueError("the linear-fraction scheme takes no root order")
+            raise BadRootOrder(f"the linear-fraction scheme takes no root order, got {self.p}")
 
     @classmethod
     def v(cls) -> "Scheme":

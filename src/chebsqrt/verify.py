@@ -52,11 +52,17 @@ MAX_COEFF_INDEX = 4096
 MAX_MU_N = 100_000
 MAX_GRID_POINTS = 1024
 
+# Largest cutoff of tail-sum's exact partial sums.  The cutoff grows linearly
+# with the precision, and this is the power of two nearest a 5 s run: on a
+# shared 2-vCPU host --n-max 16 took 6.5-7.4 s at 800 bits (cutoff 8089) and
+# 14 s at 1024 bits (cutoff 10349).
+MAX_TAIL_CUTOFF = 8192
+
 # Largest n_max of each v-range check, and largest n (or n_max) of the per-n
 # rows.  A range builds and checks every v_n up to n_max, and its work grows
 # as n_max**2 to n_max**3, so the degree cap alone would admit runs of days.
 # Each maximum is the largest power of two whose run stays within about 5 s
-# at the default 256 bits; tail-sum's cutoff also grows with the precision.
+# at the default 256 bits (tail-sum's cutoff, which grows with prec, has MAX_TAIL_CUTOFF).
 # ratio-identity runs at most 32 rows, so it keeps the degree cap (v_4096).
 # The suite passes its n_max to every check, so it admits the least of them.
 MAX_RANGE_N = {
@@ -139,31 +145,31 @@ class CheckResult:
 class DiskGrid:
     """Polar sample grid on the closed disk of the given radius.
 
-    radial_steps rings at radii radius*i/radial_steps (i = 1..radial_steps)
-    with angular_steps equispaced angles each; the boundary ring and the
-    angle-0 point (z = radius) are included.
+    radial rings at radii radius*i/radial (i = 1..radial) with angular
+    equispaced angles each; the boundary ring and the angle-0 point
+    (z = radius) are included.
     """
 
     radius: float = 1.0
-    radial_steps: int = 8
-    angular_steps: int = 16
+    radial: int = 8
+    angular: int = 16
     prec: int = DEFAULT_PREC
 
     def __post_init__(self):
         if not (0 < self.radius <= 1):
             raise BadIndex("grid radius must be in (0, 1]")
-        if self.radial_steps < 1 or self.angular_steps < 1:
+        if self.radial < 1 or self.angular < 1:
             raise BadIndex("grid steps must be positive")
-        if self.radial_steps * self.angular_steps > MAX_GRID_POINTS:
+        if self.radial * self.angular > MAX_GRID_POINTS:
             raise CapExceeded(f"the grid exceeds the cap of {MAX_GRID_POINTS} samples")
 
     def points(self) -> list:
         with workprec(self.prec + GUARD_BITS):
             radius = mpmath.mpmathify(self.radius)
-            return [radius * i / self.radial_steps
-                    * mpmath.expjpi(mpf(2 * j) / self.angular_steps)
-                    for i in range(1, self.radial_steps + 1)
-                    for j in range(self.angular_steps)]
+            return [radius * i / self.radial
+                    * mpmath.expjpi(mpf(2 * j) / self.angular)
+                    for i in range(1, self.radial + 1)
+                    for j in range(self.angular)]
 
     @cached_property
     def samples(self) -> list:
@@ -409,7 +415,7 @@ def check_disk_bound(scheme: Scheme, k: int, grid: DiskGrid) -> CheckResult:
     return CheckResult(
         name="disk-bound",
         params={"scheme": str(scheme), "k": k, "radius": grid.radius,
-                "grid": f"{grid.radial_steps}x{grid.angular_steps}"},
+                "grid": f"{grid.radial}x{grid.angular}"},
         passed=bool(worst_excess <= tol),
         samples=len(errs),
         worst_case={"z": _nstr(worst), "excess": _nstr(worst_excess), "slack": _nstr(tol)},
@@ -504,9 +510,9 @@ def check_sqrt_consistency(grid: DiskGrid) -> CheckResult:
     sign_bad = any(w.real < 0 for _, w in roots)
     return CheckResult(
         name="sqrt-consistency",
-        params={"radius": grid.radius, "grid": f"{grid.radial_steps}x{grid.angular_steps}"},
+        params={"radius": grid.radius, "grid": f"{grid.radial}x{grid.angular}"},
         passed=bool(worst_err <= tol and not sign_bad),
-        samples=grid.radial_steps * grid.angular_steps,
+        samples=grid.radial * grid.angular,
         worst_case={"z": _nstr(worst), "residual": _nstr(worst_err), "tolerance": _nstr(tol)},
     )
 
@@ -652,6 +658,11 @@ def check_radius_pole(n_max: int, prec: int = DEFAULT_PREC) -> CheckResult:
     )
 
 
+def _tail_cutoff(n: int, prec: int) -> int:
+    """n + ceil((prec/2) / log2(radius)); it grows with n, as the radius falls to 1."""
+    return n + int(math.ceil((prec / 2) / math.log2(float(radius_of_convergence(n, prec)))))
+
+
 def check_tail_sum(n_max: int, prec: int = DEFAULT_PREC) -> CheckResult:
     """Partial tail sums increase monotonically to the closed-form value.
 
@@ -660,6 +671,8 @@ def check_tail_sum(n_max: int, prec: int = DEFAULT_PREC) -> CheckResult:
     within 2**-(prec/4) of C(2n,n)/4**n - 1/(n+1).  Every partial sum, an
     exact rational, must stay strictly at or below the limit.  The first
     overshoot found ends the check and is reported as its worst case.
+    The largest cutoff, n_max's, is checked against MAX_TAIL_CUTOFF before
+    the first build.
 
     The partial sums come from the Taylor layer: coefficient m of
     A/((1 - z)B) is c_0 + ... + c_m for v_n = A/B, so the tail sum to m is
@@ -667,14 +680,18 @@ def check_tail_sum(n_max: int, prec: int = DEFAULT_PREC) -> CheckResult:
     """
     close_tol = Fraction(1, 2 ** (prec // 4))
     gaps, bad, samples = [], None, 0
-    for n, f in _v_range("tail-sum", 1, n_max):
+    vs = _v_range("tail-sum", 1, n_max)
+    top = _tail_cutoff(n_max, prec)
+    if top > MAX_TAIL_CUTOFF:
+        raise CapExceeded(f"the tail-sum cutoff {top} (n = {n_max}, {prec} bits) "
+                          f"exceeds the cap {MAX_TAIL_CUTOFF}")
+    for n, f in vs:
         identity = tail_sum_identity(n)
         if n == 1:
             gaps.append((identity, n))  # empty tail: partial sum is exactly 0
             samples += 1
             continue
-        radius = radius_of_convergence(n, prec)
-        cutoff = n + int(math.ceil((prec / 2) / math.log2(float(radius))))
+        cutoff = _tail_cutoff(n, prec)
         a, b = f.pair
         running = RationalFunction._from_coprime(a, _times_one_minus_z(b))
         sums = taylor_coefficients(running, cutoff)
@@ -833,44 +850,42 @@ def _indices(name: str, n: Optional[int], n_max: int):
     return range(1, n_max + 1) if n is None else [n]
 
 
-def _disk_bound_rows(n_max, prec, k=None, scheme=None, grid=None, **_):
+def _disk_bound_rows(n_max, prec, k=None, scheme=None, grid=None):
     ks = {"v": range(2, min(n_max, 32) + 1), "newton": (2, 3, 4), "halley": (1, 2, 3)}
-    schemes = [scheme] if scheme else [Scheme.v(), Scheme.newton(2), Scheme.halley(2)]
     grid = grid or DiskGrid(prec=prec)
-    return [check_disk_bound(s, i, grid) for s in schemes
-            for i in (ks[s.kind] if k is None else [k])]
+    return [check_disk_bound(Scheme(s, None if s == "v" else 2), i, grid)
+            for s in ([scheme] if scheme else ks) for i in (ks[s] if k is None else [k])]
 
 
 # The check table, in suite order: name -> rows(n_max, prec, **selectors).
-# The selectors n, k, M, scheme, grid and compact_radius narrow or override a
-# check's rows; left unset (None) they give the suite's rows.  Entries
-# look each check_<name> up by its module-level name when they run, so a
-# caller that rebinds verify.check_<name> (a timer or a tracer) sees every
-# call; holding the function objects here would bypass it.
+# A row's keyword parameters are its selectors, verify's flags (scheme is a
+# name, at p = 2), and their defaults give the suite's rows.  Rows look each
+# check_<name> up when they run, so a caller that rebinds verify.check_<name>
+# (a timer or a tracer) sees every call, which held functions would bypass.
 CHECKS = {
-    "sqrt-consistency": lambda n_max, prec, grid=None, **_: [
+    "sqrt-consistency": lambda n_max, prec, grid=None: [
         check_sqrt_consistency(grid or DiskGrid(prec=prec))],
-    "head": lambda n_max, prec, n=None, **_: [check_head(i) for i in _indices("head", n, n_max)],
-    "tail-signs": lambda n_max, prec, n=None, M=None, **_: [
+    "head": lambda n_max, prec, n=None: [check_head(i) for i in _indices("head", n, n_max)],
+    "tail-signs": lambda n_max, prec, n=None, M=None: [
         check_tail_signs(i, max(4 * n_max, i + 16) if M is None else M)
         for i in _indices("tail-signs", n, n_max)],
-    "ratio-identity": lambda n_max, prec, n=None, **_: [
+    "ratio-identity": lambda n_max, prec, n=None: [
         check_ratio_identity(i, prec=prec) for i in _indices("ratio-identity", n, n_max)[:32]],
-    "value-at-one": lambda n_max, prec, n=None, **_: [
+    "value-at-one": lambda n_max, prec, n=None: [
         check_value_at_one(max(n_max, 100) if n is None else n)],
-    "composition": lambda n_max, prec, **_: [check_composition()],
+    "composition": lambda n_max, prec: [check_composition()],
     "disk-bound": _disk_bound_rows,
-    "uniform-compact": lambda n_max, prec, compact_radius=0.9, **_: [
+    "uniform-compact": lambda n_max, prec, compact_radius=0.9: [
         check_uniform_compact(n_max, compact_radius, prec)],
-    "monotone-improvement": lambda n_max, prec, compact_radius=0.9, **_: [
+    "monotone-improvement": lambda n_max, prec, compact_radius=0.9: [
         check_monotone_improvement(n_max, compact_radius, prec)],
-    "resummation": lambda n_max, prec, **_: [check_resummation(max(n_max, 2), prec)],
-    "coeff-formula": lambda n_max, prec, **_: [check_coeff_formula(max(n_max, 2), prec)],
-    "radius-pole": lambda n_max, prec, **_: [check_radius_pole(max(n_max, 2), prec)],
-    "tail-sum": lambda n_max, prec, **_: [check_tail_sum(n_max, prec)],
-    "guo-p2": lambda n_max, prec, M=None, **_: [check_guo_p2(256 if M is None else M)],
-    "head-lengths": lambda n_max, prec, M=None, **_: [check_head_lengths(300 if M is None else M)],
-    "mu-bound": lambda n_max, prec, n=None, **_: [check_mu_bound(10_000 if n is None else n, prec)],
+    "resummation": lambda n_max, prec: [check_resummation(max(n_max, 2), prec)],
+    "coeff-formula": lambda n_max, prec: [check_coeff_formula(max(n_max, 2), prec)],
+    "radius-pole": lambda n_max, prec: [check_radius_pole(max(n_max, 2), prec)],
+    "tail-sum": lambda n_max, prec: [check_tail_sum(n_max, prec)],
+    "guo-p2": lambda n_max, prec, M=256: [check_guo_p2(M)],
+    "head-lengths": lambda n_max, prec, M=300: [check_head_lengths(M)],
+    "mu-bound": lambda n_max, prec, n=10_000: [check_mu_bound(n, prec)],
 }
 
 

@@ -1,7 +1,9 @@
 """CLI surface: formats, exit codes, determinism."""
 
+import argparse
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import random
@@ -207,11 +209,39 @@ class TestVerify:
           for s in ("v", "newton(p=2)", "halley(p=2)")]),
         # an explicit 0 selects n = 0 alone, not the suite's n = 0..100
         (("value-at-one", "--n", "0"), [{"n_max": 0}]),
+        (("uniform-compact", "--compact-radius", "0.5"), [{"n_max": 16, "radius": 0.5}]),
+        (("sqrt-consistency", "--grid-radial", "2", "--grid-angular", "4"),
+         [{"radius": 1.0, "grid": "2x4"}]),
     ])
     def test_selectors_narrow_the_rows(self, argv, params):
         rows = verify_rows("--check", *argv)
         assert [r["params"] for r in rows] == params
         assert all(r["status"] == "pass" for r in rows)
+
+    def test_selectors_are_the_check_rows_keyword_parameters(self):
+        # the table and the parser agree: every keyword a CHECKS row takes is a
+        # verify selector, every selector is taken by some row, and the parser
+        # holds no default for one (the three --grid-* flags make the one grid)
+        (sub,) = [a for a in cli.build_parser()._actions if a.choices and "verify" in a.choices]
+        (group,) = [g for g in sub.choices["verify"]._action_groups if g.title == "selectors"]
+        assert all(a.default is argparse.SUPPRESS for a in group._group_actions)
+        selectors = {"grid" if a.dest.startswith("grid_") else a.dest
+                     for a in group._group_actions}
+        keywords = set()
+        for row in CHECKS.values():
+            n_max, prec, *rest = inspect.signature(row).parameters.values()
+            assert (n_max.name, prec.name) == ("n_max", "prec")
+            assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is not p.empty
+                       for p in rest)
+            keywords.update(p.name for p in rest)
+        assert keywords == selectors
+
+    def test_verify_takes_no_root_order(self):
+        # disk-bound, the one check with a scheme, admits p = 2 alone; and --p
+        # is no abbreviation of --prec
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--check", "head", "--n", "2", "--p", "2"])
+        assert exc.value.code == 2
 
     def test_requires_selection(self, capsys):
         code, _, err = run_cli(capsys, "verify")
@@ -464,6 +494,17 @@ class TestDeterminismAndConfig:
     ("verify", "--check", "resummation", "--M", "8"),
     ("verify", "--check", "disk-bound", "--n", "3"),
     ("verify", "--all", "--n", "3"),
+    ("verify", "--check", "head", "--compact-radius", "0.5"),
+    # refused as a flag head does not take, before the grid cap is reached
+    ("verify", "--check", "head", "--grid-radial", "100", "--grid-angular", "100"),
+    ("verify", "--check", "tail-sum", "--grid-radius", "0.5"),
+    ("verify", "--all", "--compact-radius", "0.5"),
+    ("verify", "--all", "--grid-angular", "4"),
+    # the linear-fraction scheme has no root order
+    ("coeffs", "--scheme", "v", "--p", "3", "--k", "2", "--M", "3"),
+    ("eval", "--scheme", "v", "--p", "3", "--k", "2", "--at", "1/2"),
+    # past the tail-sum cutoff cap: n_max 16 at 4096 bits needs cutoff 41347
+    ("--prec", "4096", "verify", "--check", "tail-sum"),
 ])
 def test_bad_input_is_usage_error(capsys, monkeypatch, argv):
     def no_work(*args):
@@ -474,3 +515,22 @@ def test_bad_input_is_usage_error(capsys, monkeypatch, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("verify", "--check", "head", "--grid-radial", "100", "--grid-angular", "100"),
+     "--grid-radial"),
+    (("verify", "--check", "head", "--n", "2", "--compact-radius", "0.5"), "--compact-radius"),
+    (("verify", "--all", "--grid-angular", "4"), "--grid-angular"),
+    (("coeffs", "--scheme", "v", "--p", "3", "--k", "2", "--M", "3"), "--p"),
+    (("eval", "--scheme", "v", "--p", "3", "--k", "2", "--at", "1/2"), "--p"),
+])
+def test_refusal_names_the_flag_before_any_work(capsys, monkeypatch, argv, flag):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the flag was refused")
+
+    for owner, name in ((verify, "v_iterate"), (cli, "iterate"), (cli, "DiskGrid")):
+        monkeypatch.setattr(owner, name, no_work)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and flag in err.split()

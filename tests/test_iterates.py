@@ -318,7 +318,7 @@ class TestIterate:
             Scheme.newton(1)
         with pytest.raises(ValueError):
             Scheme("bogus")
-        with pytest.raises(ValueError):
+        with pytest.raises(BadRootOrder):
             Scheme("v", 2)
         assert str(Scheme.halley(3)) == "halley(p=3)"
         assert str(Scheme.v()) == "v"

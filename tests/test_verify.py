@@ -334,6 +334,15 @@ class TestFloatChecks:
         assert (r.worst_case["n"], r.worst_case["m"]) == (2, 20)
         assert r.worst_case == check_tail_sum(2, PREC).worst_case
 
+    def test_tail_sum_cutoff_cap_refuses_before_any_build(self, monkeypatch):
+        # the cutoff at n_max = 16 is 10349 at 1024 bits, past the cap; 8089 at
+        # 800 bits is admitted, so the check goes on to build its first iterate
+        monkeypatch.setattr(verify, "v_iterate", _no_build)
+        with pytest.raises(CapExceeded, match="10349"):
+            check_tail_sum(16, 1024)
+        with pytest.raises(AssertionError, match="was built"):
+            check_tail_sum(16, 800)
+
 
 class TestGuoExplorer:
     def test_square_case_reports(self):
