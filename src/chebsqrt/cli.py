@@ -76,8 +76,8 @@ def _scheme_from(name: str, p: int | None) -> Scheme:
 
 def cmd_coeffs(args) -> int:
     scheme = _scheme_from(args.scheme, args.p)
-    if args.M > MAX_COEFF_INDEX:
-        raise ChebsqrtError(f"M = {args.M} exceeds the coefficient cap {MAX_COEFF_INDEX}")
+    if not 0 <= args.M <= MAX_COEFF_INDEX:
+        raise ChebsqrtError(f"--M = {args.M} is outside the coefficient range 0..{MAX_COEFF_INDEX}")
     f = iterate(scheme, args.k)
     cs = taylor_coefficients(f, args.M)
     p = 2 if scheme.kind == "v" else scheme.p
@@ -158,9 +158,12 @@ def cmd_eval(args) -> int:
     """
     prec = args.prec
     scheme = _scheme_from(args.scheme, args.p)
-    f = iterate(scheme, args.k)
     if args.at is not None:
         x = _rational(args.at, "--at")
+    else:
+        re, im = _rational(args.at_re, "--at-re"), _rational(args.at_im, "--at-im")
+    f = iterate(scheme, args.k)
+    if args.at is not None:
         value = f(x)
         with workprec(prec):
             approx = mpmath.mpmathify(value)
@@ -170,7 +173,6 @@ def cmd_eval(args) -> int:
         else:
             print(f"{scheme} iterate k={args.k} at {x}: {value} = {_float_str(approx, prec)}")
     else:
-        re, im = _rational(args.at_re, "--at-re"), _rational(args.at_im, "--at-im")
         value = eval_ratfun_complex(f, re, im)
         with workprec(prec):
             val_re, val_im = (mpmath.mpmathify(part) for part in value)
@@ -338,6 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chebsqrt",
         description="Exact rational approximants of sqrt(1 - z) and their checks",
+        allow_abbrev=False,
     )
     parser.add_argument("--prec", type=int,
                         default=os.environ.get("PREC_BITS", str(DEFAULT_PREC)),
@@ -353,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("coeffs", parents=[common],
+    # no abbreviations, here or above: --p must not pass for --prec
+    c = sub.add_parser("coeffs", parents=[common], allow_abbrev=False,
                        help="exact series coefficients of an iterate")
     c.add_argument("--scheme", choices=("v", "newton", "halley"), required=True)
     c.add_argument("--p", type=int)
@@ -361,11 +365,13 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--M", type=int, required=True)
     c.set_defaults(func=cmd_coeffs)
 
-    d = sub.add_parser("decompose", parents=[common], help="partial-fraction data of a v-iterate")
+    d = sub.add_parser("decompose", parents=[common], allow_abbrev=False,
+                       help="partial-fraction data of a v-iterate")
     d.add_argument("--n", type=int, required=True)
     d.set_defaults(func=cmd_decompose)
 
-    e = sub.add_parser("eval", parents=[common], help="evaluate an iterate at a point")
+    e = sub.add_parser("eval", parents=[common], allow_abbrev=False,
+                       help="evaluate an iterate at a point")
     e.add_argument("--scheme", choices=("v", "newton", "halley"), required=True)
     e.add_argument("--p", type=int)
     e.add_argument("--k", type=int, required=True)
@@ -374,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--at-im", help="imaginary part of a complex point (decimal)")
     e.set_defaults(func=cmd_eval)
 
-    # no abbreviations: --p must not pass for --prec
     v = sub.add_parser("verify", parents=[common], allow_abbrev=False,
                        help="run identity/bound checks, JSON lines out")
     v.add_argument("--all", action="store_true")
@@ -391,14 +396,16 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--compact-radius", type=float)
     v.set_defaults(func=cmd_verify)
 
-    g = sub.add_parser("explore-guo", parents=[common], help="sign-pattern report for p-th root iterates")
+    g = sub.add_parser("explore-guo", parents=[common], allow_abbrev=False,
+                       help="sign-pattern report for p-th root iterates")
     g.add_argument("--p", type=int, required=True)
     g.add_argument("--scheme", choices=("newton", "halley"), required=True)
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--M", type=int, required=True)
     g.set_defaults(func=cmd_explore_guo)
 
-    b = sub.add_parser("bench", parents=[common], help="compare evaluation strategies")
+    b = sub.add_parser("bench", parents=[common], allow_abbrev=False,
+                       help="compare evaluation strategies")
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--points", type=int, default=100)
     b.add_argument("--reps", type=int, default=1)

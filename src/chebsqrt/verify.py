@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import mpmath
 from mpmath import mpc, mpf, workprec
@@ -315,7 +315,7 @@ def check_composition() -> CheckResult:
     )
 
 
-def check_mu_bound(n_max: int = 10_000, prec: int = DEFAULT_PREC) -> CheckResult:
+def check_mu_bound(n_max: int, prec: int = DEFAULT_PREC) -> CheckResult:
     """Numeric inequality C(2n,n)/4**n <= 1/sqrt(pi n) for n = 1..n_max.
 
     Checked as pi * n * mu_n**2 < 1 with mu tracked by the float recurrence
@@ -345,41 +345,31 @@ def check_mu_bound(n_max: int = 10_000, prec: int = DEFAULT_PREC) -> CheckResult
 # float checks
 
 
-def check_ratio_identity(
-    n: int, samples: Optional[Sequence[Fraction]] = None, prec: int = DEFAULT_PREC
-) -> CheckResult:
+# The rational points x in (0, 1) of the ratio-identity check.
+_RATIO_SAMPLES = (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(9, 10))
+
+
+def check_ratio_identity(n: int, prec: int = DEFAULT_PREC) -> CheckResult:
     """(f(x) - w)/(f(x) + w) equals ((1 - w)/(1 + w))**(n+1), w = sqrt(1-x).
 
-    Sampled at rational x in (0, 1); the iterate value is exact, the square
-    root is a float, and agreement is required within 2**-(prec - 16).
+    Sampled at the rational x of _RATIO_SAMPLES; the iterate value is exact, the
+    square root is a float, and agreement is required within 2**-(prec - 16).
     """
-    if samples is None:
-        samples = (
-            Fraction(1, 10),
-            Fraction(1, 4),
-            Fraction(1, 2),
-            Fraction(3, 4),
-            Fraction(9, 10),
-        )
-    if not samples:
-        raise BadIndex("ratio-identity needs at least one sample")
     f = v_iterate(n)
     tol = _slack(prec)
     with workprec(prec + GUARD_BITS):
 
         def error(x):
-            if not 0 < x < 1:
-                raise BadIndex(f"sample {x} outside (0, 1)")
             v = mpmath.mpmathify(f(x))
             w = sqrt_principal(mpmath.mpmathify(x), prec + GUARD_BITS)
             return abs((v - w) / (v + w) - ((1 - w) / (1 + w)) ** (n + 1))
 
-        worst_err, worst = _worst((error(x), x) for x in samples)
+        worst_err, worst = _worst((error(x), x) for x in _RATIO_SAMPLES)
     return CheckResult(
         name="ratio-identity",
         params={"n": n},
         passed=bool(worst_err <= tol),
-        samples=len(samples),
+        samples=len(_RATIO_SAMPLES),
         worst_case={"x": str(worst), "error": _nstr(worst_err), "tolerance": _nstr(tol)},
     )
 
@@ -659,8 +649,12 @@ def check_radius_pole(n_max: int, prec: int = DEFAULT_PREC) -> CheckResult:
 
 
 def _tail_cutoff(n: int, prec: int) -> int:
-    """n + ceil((prec/2) / log2(radius)); it grows with n, as the radius falls to 1."""
-    return n + int(math.ceil((prec / 2) / math.log2(float(radius_of_convergence(n, prec)))))
+    """n + ceil((prec/2) / log2(radius)), CapExceeded past MAX_TAIL_CUTOFF; it grows with n."""
+    cutoff = n + int(math.ceil((prec / 2) / math.log2(float(radius_of_convergence(n, prec)))))
+    if cutoff > MAX_TAIL_CUTOFF:
+        raise CapExceeded(f"the tail-sum cutoff {cutoff} (n = {n}, {prec} bits) "
+                          f"exceeds the cap {MAX_TAIL_CUTOFF}")
+    return cutoff
 
 
 def check_tail_sum(n_max: int, prec: int = DEFAULT_PREC) -> CheckResult:
@@ -681,10 +675,7 @@ def check_tail_sum(n_max: int, prec: int = DEFAULT_PREC) -> CheckResult:
     close_tol = Fraction(1, 2 ** (prec // 4))
     gaps, bad, samples = [], None, 0
     vs = _v_range("tail-sum", 1, n_max)
-    top = _tail_cutoff(n_max, prec)
-    if top > MAX_TAIL_CUTOFF:
-        raise CapExceeded(f"the tail-sum cutoff {top} (n = {n_max}, {prec} bits) "
-                          f"exceeds the cap {MAX_TAIL_CUTOFF}")
+    _tail_cutoff(n_max, prec)  # the largest cutoff, admitted before the first build
     for n, f in vs:
         identity = tail_sum_identity(n)
         if n == 1:
@@ -796,7 +787,7 @@ def guo_explore(p: int, scheme_kind: str, k: int, M: int) -> GuoReport:
     )
 
 
-def check_guo_p2(M: int = 256) -> CheckResult:
+def check_guo_p2(M: int) -> CheckResult:
     """No sign violation may appear at p = 2 (the proved case)."""
     bad = None
     samples = 0
@@ -815,7 +806,7 @@ def check_guo_p2(M: int = 256) -> CheckResult:
     )
 
 
-def check_head_lengths(M: int = 300) -> CheckResult:
+def check_head_lengths(M: int) -> CheckResult:
     """Head agreement reaches 2^k (Newton) and 3^k (Halley) at p = 2."""
     bad = None
     samples = 0
@@ -844,17 +835,23 @@ def check_head_lengths(M: int = 300) -> CheckResult:
 # suite runner
 
 
-def _indices(name: str, n: Optional[int], n_max: int):
-    """The indices of a per-n row, [n] or 1..n_max, refused past the row's cap before any build."""
-    _refuse_past_cap(name, n_max if n is None else n)
+def _indices(name: str, n: Optional[int], n_max: int, M: Optional[int] = None):
+    """A per-n row's indices, [n] or 1..n_max; past its cap or at M <= n, refused before a build."""
+    top = n_max if n is None else n
+    _refuse_past_cap(name, top)
+    if M is not None and M <= top:
+        raise BadIndex(f"{name} needs M > n, got M = {M} at n = {top}")
     return range(1, n_max + 1) if n is None else [n]
 
 
 def _disk_bound_rows(n_max, prec, k=None, scheme=None, grid=None):
     ks = {"v": range(2, min(n_max, 32) + 1), "newton": (2, 3, 4), "halley": (1, 2, 3)}
     grid = grid or DiskGrid(prec=prec)
-    return [check_disk_bound(Scheme(s, None if s == "v" else 2), i, grid)
+    rows = [(Scheme(s, None if s == "v" else 2), i)
             for s in ([scheme] if scheme else ks) for i in (ks[s] if k is None else [k])]
+    for row in rows:
+        _disk_bound_factor(*row)  # every row is admitted before the first runs
+    return [check_disk_bound(*row, grid) for row in rows]
 
 
 # The check table, in suite order: name -> rows(n_max, prec, **selectors).
@@ -868,7 +865,7 @@ CHECKS = {
     "head": lambda n_max, prec, n=None: [check_head(i) for i in _indices("head", n, n_max)],
     "tail-signs": lambda n_max, prec, n=None, M=None: [
         check_tail_signs(i, max(4 * n_max, i + 16) if M is None else M)
-        for i in _indices("tail-signs", n, n_max)],
+        for i in _indices("tail-signs", n, n_max, M)],
     "ratio-identity": lambda n_max, prec, n=None: [
         check_ratio_identity(i, prec=prec) for i in _indices("ratio-identity", n, n_max)[:32]],
     "value-at-one": lambda n_max, prec, n=None: [
@@ -895,4 +892,5 @@ def default_suite(n_max: int = 16, prec: int = DEFAULT_PREC) -> list[CheckResult
         raise BadIndex("the suite needs n_max >= 1")
     if n_max > min(MAX_RANGE_N.values()):
         raise CapExceeded(f"n_max = {n_max} exceeds the suite cap {min(MAX_RANGE_N.values())}")
+    _tail_cutoff(n_max, prec)  # the one row whose cap depends on prec, admitted before any row
     return [r for rows in CHECKS.values() for r in rows(n_max, prec)]

@@ -133,7 +133,7 @@ class TestZeroNodes:
             with workprec(PREC):
                 assert abs(horner(p, node)) < mpf(2) ** -(PREC - 12)
 
-    def test_node_property_via_cheb_poly(self):
+    def test_node_property_via_cheb_ints(self):
         tol = mpf(2) ** -(PREC - 12)
         for n in range(1, 65):
             u_n = _cheb_ints(ChebKind.SECOND, n)

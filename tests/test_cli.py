@@ -407,6 +407,16 @@ class TestDeterminismAndConfig:
         _, out2, _ = run_cli(capsys, "decompose", "--n", "2", "--format", "json")
         assert out1 == out2
 
+    @pytest.mark.parametrize("argv", [
+        ("--format", "json", "decompose", "--n", "2", "--p", "128"),
+        ("--pre", "128", "--form", "json", "decompose", "--n", "2"),
+    ])
+    def test_no_command_takes_abbreviations(self, argv):
+        # a prefix is no flag, before the subcommand or after it
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+
     def test_installed_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "chebsqrt.cli", "--format", "json",
@@ -512,6 +522,31 @@ def test_bad_input_is_usage_error(capsys, monkeypatch, argv):
 
     monkeypatch.setattr(verify, "v_iterate", no_work)
     monkeypatch.setattr(cli, "_random_disk_rationals", no_work)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    # the suite's tail-sum cutoff, the cap of every disk-bound row, tail-signs' M against
+    # its largest n, eval's point and coeffs' M are all refused before the first row or build
+    ("--prec", "4096", "verify", "--all"),
+    ("--prec", "1024", "verify", "--all"),
+    ("verify", "--check", "disk-bound", "--k", "12"),
+    ("verify", "--check", "disk-bound", "--k", "8"),
+    ("verify", "--check", "tail-signs", "--M", "10"),
+    ("eval", "--scheme", "newton", "--k", "12", "--at", "abc"),
+    ("eval", "--scheme", "halley", "--k", "7", "--at-re", "0.5", "--at-im", "x"),
+    ("coeffs", "--scheme", "newton", "--k", "12", "--M", "-1"),
+])
+def test_every_refusal_comes_before_any_work(capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the request was refused")
+
+    for owner, name in ((verify, "v_iterate"), (verify, "iterate"),
+                        (verify, "taylor_coefficients"), (verify, "decompose"),
+                        (verify, "_grid_errors"), (cli, "iterate")):
+        monkeypatch.setattr(owner, name, no_work)
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
