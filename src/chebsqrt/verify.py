@@ -6,8 +6,12 @@ at 1, tail signs, composition identities) are checked in exact arithmetic
 with zero tolerance; float statements carry tolerances expressed relative to
 the working precision (slack 2**-(prec - 16)) so the suite stays meaningful
 when the precision is raised.  Every float step runs at prec + GUARD_BITS,
-with the roots of 1 - z from ``sqrt_principal``; a float Horner on an
-iterate's pair adds its largest coefficient bit length (``_horner_bits``).
+with the roots of 1 - z from ``sqrt_principal``.  An iterate's integer pair
+(A, B) is evaluated at a float point by Horner on Gaussian integers in fixed
+point (``_FloatEvaluator``): the point is read exactly, each step floors
+once to W fractional bits, W = prec + GUARD_BITS plus the pair's largest
+coefficient bit length (``_horner_bits``), and A(z), B(z) and A(z)/B(z)
+each round once to the float precision.
 
 Checks are pure; the suite runner executes them in a fixed order and the
 JSON-lines output is deterministic.
@@ -192,31 +196,47 @@ def sqrt_principal(z, prec: int = DEFAULT_PREC):
         return +w
 
 
-def _horner(coeffs: list, z):
-    acc = z * 0
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
+def _fixed_horner(ints, x: int, y: int, s: int, work: int) -> tuple[int, int]:
+    """(ar, ai) with (ar + ai*i) / 2**work within sqrt(2)*sum_{j<d} |z|**j / 2**work of
+    P(z), z = (x + y*i) / 2**s, s >= 0, P of degree d with coefficients ``ints``: one floor a step."""
+    ar = ai = 0
+    for c in reversed(ints):
+        ar, ai = ((ar * x - ai * y) >> s) + (c << work), (ar * y + ai * x) >> s
+    return ar, ai
 
 
 class _FloatEvaluator:
-    """Evaluator of f = A/B, the stored pair pre-converted to floats (f at any scale)."""
+    """f = A/B at an mpc point, read exactly from its signed mantissas and exponents.
+
+    A(z) and B(z) run through ``_fixed_horner`` at ``workbits`` fractional
+    bits; they and their quotient round once each, at the caller's precision.
+    """
 
     def __init__(self, f: RationalFunction, workbits: int):
-        with workprec(workbits):
-            self.a, self.b = ([mpf(c) for c in ints] for ints in f.pair)
+        self.a, self.b = f.pair
+        self.work = workbits
 
     def __call__(self, z):
-        return _horner(self.a, z) / _horner(self.b, z)
+        (xs, xm, xe, _), (ys, ym, ye, _) = mpc(z)._mpc_
+        s = max(-xe, -ye, 0)  # a zero component, (0, 0, 0, 0), never raises it
+        x, y = (-xm if xs else xm) << (xe + s), (-ym if ys else ym) << (ye + s)
+        ar, ai = _fixed_horner(self.a, x, y, s, self.work)
+        br, bi = _fixed_horner(self.b, x, y, s, self.work)
+        return mpc(ar, ai) / mpc(br, bi)
 
 
 def _horner_bits(f: RationalFunction, prec: int) -> int:
-    """prec + GUARD_BITS plus f's largest pair coefficient bit length, about what Horner cancels."""
+    """prec + GUARD_BITS plus the pair's largest coefficient bit length L.
+
+    These are ``_FloatEvaluator``'s fractional bits: its absolute error on
+    A(z) and B(z) stays under 2**-(prec + GUARD_BITS) * |B(z)| wherever
+    |B(z)| >= 2**-L * sqrt(2)*sum_{j<d} |z|**j, far below B's coefficients.
+    """
     return prec + GUARD_BITS + max(abs(c).bit_length() for ints in f.pair for c in ints)
 
 
 def _grid_errors(f: RationalFunction, grid: DiskGrid) -> list:
-    """|f(z) - sqrt(1 - z)| at every grid sample, by float Horner at _horner_bits(f, grid.prec)."""
+    """|f(z) - sqrt(1 - z)| at every grid sample, by _FloatEvaluator at _horner_bits(f, grid.prec)."""
     work = _horner_bits(f, grid.prec)
     ev = _FloatEvaluator(f, work)
     with workprec(work):

@@ -55,7 +55,12 @@ def derivative(a):
 
 
 def horner(a, x):
-    """Value at x; works for Fraction, mpf, mpc or complex x."""
+    """Value at x; works for Fraction, mpf, mpc or complex x.
+
+    With mpf coefficients and an mpc x this is the float Horner that rounds
+    relative to its accumulator at every step, the oracle for the
+    fixed-point evaluator of ``chebsqrt.verify``.
+    """
     acc = x * 0
     for c in reversed(a):
         acc = acc * x + c

@@ -2,11 +2,14 @@
 
 import json
 import math
+import random
 from fractions import Fraction as F
 from itertools import accumulate
 
 import mpmath
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from mpmath import mpc, mpf, workprec
 
 from chebsqrt import (
@@ -15,6 +18,7 @@ from chebsqrt import (
     CapExceeded,
     DiskGrid,
     OnBranchCut,
+    PoleAtPoint,
     Polynomial,
     RationalFunction,
     Scheme,
@@ -46,9 +50,9 @@ from chebsqrt import (
     v_step,
 )
 from chebsqrt import cli, verify
-from chebsqrt.chebyshev import GUARD_BITS
-from chebsqrt.verify import _FloatEvaluator, _worst
-from oracles import mul
+from chebsqrt.chebyshev import DEFAULT_PREC, GUARD_BITS
+from chebsqrt.verify import _FloatEvaluator, _horner_bits, _worst
+from oracles import horner, mul
 
 PREC = 256
 
@@ -188,6 +192,74 @@ class TestExactChecks:
                 verify.CHECKS[name](16, PREC, n=cap)
 
 
+# integer coefficient lists of degree <= 40 and up to 200 bits, either sign
+_int_lists = st.lists(st.integers(-(2**200), 2**200), min_size=1, max_size=41)
+# dyadic components m / 2**e of modulus <= 1.4, so |z| < 2, or exactly zero
+_dyadics = st.one_of(
+    st.just(F(0)),
+    st.integers(0, 80).flatmap(
+        lambda e: st.integers(-(7 << e) // 5, (7 << e) // 5).map(lambda m: F(m, 2**e))),
+)
+
+
+def _exact_mpf(c: F):
+    """A dyadic Fraction as an mpf; exact at any precision above its bit length."""
+    return mpf(c.numerator) / c.denominator
+
+
+class TestFloatEvaluator:
+    @given(_int_lists, _int_lists.filter(any), _dyadics, _dyadics, st.sampled_from([53, 256]))
+    @example([3, -5, 7], [1, 2], F(3, 4), F(-5, 8), 53)  # mixed signs
+    @example([3, -5, 7], [1, 2], F(-3, 4), F(-5, 8), 53)  # both components negative
+    @example([3, -5, 7], [1, 2], F(-2), F(0), 53)  # positive exponent: z = -2
+    @example([3, -5, 7], [1, 2], F(0), F(2), 53)  # z = 2i
+    @example([3, -5, 7], [1, 2], F(0), F(0), 53)
+    @example([3, -5, 7], [1, 2], F(1, 2**80), F(-1), 53)  # exponents 80 apart
+    @settings(max_examples=150, deadline=None)
+    def test_within_the_fixed_point_bound(self, a, b, re, im, prec):
+        # Neither evaluator needs the pair coprime, so the trusted store skips the gcd.
+        # A(z) and B(z) are each within eps = sqrt(2)*sum_{j<d}|z|^j * 2^-W, so
+        # A/B within eps(1 + |f|)/(|B| - eps); the caller's precision W then
+        # rounds A, B and the quotient, at most 2^-W of |A/B| each.
+        f = RationalFunction._from_coprime(a, b)
+        a, b = f.pair
+        work = _horner_bits(f, prec)
+        try:
+            fr, fi = eval_ratfun_complex(f, re, im)
+        except PoleAtPoint:
+            assume(False)
+        br, bi = eval_ratfun_complex(RationalFunction._from_coprime(b, [1]), re, im)
+        with workprec(work):
+            got = _FloatEvaluator(f, work)(mpc(_exact_mpf(re), _exact_mpf(im)))
+        with workprec(2 * work + 64):
+            r = abs(mpc(_exact_mpf(re), _exact_mpf(im)))
+            fz = mpc(mpmath.mpmathify(fr), mpmath.mpmathify(fi))
+            babs = mpmath.sqrt(mpmath.mpmathify(br * br + bi * bi))
+            eps = mpmath.sqrt(2) * sum(r**j for j in range(max(len(a), len(b)) - 1)) / 2**work
+            assume(babs > 2 * eps)
+            err = eps * (1 + abs(fz)) / (babs - eps)
+            assert abs(got - fz) <= err + 4 * (abs(fz) + err) / mpf(2) ** work
+
+    def test_v128_bench_points_within_tolerance(self):
+        # at 288 fixed bits the float Horner this evaluator replaced missed 18
+        # of these 150 points by up to 2^39 times the tolerance
+        f = v_iterate(128)
+        work = DEFAULT_PREC + GUARD_BITS
+        ev = _FloatEvaluator(f, work)
+        a, b = ([mpf(c) for c in ints] for ints in f.pair)
+        tol = mpf(2) ** (16 - DEFAULT_PREC)
+        new_worst = old_worst = 0
+        for re, im in cli._random_disk_rationals(random.Random(1), 150):
+            with workprec(work):
+                z = mpc(_exact_mpf(re), _exact_mpf(im))
+                new, old = ev(z), horner(a, z) / horner(b, z)
+            with workprec(2 * work):
+                exact = mpc(*map(mpmath.mpmathify, eval_ratfun_complex(f, re, im)))
+                new_worst = max(new_worst, abs(new - exact))
+                old_worst = max(old_worst, abs(old - exact))
+        assert new_worst <= tol < old_worst
+
+
 class TestFloatChecks:
     def test_ratio_identity(self):
         for n in (0, 2, 5, 31):
@@ -208,9 +280,9 @@ class TestFloatChecks:
         assert check_disk_bound(Scheme.halley(2), 2, grid).status == "pass"
 
     def test_disk_bound_holds_at_large_k(self):
-        # v_n's pair coefficients reach about 1.25 n bits, so a Horner with a
-        # fixed guard cancels away every bit here: a division by zero at
-        # k = 512, excesses above 1 at k = 1024 and Newton k = 10
+        # v_n's pair coefficients reach about 1.25 n bits, so a float Horner
+        # with a fixed guard cancelled away every bit here: a division by zero
+        # at k = 512, excesses above 1 at k = 1024 and Newton k = 10
         grid = DiskGrid(1.0, 8, 4, PREC)
         for scheme, k in ((Scheme.v(), 512), (Scheme.v(), 1024), (Scheme.newton(2), 10)):
             assert check_disk_bound(scheme, k, grid).status == "pass"
