@@ -4,12 +4,13 @@ Scalars are `fractions.Fraction` throughout, so nothing in this module ever
 rounds.  The costly kernels work on integers internally: ``_convolve`` is
 the integer product that the Newton and Halley steps of ``iterates`` share;
 the gcd is the primitive remainder sequence on integer forms; the
-Taylor recurrence puts each window of earlier coefficients over one common
-denominator, so every new coefficient is an integer numerator reduced once;
-and evaluation at a rational or complex rational point runs Horner on
-Gaussian integers against powers of the point's common denominator,
-reducing only the final real and imaginary parts.  They convert back to
-`Fraction` exactly and never round either.  Floating point lives in the
+Taylor recurrence (``_taylor_scaled``) keeps each coefficient as an integer
+numerator over one common denominator, the lcm of the denominators so far,
+with one gcd per term, taken against the small constant B(0); and
+evaluation at a rational or complex rational point runs Horner on Gaussian
+integers against powers of the point's common denominator, reducing only
+the final real and imaginary parts.  They convert back to `Fraction`
+exactly and never round either.  Floating point lives in the
 closed-form and verification layers.
 
 ``_convolve`` is a Kronecker product: each coefficient list is packed into
@@ -38,6 +39,8 @@ polynomial serializes as a JSON array of such strings, index = power of z.
 from __future__ import annotations
 
 import math
+import operator
+from collections import deque
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -354,41 +357,54 @@ class RationalFunction:
 ONE_RF = RationalFunction._from_coprime([1], [1])
 
 
-def taylor_coefficients(f: RationalFunction, M: int) -> tuple[Fraction, ...]:
-    """Exact Taylor coefficients c_0..c_M of f at the origin.
+def _taylor_scaled(f: RationalFunction, M: int) -> tuple[list[int], list[int]]:
+    """Integers xs, Ds with c_m = xs[m] / Ds[m] the Taylor coefficients c_0..c_M of f.
 
-    Uses the linear recurrence c_m = (A_m - sum_{j>=1} B_j c_{m-j}) / B_0,
-    so the cost is O(M * deg den).  It runs on integers, on the stored pair
-    f = A/B.  For each m the window c_{m-1..m-d} (d = deg den) is put over
-    L, the lcm of its denominators -- almost
-    always the denominator of c_{m-1}, so the lcm is rarely computed -- and
-    the integer numerator A_m*L - sum_j B_j*num(c_{m-j})*(L/den(c_{m-j})) is
-    reduced once, as the Fraction over L*B_0.  That is one gcd per term.
+    Runs the recurrence c_m = (a_m - sum_{j>=1} b_j c_{m-j}) / b_0 on the
+    stored pair f = A/B: O(M * deg B) integer products.  The window
+    c_{m-d..m-1} (d = deg B) is kept as numerators w over one common
+    denominator D, so acc = a_m*D - sum_j b_j*w_{m-j} gives c_m = acc / (D*b_0).
+    The one gcd per term, g = gcd(acc, |b_0|), is against the small constant
+    b_0: the new numerator is sign(b_0)*acc/g, over D*u with u = |b_0|/g
+    coprime to acc/g.  When u > 1, D and the window are multiplied by u.
+
+    Invariant: D_m = lcm(den c_0..c_m), prime by prime -- a prime of u
+    divides den c_m to exactly its power in D*u, and every other prime of
+    den c_m divides D already.  So one path serves every b_0, with no fixed
+    scale to trust.  Ds[m] > 0, and xs[m] / Ds[m] need not be in lowest terms.
     """
     if M < 0:
         raise BadIndex("series cutoff must be >= 0")
     a, b = f.pair
-    if b[0] == 0:
-        raise NotAnalyticAtZero("denominator vanishes at 0")
     b0, d = b[0], len(b) - 1
-    nums: list[int] = []
-    dens: list[int] = []
-    cs: list[Fraction] = []
+    if b0 == 0:
+        raise NotAnalyticAtZero("denominator vanishes at 0")
+    r, sign, tail = abs(b0), 1 if b0 > 0 else -1, b[1:]
+    D = 1
+    window: deque[int] = deque(maxlen=d)  # numerators of c_{m-1}, c_{m-2}, ... over D
+    xs: list[int] = []
+    Ds: list[int] = []
     for m in range(M + 1):
-        lo = max(0, m - d)
-        window = dens[lo:m]
-        L = window[-1] if window else 1
-        for q in window:
-            if L % q:
-                L = math.lcm(L, q)
-        acc = a[m] * L if m < len(a) else 0
-        for j in range(1, m - lo + 1):
-            acc -= b[j] * nums[m - j] * (L // dens[m - j])
-        c = Fraction(acc, L * b0)
-        nums.append(c.numerator)
-        dens.append(c.denominator)
-        cs.append(c)
-    return tuple(cs)
+        acc = (a[m] * D if m < len(a) else 0) - sum(map(operator.mul, tail, window))
+        g = math.gcd(acc, r)
+        u = r // g
+        if u > 1:
+            D *= u
+            window = deque((w * u for w in window), maxlen=d)
+        x = acc // g * sign
+        window.appendleft(x)
+        xs.append(x)
+        Ds.append(D)
+    return xs, Ds
+
+
+def taylor_coefficients(f: RationalFunction, M: int) -> tuple[Fraction, ...]:
+    """Exact Taylor coefficients c_0..c_M of f at the origin.
+
+    The Fraction view of ``_taylor_scaled``: c_m = xs[m] / Ds[m], reduced
+    once each as it is built.
+    """
+    return tuple(map(Fraction, *_taylor_scaled(f, M)))
 
 
 def sqrt_series_coeff(m: int) -> Fraction:

@@ -40,6 +40,7 @@ from .errors import BadIndex, BadRootOrder, CapExceeded, OnBranchCut
 from .exact import (
     ONE_RF,
     RationalFunction,
+    _taylor_scaled,
     _times_one_minus_z,
     eval_ratfun_complex,
     root_series_coeffs,
@@ -57,9 +58,10 @@ MAX_MU_N = 100_000
 MAX_GRID_POINTS = 1024
 
 # Largest cutoff of tail-sum's exact partial sums.  The cutoff grows linearly
-# with the precision, and this is the power of two nearest a 5 s run: on a
-# shared 2-vCPU host --n-max 16 took 6.5-7.4 s at 800 bits (cutoff 8089) and
-# 14 s at 1024 bits (cutoff 10349).
+# with the precision.  This was the power of two nearest a 5 s run under the
+# Fraction recurrence (7-8 s at 800 bits); on the integer kernel, on a shared
+# 2-vCPU host, --n-max 16 takes 0.9-1.1 s at 800 bits (cutoff 8089) and
+# 1.0-1.1 s at 1024 bits (cutoff 10349, timed past the cap).
 MAX_TAIL_CUTOFF = 8192
 
 # Largest n_max of each v-range check, and largest n (or n_max) of the per-n
@@ -283,14 +285,14 @@ def check_tail_signs(n: int, M: int) -> CheckResult:
             skipped=True,
             note="polynomial iterate: tail coefficients are identically zero",
         )
-    cs = taylor_coefficients(f, M)
-    bad = next((m for m in range(n + 1, M + 1) if cs[m] >= 0), None)
+    xs, Ds = _taylor_scaled(f, M)  # c_m = xs[m] / Ds[m] with Ds[m] > 0
+    bad = next((m for m in range(n + 1, M + 1) if xs[m] >= 0), None)
     return CheckResult(
         name="tail-signs",
         params={"n": n, "M": M},
         passed=bad is None,
         samples=M - n,
-        worst_case=None if bad is None else {"m": bad, "value": str(cs[bad])},
+        worst_case=None if bad is None else {"m": bad, "value": str(Fraction(xs[bad], Ds[bad]))},
     )
 
 
@@ -691,6 +693,9 @@ def check_tail_sum(n_max: int, prec: int = DEFAULT_PREC) -> CheckResult:
     The partial sums come from the Taylor layer: coefficient m of
     A/((1 - z)B) is c_0 + ... + c_m for v_n = A/B, so the tail sum to m is
     sums[n] - sums[m].  The pair stays coprime, as A(1)/B(1) = 1/(n+1) != 0.
+    The sums stay integers, sums[m] = x_m / D_m with D_m > 0, so the
+    overshoot test sums[m] < floor = p/q is x_m*q < p*D_m; only floor, the
+    final gap and a reported overshoot are built as Fractions.
     """
     close_tol = Fraction(1, 2 ** (prec // 4))
     gaps, bad, samples = [], None, 0
@@ -705,14 +710,15 @@ def check_tail_sum(n_max: int, prec: int = DEFAULT_PREC) -> CheckResult:
         cutoff = _tail_cutoff(n, prec)
         a, b = f.pair
         running = RationalFunction._from_coprime(a, _times_one_minus_z(b))
-        sums = taylor_coefficients(running, cutoff)
-        floor = sums[n] - identity  # the tail sum to m overshoots when sums[m] < floor
-        m = next((m for m in range(n + 1, cutoff + 1) if sums[m] < floor), None)
+        xs, Ds = _taylor_scaled(running, cutoff)
+        floor = Fraction(xs[n], Ds[n]) - identity  # the tail sum to m overshoots below it
+        p, q = floor.numerator, floor.denominator
+        m = next((m for m in range(n + 1, cutoff + 1) if xs[m] * q < p * Ds[m]), None)
         samples += (m or cutoff) - n
         if m:
-            bad = {"n": n, "m": m, "overshoot": str(floor - sums[m])}
+            bad = {"n": n, "m": m, "overshoot": str(floor - Fraction(xs[m], Ds[m]))}
             break
-        gaps.append((sums[cutoff] - floor, n))
+        gaps.append((Fraction(xs[cutoff], Ds[cutoff]) - floor, n))
     worst_gap, worst = _worst(gaps)
     passed = bad is None and worst_gap <= close_tol
     return CheckResult(

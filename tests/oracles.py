@@ -7,6 +7,7 @@ chebsqrt: an oracle built on these functions shares no code with the
 kernels it checks.
 """
 
+from fractions import Fraction
 from itertools import zip_longest
 
 
@@ -65,3 +66,18 @@ def horner(a, x):
     for c in reversed(a):
         acc = acc * x + c
     return acc
+
+
+def taylor(a, b, M):
+    """Coefficients c_0..c_M of a/b at 0 as Fractions, b[0] != 0.
+
+    The plain recurrence c_m = (a_m - sum_{j>=1} b_j c_{m-j}) / b_0, one
+    Fraction reduction per operation; a and b hold ints or Fractions.
+    """
+    cs = []
+    for m in range(M + 1):
+        acc = Fraction(a[m]) if m < len(a) else Fraction(0)
+        for j in range(1, min(m, len(b) - 1) + 1):
+            acc -= b[j] * cs[m - j]
+        cs.append(acc / b[0])
+    return cs

@@ -529,7 +529,8 @@ def test_bad_input_is_usage_error(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("argv", [
     # the suite's tail-sum cutoff, the cap of every disk-bound row, tail-signs' M against
-    # its largest n, eval's point and coeffs' M are all refused before the first row or build
+    # its largest n, eval's point, coeffs' M and the tail-sum row's cutoff are all
+    # refused before the first row or build
     ("--prec", "4096", "verify", "--all"),
     ("--prec", "1024", "verify", "--all"),
     ("verify", "--check", "disk-bound", "--k", "12"),
@@ -538,13 +539,15 @@ def test_bad_input_is_usage_error(capsys, monkeypatch, argv):
     ("eval", "--scheme", "newton", "--k", "12", "--at", "abc"),
     ("eval", "--scheme", "halley", "--k", "7", "--at-re", "0.5", "--at-im", "x"),
     ("coeffs", "--scheme", "newton", "--k", "12", "--M", "-1"),
+    ("--prec", "1024", "verify", "--check", "tail-sum"),
 ])
 def test_every_refusal_comes_before_any_work(capsys, monkeypatch, argv):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the request was refused")
 
     for owner, name in ((verify, "v_iterate"), (verify, "iterate"),
-                        (verify, "taylor_coefficients"), (verify, "decompose"),
+                        (verify, "taylor_coefficients"), (verify, "_taylor_scaled"),
+                        (verify, "decompose"),
                         (verify, "_grid_errors"), (cli, "iterate")):
         monkeypatch.setattr(owner, name, no_work)
     code, _, err = run_cli(capsys, *argv)

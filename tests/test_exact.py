@@ -32,8 +32,8 @@ from chebsqrt import (
     v_step,
 )
 from chebsqrt.cli import _random_disk_rationals
-from chebsqrt.exact import _convolve, _int_gcd
-from oracles import mul, scale, strip
+from chebsqrt.exact import _convolve, _int_gcd, _taylor_scaled
+from oracles import mul, scale, strip, taylor
 from test_iterates import direct_v
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=12)
@@ -69,18 +69,6 @@ def monic(a):
     return scale(1 / a[-1], a)
 
 
-def naive_taylor(f, M):
-    """The plain Fraction recurrence c_m = (a_m - sum b_j c_{m-j}) / b_0."""
-    a, b = f.num.coeffs, f.den.coeffs
-    cs = []
-    for m in range(M + 1):
-        acc = a[m] if m < len(a) else F(0)
-        for j in range(1, min(m, len(b) - 1) + 1):
-            acc -= b[j] * cs[m - j]
-        cs.append(acc / b[0])
-    return cs
-
-
 def naive_eval_complex(coeffs, re, im):
     """Horner on Fractions at re + im*i, reducing after every multiply-add."""
     re, im = F(re), F(im)
@@ -104,6 +92,23 @@ def naive_ratfun_complex(num, den, re, im):
 den_constants = st.one_of(
     st.sampled_from([F(3), F(-7), F(-1), F(1, 3), F(-7, 12)]),
     wide_fractions.filter(lambda c: c != 0),
+)
+
+# stored pairs for the integer Taylor kernel: random ones, b_0 < 0 among them
+# and polynomials (d = 0, often cut below deg num), and the second Newton and
+# Halley iterates for p = 3..7, whose b_0 = +-p**e or +-(2p)**e brings odd primes
+kernel_functions = st.one_of(
+    st.builds(
+        lambda num, den0, rest: RationalFunction(Polynomial(num), Polynomial([den0, *rest])),
+        st.lists(wide_fractions, max_size=7),
+        den_constants,
+        st.lists(wide_fractions, max_size=4),
+    ),
+    st.builds(
+        lambda kind, p: iterate(Scheme(kind, p), 2),
+        st.sampled_from(["newton", "halley"]),
+        st.integers(3, 7),
+    ),
 )
 
 
@@ -384,7 +389,7 @@ class TestTaylor:
         # den_rest may be empty or all zero: then f is a polynomial, and M
         # often falls below deg num
         f = RationalFunction(Polynomial(num), Polynomial([den0, *den_rest]))
-        assert list(taylor_coefficients(f, M)) == naive_taylor(f, M)
+        assert list(taylor_coefficients(f, M)) == taylor(f.num.coeffs, f.den.coeffs, M)
 
     @given(
         st.lists(wide_fractions, min_size=1, max_size=6),
@@ -419,18 +424,30 @@ class TestTaylor:
     def test_matches_naive_recurrence_fixed(self, num, den):
         f = RationalFunction(Polynomial(num), Polynomial(den))
         for M in (0, 1, 2, 40):
-            assert list(taylor_coefficients(f, M)) == naive_taylor(f, M)
+            assert list(taylor_coefficients(f, M)) == taylor(f.num.coeffs, f.den.coeffs, M)
 
     def test_matches_naive_recurrence_v12_at_tail_sum_cutoff(self):
         radius = radius_of_convergence(12, 256)
         cutoff = 12 + int(math.ceil(128 / math.log2(float(radius))))
         f = v_iterate(12)
-        assert list(taylor_coefficients(f, cutoff)) == naive_taylor(f, cutoff)
+        assert list(taylor_coefficients(f, cutoff)) == taylor(f.num.coeffs, f.den.coeffs, cutoff)
 
     def test_matches_naive_recurrence_newton3_k4(self):
         f = iterate(Scheme.newton(3), 4)
         assert f.den.coeff(0).denominator > 1
-        assert list(taylor_coefficients(f, 512)) == naive_taylor(f, 512)
+        assert list(taylor_coefficients(f, 512)) == taylor(f.num.coeffs, f.den.coeffs, 512)
+
+    @given(kernel_functions, st.integers(0, 40))
+    @example(RationalFunction(Polynomial([1, F(2, 3), F(1, 5)]), Polynomial([-7, F(1, 2), 1])), 30)
+    @example(RationalFunction(Polynomial([F(1, 2), F(-2, 9), 0, F(11, 7)])), 2)
+    @example(iterate(Scheme.halley(7), 2), 40)
+    @settings(max_examples=150, deadline=None)
+    def test_scaled_kernel_matches_oracle_and_keeps_the_lcm(self, f, M):
+        # c_m = x_m / D_m with D_m = lcm(den c_0..c_m) exactly, not a multiple
+        xs, Ds = _taylor_scaled(f, M)
+        cs = taylor(f.num.coeffs, f.den.coeffs, M)
+        assert list(map(F, xs, Ds)) == cs
+        assert Ds == list(accumulate((c.denominator for c in cs), math.lcm))
 
     def test_partial_sums_converge_inside_radius(self):
         # reconstruction: resummation at x = 1/10 approaches the exact value

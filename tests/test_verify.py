@@ -51,8 +51,9 @@ from chebsqrt import (
 )
 from chebsqrt import cli, verify
 from chebsqrt.chebyshev import DEFAULT_PREC, GUARD_BITS
+from chebsqrt.exact import _taylor_scaled
 from chebsqrt.verify import _FloatEvaluator, _horner_bits, _worst
-from oracles import horner, mul
+from oracles import horner, mul, taylor
 
 PREC = 256
 
@@ -362,14 +363,14 @@ class TestFloatChecks:
         }
 
     def test_tail_sum_partial_sums_are_running_sums(self):
-        # the check reads its partial sums off A/((1 - z)B); at every n of the
-        # suite they must equal the running sums of v_n's own coefficients
+        # the check reads its partial sums x_m / D_m off A/((1 - z)B); at every
+        # n of the suite they must equal the running sums of the oracle series of v_n
         for n in range(2, 17):
             radius = radius_of_convergence(n, PREC)
             cutoff = n + int(math.ceil((PREC / 2) / math.log2(float(radius))))
             a, b = v_iterate(n).pair
-            sums = taylor_coefficients(RationalFunction._from_coprime(a, mul(b, [1, -1])), cutoff)
-            assert list(sums) == list(accumulate(taylor_coefficients(v_iterate(n), cutoff)))
+            xs, Ds = _taylor_scaled(RationalFunction._from_coprime(a, mul(b, [1, -1])), cutoff)
+            assert list(map(F, xs, Ds)) == list(accumulate(taylor(a, b, cutoff)))
 
     def test_tail_sum_overshoot_fires(self, monkeypatch):
         # a limit lowered by 2**-40 must be overshot by the partial sums at
