@@ -8,10 +8,15 @@ the working precision (slack 2**-(prec - 16)) so the suite stays meaningful
 when the precision is raised.  Every float step runs at prec + GUARD_BITS,
 with the roots of 1 - z from ``sqrt_principal``.  An iterate's integer pair
 (A, B) is evaluated at a float point by Horner on Gaussian integers in fixed
-point (``_FloatEvaluator``): the point is read exactly, each step floors
-once to W fractional bits, W = prec + GUARD_BITS plus the pair's largest
-coefficient bit length (``_horner_bits``), and A(z), B(z) and A(z)/B(z)
-each round once to the float precision.
+point (``_fixed_horner``): the point is read exactly (``_fixed_point``),
+each step floors once to W fractional bits, W = prec + GUARD_BITS plus the
+pair's largest coefficient bit length (``_horner_bits``).  The grid checks
+stay on integers after that: |A(z)/B(z) - w| against the grid's dyadic root
+w is formed exactly from the Horner values and rounds once, to an mpf at W
+bits (``_grid_errors``).  ``_FloatEvaluator`` returns A(z)/B(z) itself,
+A(z), B(z) and the quotient each rounded once to the caller's precision.
+The mu-bound scan runs on fixed-point integers with prec + GUARD_BITS
+fractional bits, and rounds only its worst value.
 
 Checks are pure; the suite runner executes them in a fixed order and the
 JSON-lines output is deterministic.
@@ -22,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from itertools import accumulate
 from fractions import Fraction
 from typing import Optional
 
@@ -53,6 +57,7 @@ SLACK_BITS = 16
 
 # Largest series index of a coefficient scan, n_max of the mu-bound scan (the
 # suite's is 10 000) and sample count of a DiskGrid (its default 8 x 16 is the suite's).
+# The mu-bound scan at its cap takes about 0.07 s on a shared 2-vCPU host.
 MAX_COEFF_INDEX = 4096
 MAX_MU_N = 100_000
 MAX_GRID_POINTS = 1024
@@ -153,7 +158,8 @@ class DiskGrid:
 
     radial rings at radii radius*i/radial (i = 1..radial) with angular
     equispaced angles each; the boundary ring and the angle-0 point
-    (z = radius) are included.
+    (z = radius) are included.  The samples, their exact fixed-point form
+    and their moduli are each built once per grid, on first use.
     """
 
     radius: float = 1.0
@@ -182,6 +188,18 @@ class DiskGrid:
         """(z, sqrt_principal(z)) for every point, the root at prec + GUARD_BITS."""
         return [(z, sqrt_principal(z, self.prec + GUARD_BITS)) for z in self.points()]
 
+    @cached_property
+    def fixed(self) -> list:
+        """((x, y, s), (wr, wi, t)) for every sample: z = (x + y*i) / 2**s and its
+        root (wr + wi*i) / 2**t, read exactly by ``_fixed_point``."""
+        return [(_fixed_point(z), _fixed_point(w)) for z, w in self.samples]
+
+    @cached_property
+    def moduli(self) -> list:
+        """abs(z) at prec + GUARD_BITS for every sample."""
+        with workprec(self.prec + GUARD_BITS):
+            return [abs(z) for z, _ in self.samples]
+
 
 def sqrt_principal(z, prec: int = DEFAULT_PREC):
     """Principal square root of 1 - z on the cut plane (cut along [1, +inf)).
@@ -207,8 +225,16 @@ def _fixed_horner(ints, x: int, y: int, s: int, work: int) -> tuple[int, int]:
     return ar, ai
 
 
+def _fixed_point(z) -> tuple[int, int, int]:
+    """(x, y, s) with z = (x + y*i) / 2**s exactly and s >= 0, read from the signed
+    mantissas and exponents of the mpc ``z._mpc_`` (``mpc(z)`` would round it)."""
+    (xs, xm, xe, _), (ys, ym, ye, _) = z._mpc_
+    s = max(-xe, -ye, 0)  # a zero component, (0, 0, 0, 0), never raises it
+    return (-xm if xs else xm) << (xe + s), (-ym if ys else ym) << (ye + s), s
+
+
 class _FloatEvaluator:
-    """f = A/B at an mpc point, read exactly from its signed mantissas and exponents.
+    """f = A/B at an mpc point, read exactly by ``_fixed_point``.
 
     A(z) and B(z) run through ``_fixed_horner`` at ``workbits`` fractional
     bits; they and their quotient round once each, at the caller's precision.
@@ -219,9 +245,7 @@ class _FloatEvaluator:
         self.work = workbits
 
     def __call__(self, z):
-        (xs, xm, xe, _), (ys, ym, ye, _) = mpc(z)._mpc_
-        s = max(-xe, -ye, 0)  # a zero component, (0, 0, 0, 0), never raises it
-        x, y = (-xm if xs else xm) << (xe + s), (-ym if ys else ym) << (ye + s)
+        x, y, s = _fixed_point(z)
         ar, ai = _fixed_horner(self.a, x, y, s, self.work)
         br, bi = _fixed_horner(self.b, x, y, s, self.work)
         return mpc(ar, ai) / mpc(br, bi)
@@ -238,11 +262,27 @@ def _horner_bits(f: RationalFunction, prec: int) -> int:
 
 
 def _grid_errors(f: RationalFunction, grid: DiskGrid) -> list:
-    """|f(z) - sqrt(1 - z)| at every grid sample, by _FloatEvaluator at _horner_bits(f, grid.prec)."""
+    """|f(z) - sqrt(1 - z)| at every grid sample, as mpfs at W = _horner_bits(f, grid.prec) bits.
+
+    A(z) and B(z) come from ``_fixed_horner`` at W fractional bits as Gaussian
+    integers a, b over 2**W, and the root from ``grid.fixed`` as
+    w = (wr + wi*i) / 2**t.  So a/b - w = E / (2**t * b) with the Gaussian
+    integer E = a*2**t - (wr + wi*i)*b, and |E|/|b| is one isqrt of a floored
+    quotient, carrying at least W + 8 bits.  The result is |a/b - w| rounded
+    once to W bits, within 2**-(W - 1) of it relatively; |b| = 0 raises
+    ZeroDivisionError.  No mpc is built, and one mpf per sample.
+    """
     work = _horner_bits(f, grid.prec)
-    ev = _FloatEvaluator(f, work)
-    with workprec(work):
-        return [abs(ev(z) - w) for z, w in grid.samples]
+    a, b = f.pair
+    errs = []
+    for (x, y, s), (wr, wi, t) in grid.fixed:
+        ar, ai = _fixed_horner(a, x, y, s, work)
+        br, bi = _fixed_horner(b, x, y, s, work)
+        er, ei = (ar << t) - wr * br + wi * bi, (ai << t) - wr * bi - wi * br
+        e2, b2 = er * er + ei * ei, br * br + bi * bi
+        k = max(0, 2 * work + 18 - e2.bit_length() + b2.bit_length()) >> 1
+        errs.append(mpf((math.isqrt((e2 << 2 * k) // b2), -k - t), prec=work))
+    return errs
 
 
 # --------------------------------------------------------------------------
@@ -340,26 +380,35 @@ def check_composition() -> CheckResult:
 def check_mu_bound(n_max: int, prec: int = DEFAULT_PREC) -> CheckResult:
     """Numeric inequality C(2n,n)/4**n <= 1/sqrt(pi n) for n = 1..n_max.
 
-    Checked as pi * n * mu_n**2 < 1 with mu tracked by the float recurrence
-    mu_n = mu_{n-1} * (2n-1)/(2n); the accumulated rounding (~n ulps) is
-    hundreds of bits below the true margin of ~1/(4n).
+    Checked as pi * n * mu_n**2 < 1 on W-bit fixed-point integers,
+    W = prec + GUARD_BITS: mu_n = floor(mu_{n-1} * (2n-1) / (2n)) from
+    mu_0 = 2**W, against pi truncated to W fractional bits.  Each floor loses
+    under one unit of 2**-W, so mu_n is low by under n units and pi by under
+    one; for n <= MAX_MU_N the product is low by under 2**(28 - W) of itself,
+    hundreds of bits below the true margin of ~1/(4n).  The compare is
+    exact, and the worst value rounds once.
     """
     if n_max < 1:
         raise BadIndex("mu-bound check needs n_max >= 1")
     if n_max > MAX_MU_N:
         raise CapExceeded(f"n_max = {n_max} exceeds the mu-bound cap {MAX_MU_N}")
-    with workprec(prec + GUARD_BITS):
-        pi = +mpmath.pi
-        mus = accumulate(range(1, n_max + 1), lambda mu, n: mu * (2 * n - 1) / (2 * n),
-                         initial=mpf(1))
-        worst_val, worst = _worst((pi * n * mu * mu, n) for n, mu in enumerate(mus) if n)
-        passed = worst_val < 1
+    work = prec + GUARD_BITS
+
+    def n_mu_sq():  # n * mu_n**2 at 2W fractional bits
+        mu = 1 << work
+        for n in range(1, n_max + 1):
+            mu = mu * (2 * n - 1) // (2 * n)
+            yield n * mu * mu, n
+
+    worst_val, worst = _worst(n_mu_sq())  # pi > 0 keeps the argmax and its ties
+    with workprec(2 * work):
+        worst_val *= int(mpmath.ldexp(mpmath.pi, work))
     return CheckResult(
         name="mu-bound",
         params={"n_max": n_max},
-        passed=bool(passed),
+        passed=worst_val < 1 << 3 * work,
         samples=n_max,
-        worst_case={"n": worst, "pi_n_mu_sq": _nstr(worst_val)},
+        worst_case={"n": worst, "pi_n_mu_sq": _nstr(mpf((worst_val, -3 * work), prec=work))},
     )
 
 
@@ -423,7 +472,8 @@ def check_disk_bound(scheme: Scheme, k: int, grid: DiskGrid) -> CheckResult:
     tol = _slack(prec)
     with workprec(prec + GUARD_BITS):
         worst_excess, worst = _worst(
-            (err - factor * abs(z) ** power, z) for (z, _), err in zip(grid.samples, errs))
+            (err - factor * r ** power, z)
+            for (z, _), r, err in zip(grid.samples, grid.moduli, errs))
     return CheckResult(
         name="disk-bound",
         params={"scheme": str(scheme), "k": k, "radius": grid.radius,

@@ -1,14 +1,17 @@
-"""Schoolbook polynomial arithmetic for test oracles.
+"""Schoolbook polynomial arithmetic and mpf recurrences for test oracles.
 
 A polynomial is a plain coefficient sequence, index = power of z, of any
 number type (int, Fraction, mpf).  Every list result carries no trailing
 zeros, so equal polynomials compare equal as lists.  Nothing here imports
 chebsqrt: an oracle built on these functions shares no code with the
-kernels it checks.
+kernels it checks (``grid_errors`` takes its evaluator as an argument).
 """
 
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
+
+import mpmath
+from mpmath import mpf, workprec
 
 
 def strip(a):
@@ -81,3 +84,25 @@ def taylor(a, b, M):
             acc -= b[j] * cs[m - j]
         cs.append(acc / b[0])
     return cs
+
+
+def grid_errors(ev, samples, work):
+    """abs(ev(z) - w) for every (z, w) in samples, all at ``work`` bits.
+
+    With ev a ``chebsqrt.verify._FloatEvaluator`` this is the mpc path the
+    integer grid errors replaced: A(z), B(z), their quotient, the difference
+    and its modulus each round once.
+    """
+    with workprec(work):
+        return [abs(ev(z) - w) for z, w in samples]
+
+
+def mu_bound_worst(n_max, work):
+    """The first largest (pi*n*mu_n**2, n), n = 1..n_max, by the mpf recurrence
+    mu_n = mu_(n-1) * (2n - 1) / (2n) from mu_0 = 1, every step at ``work`` bits."""
+    with workprec(work):
+        pi = +mpmath.pi
+        mus = accumulate(range(1, n_max + 1), lambda mu, n: mu * (2 * n - 1) / (2 * n),
+                         initial=mpf(1))
+        return max(((pi * n * mu * mu, n) for n, mu in enumerate(mus) if n),
+                   key=lambda sample: sample[0])

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction as F
 from itertools import accumulate
+from types import SimpleNamespace
 
 import mpmath
 import pytest
@@ -52,8 +53,15 @@ from chebsqrt import (
 from chebsqrt import cli, verify
 from chebsqrt.chebyshev import DEFAULT_PREC, GUARD_BITS
 from chebsqrt.exact import _taylor_scaled
-from chebsqrt.verify import _FloatEvaluator, _horner_bits, _worst
-from oracles import horner, mul, taylor
+from chebsqrt.verify import (
+    _fixed_horner,
+    _fixed_point,
+    _FloatEvaluator,
+    _grid_errors,
+    _horner_bits,
+    _worst,
+)
+from oracles import grid_errors, horner, mu_bound_worst, mul, taylor
 
 PREC = 256
 
@@ -111,6 +119,15 @@ class TestDiskGrid:
         grid = DiskGrid(0.9, 2, 4, PREC)
         assert grid.samples is grid.samples
         assert grid.samples == [(z, sqrt_principal(z, PREC + GUARD_BITS)) for z in grid.points()]
+
+    def test_fixed_form_and_moduli_are_the_samples_exactly(self):
+        grid = DiskGrid(0.9, 2, 4, PREC)
+        assert grid.fixed is grid.fixed and grid.moduli is grid.moduli
+        with workprec(4 * PREC):
+            for (z, w), ((x, y, s), (wr, wi, t)) in zip(grid.samples, grid.fixed):
+                assert mpc(x, y) / 2**s == z and mpc(wr, wi) / 2**t == w
+        with workprec(PREC + GUARD_BITS):
+            assert grid.moduli == [abs(z) for z, _ in grid.samples]
 
 
 class TestExactChecks:
@@ -261,6 +278,76 @@ class TestFloatEvaluator:
         assert new_worst <= tol < old_worst
 
 
+def _gaussian_abs_sq(re, im):
+    return re * re + im * im
+
+
+class TestGridErrors:
+    @given(_int_lists, _int_lists.filter(any), _dyadics, _dyadics, _dyadics, _dyadics,
+           st.sampled_from([53, 256]))
+    @example([3, -5, 7], [1, 2], F(1), F(0), F(0), F(0), 53)  # z = 1, w = 0
+    @example([1, -1], [1], F(1), F(0), F(0), F(0), 256)  # f(1) = w = 0: E = 0
+    @example([3, -5, 7], [1, 2], F(0), F(-1, 2), F(3, 4), F(0), 53)  # zero components
+    @example([3, -5, 7], [1, 2], F(3, 4), F(-5, 8), F(1, 2**300), F(-3, 4), 256)  # 300 apart
+    @example([3, -5, 7], [1, 2], F(-5, 8), F(1, 2**80), F(-7, 8), F(1, 2**200), 53)
+    @settings(max_examples=150, deadline=None)
+    def test_within_the_stated_bound(self, a, b, re, im, wr, wi, prec):
+        # The root w = wr + wi*i is any dyadic point.  The result is |a/b - w|
+        # for the Horner values a, b, rounded once: within 2^-(W - 1) of it.
+        # Against the exact |f(z) - w| it adds the Horner error of
+        # TestFloatEvaluator, eps(1 + |f|)/(|B| - eps).
+        f = RationalFunction._from_coprime(a, b)
+        a, b = f.pair
+        work = _horner_bits(f, prec)
+        try:
+            fr, fi = eval_ratfun_complex(f, re, im)
+        except PoleAtPoint:
+            assume(False)
+        br, bi = eval_ratfun_complex(RationalFunction._from_coprime(b, [1]), re, im)
+        with workprec(work):
+            z, w = mpc(_exact_mpf(re), _exact_mpf(im)), mpc(_exact_mpf(wr), _exact_mpf(wi))
+        (x, y, s), fixed_w = _fixed_point(z), _fixed_point(w)
+        har, hai = _fixed_horner(a, x, y, s, work)
+        hbr, hbi = _fixed_horner(b, x, y, s, work)
+        hb2 = _gaussian_abs_sq(hbr, hbi)
+        with workprec(2 * work + 64):
+            r = abs(z)
+            babs = mpmath.sqrt(mpmath.mpmathify(_gaussian_abs_sq(br, bi)))
+            eps = mpmath.sqrt(2) * sum(r**j for j in range(max(len(a), len(b)) - 1)) / 2**work
+            assume(babs > 2 * eps and hb2 > 0)
+            horner_err = eps * (1 + mpmath.sqrt(mpmath.mpmathify(_gaussian_abs_sq(fr, fi))))
+            horner_err /= babs - eps
+            exact = mpmath.sqrt(mpmath.mpmathify(_gaussian_abs_sq(fr - wr, fi - wi)))
+            # a/b = (har + hai*i)/(hbr + hbi*i), both over 2^work, as exact Fractions
+            qr, qi = F(har * hbr + hai * hbi, hb2), F(hai * hbr - har * hbi, hb2)
+            tight = mpmath.sqrt(mpmath.mpmathify(_gaussian_abs_sq(qr - wr, qi - wi)))
+        [got] = _grid_errors(f, SimpleNamespace(prec=prec, fixed=[((x, y, s), fixed_w)]))
+        assert mpmath.libmp.bitcount(int(got.man)) <= work
+        with workprec(2 * work + 64):
+            assert abs(got - tight) <= tight * 2 ** (1 - work)
+            assert abs(got - exact) <= horner_err + (exact + horner_err) * 2 ** (1 - work)
+
+    @pytest.mark.parametrize("radius, n_max", [(1.0, 33), (0.9, 17)])
+    def test_suite_grids_print_as_the_mpc_path(self, radius, n_max):
+        # the suite's grids print the same 17 digits as the mpc oracle, which
+        # rounds five times at W bits
+        grid = DiskGrid(radius, prec=PREC)
+        for n in range(1, n_max + 1):
+            f = v_iterate(n)
+            work = _horner_bits(f, PREC)
+            want = grid_errors(_FloatEvaluator(f, work), grid.samples, work)
+            assert [mpmath.nstr(e, 17) for e in _grid_errors(f, grid)] == [
+                mpmath.nstr(e, 17) for e in want], n
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 1000, 10_000, 100_000])
+def test_mu_bound_matches_the_mpf_recurrence(n_max):
+    worst_val, worst = mu_bound_worst(n_max, PREC + GUARD_BITS)
+    r = check_mu_bound(n_max, PREC)
+    assert r.status == ("pass" if worst_val < 1 else "fail")
+    assert r.worst_case == {"n": worst, "pi_n_mu_sq": mpmath.nstr(worst_val, 17)}
+
+
 class TestFloatChecks:
     def test_ratio_identity(self):
         for n in (0, 2, 5, 31):
@@ -283,10 +370,14 @@ class TestFloatChecks:
     def test_disk_bound_holds_at_large_k(self):
         # v_n's pair coefficients reach about 1.25 n bits, so a float Horner
         # with a fixed guard cancelled away every bit here: a division by zero
-        # at k = 512, excesses above 1 at k = 1024 and Newton k = 10
+        # at k = 512, excesses above 1 at k = 1024 and Newton k = 10.  The
+        # pinned worst cases are the bytes of the mpc oracle oracles.grid_errors
         grid = DiskGrid(1.0, 8, 4, PREC)
+        pinned = {"z": "(0.0 + 0.625j)", "excess": "1.6480142102576706e-87",
+                  "slack": "5.6597994242666952e-73"}
         for scheme, k in ((Scheme.v(), 512), (Scheme.v(), 1024), (Scheme.newton(2), 10)):
-            assert check_disk_bound(scheme, k, grid).status == "pass"
+            r = check_disk_bound(scheme, k, grid)
+            assert r.status == "pass" and r.worst_case == pinned
         # the error at |z| = 1/8 is about 2^-387, so what remains is the
         # root's rounding at prec + GUARD_BITS, far under the 2^-(prec - 16) slack
         excess = mpf(check_disk_bound(Scheme.v(), 128, grid).worst_case["excess"])
