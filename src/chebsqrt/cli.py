@@ -422,10 +422,11 @@ def main(argv=None) -> int:
             raise ChebsqrtError(f"precision must be between 64 and {MAX_PREC} bits")
         if args.format == "csv" and args.command in ("eval", "verify", "explore-guo"):
             raise ChebsqrtError(f"{args.command} has no CSV form; use --format json or human")
-        if args.command == "eval" and args.at is None and (
-            args.at_re is None or args.at_im is None
-        ):
-            raise ChebsqrtError("eval needs --at or both --at-re and --at-im")
+        if args.command == "eval":
+            if args.at is not None and (args.at_re is not None or args.at_im is not None):
+                raise ChebsqrtError("eval takes --at or --at-re and --at-im, not both")
+            if args.at is None and (args.at_re is None or args.at_im is None):
+                raise ChebsqrtError("eval needs --at or both --at-re and --at-im")
         return args.func(args)
     except ChebsqrtError as exc:
         print(f"error: {exc}", file=sys.stderr)

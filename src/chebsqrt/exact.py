@@ -28,8 +28,14 @@ public API.  ``_store`` is the pair's only writer.  The iterates divide
 out the one factor their lemma names and call the trusted
 ``_from_coprime``, as does unpickling; only the general constructor cancels
 on integer lists (``_cancel``: the primitive gcd ``_int_gcd``, then integer
-exact division by ``_exact_quotient``).  Neither class carries arithmetic operators: a
-``Polynomial`` is only the view that printing, JSON and ``==`` read.
+exact division by ``_exact_quotient``).  The joint content is not a gcd of
+every coefficient either: each caller names a number that every prime of
+the content divides (1 where its lemma proves the content 1), and
+``_store`` scans only against that number, so a content of 1 costs at most
+a few small gcds and divides no coefficient.  The general constructor and
+unpickling name 0, which every prime divides, and get the full gcd.
+Neither class carries arithmetic operators: a ``Polynomial`` is only the
+view that printing, JSON and ``==`` read.
 
 Wire format: a rational scalar serializes as ``"p/q"`` in base 10 (``"p"``
 when the denominator is 1, which is what ``str(Fraction)`` produces); a
@@ -42,6 +48,7 @@ import math
 import operator
 from collections import deque
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -288,23 +295,51 @@ class RationalFunction:
         self._store(*_cancel([c * db for c in a], [c * da for c in b]))
 
     @classmethod
-    def _from_coprime(cls, num: Sequence[int], den: Sequence[int]) -> "RationalFunction":
-        """Trusted constructor from integer lists the caller proves coprime over Q: no gcd."""
+    def _from_coprime(cls, num: Sequence[int], den: Sequence[int],
+                      primes_of: int = 0) -> "RationalFunction":
+        """Trusted constructor from integer lists the caller proves coprime over Q.
+
+        No polynomial gcd runs.
+
+        Every prime of the lists' joint content divides ``primes_of``: 1 where
+        the caller's lemma proves the content 1, p - 1 for the Newton and
+        Halley steps, and 0 (which every prime divides) where no lemma
+        covers the pair, as for unpickling.
+        """
         self = object.__new__(cls)
-        self._store(num, den)
+        self._store(num, den, primes_of)
         return self
 
-    def _store(self, num: Sequence[int], den: Sequence[int]) -> None:
-        """Set the pair from integer lists coprime over Q: stripped, primitive, lead of den > 0."""
+    def _store(self, num: Sequence[int], den: Sequence[int], primes_of: int = 0) -> None:
+        """Set the pair from integer lists coprime over Q: stripped, primitive, lead of den > 0.
+
+        The joint content g is found by a scan.  Every prime of g divides
+        r = ``primes_of``, so a pass replaces r by gcd(r, c) along the
+        coefficients and stops at the first c that shares no prime with r:
+        then g = 1.  A pass that ends with r > 1 has found a divisor of g
+        that every prime of g divides, so the lists are divided by r and the
+        next pass starts from r.  r = 1 runs no pass and stores the lists
+        undivided; r = 0 makes the first pass the gcd of all coefficients.
+        """
         num, den = _stripped(num), _stripped(den)
-        g = math.gcd(*num, *den) * (1 if den[-1] > 0 else -1)
-        object.__setattr__(self, "pair", (tuple(c // g for c in num), tuple(c // g for c in den)))
+        if den[-1] < 0:
+            num, den = [-c for c in num], [-c for c in den]
+        r = primes_of
+        while r != 1:
+            for c in chain(num, den):
+                r = math.gcd(r, c)
+                if r == 1:
+                    break
+            else:
+                num, den = [c // r for c in num], [c // r for c in den]
+        object.__setattr__(self, "pair", (tuple(num), tuple(den)))
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
 
     def __reduce__(self):
-        # the stored pair is already coprime, so copy and pickle skip the gcd
+        # the stored pair is already coprime, so copy and pickle skip the polynomial
+        # gcd; with no lemma named, the store takes the content by its full rule
         return (RationalFunction._from_coprime, self.pair)
 
     @property
@@ -354,7 +389,7 @@ class RationalFunction:
         return f"({self.num}) / ({self.den})"
 
 
-ONE_RF = RationalFunction._from_coprime([1], [1])
+ONE_RF = RationalFunction._from_coprime([1], [1], 1)
 
 
 def _taylor_scaled(f: RationalFunction, M: int) -> tuple[list[int], list[int]]:

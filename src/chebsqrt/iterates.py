@@ -11,9 +11,12 @@ Kronecker product (``exact._convolve``: one big-integer multiply per
 polynomial product).  Since gcd(A, B) = 1, each step's lemma names the one
 factor the new pair can share -- z if D(0) = 0 for the v step, 1 - z if
 A(1) = 0 for Newton and Halley -- and that lemma is the only path: the step
-divides the factor out and runs no gcd, whatever its input.  Then
-``RationalFunction._from_coprime`` only strips trailing zeros, divides out
-the joint content and fixes the sign of the denominator's lead.  The v step
+divides the factor out and runs no gcd, whatever its input.  The joint
+content has a lemma too: it is 1 for ``v_iterate`` and the v step, and
+every prime of it divides p - 1 for Newton and Halley (none at p = 2).
+``RationalFunction._from_coprime`` takes that number, scans only for
+those primes, strips trailing zeros and fixes the sign of the
+denominator's lead; a content of 1 divides no coefficient.  The v step
 stays as an independent construction of v_n.  Canonical form is what makes
 the composition identities -- the k-th Newton iterate equals the
 (2^k - 1)-th linear-fraction iterate, the k-th Halley iterate the
@@ -106,11 +109,16 @@ def _power(a: list[int], p: int) -> list[int]:
     return out
 
 
-def _over_one_minus_z(num: list[int], den: list[int], a: list[int]) -> RationalFunction:
-    """N/D of a Newton or Halley step from f = A/B; by its lemma gcd(N, D) is 1 - z iff A(1) = 0."""
+def _over_one_minus_z(num: list[int], den: list[int], a: list[int], p: int) -> RationalFunction:
+    """N/D of a Newton or Halley step from f = A/B for x**p = 1 - z.
+
+    By the step's lemma gcd(N, D) is 1 - z iff A(1) = 0, and every prime of
+    the joint content divides p - 1.  Dividing by 1 - z keeps the content:
+    1 - z is primitive, and by Gauss's lemma contents multiply.
+    """
     if not sum(a):
         num, den = _exact_quotient(num, [1, -1]), _exact_quotient(den, [1, -1])
-    return RationalFunction._from_coprime(num, den)
+    return RationalFunction._from_coprime(num, den, p - 1)
 
 
 def v_step(f: RationalFunction) -> RationalFunction:
@@ -121,6 +129,11 @@ def v_step(f: RationalFunction) -> RationalFunction:
     gcd(N, D) = gcd(z, D): z when D(0) = 0, and then N(0) = 0 too, so the
     step divides both by z; else 1.  No gcd runs, whatever the input.  Along
     the chain from 1, D(0) = 2B(0) != 0.
+
+    The joint content is 1: a prime dividing every coefficient of N and D
+    divides D - N = zB, so it divides B and then A = D - B, against the
+    joint content 1 of (A, B).  Dividing by z leaves the coefficients as
+    they are, so the store scans no prime.
     """
     a, b = f.pair
     den = [x + y for x, y in zip_longest(a, b, fillvalue=0)]
@@ -129,7 +142,7 @@ def v_step(f: RationalFunction) -> RationalFunction:
     num = [x - y for x, y in zip_longest(den, [0, *b], fillvalue=0)]
     if not den[0]:
         num, den = num[1:], den[1:]
-    return RationalFunction._from_coprime(num, den)
+    return RationalFunction._from_coprime(num, den, 1)
 
 
 def newton_step(f: RationalFunction, p: int = 2) -> RationalFunction:
@@ -141,6 +154,15 @@ def newton_step(f: RationalFunction, p: int = 2) -> RationalFunction:
     A(1) = 0; then B(1) != 0, so 1 - z divides A^p at least twice and N
     once.  So ``_over_one_minus_z`` divides out 1 - z when A(1) = 0, and no
     gcd runs.
+
+    Every prime q of the joint content divides p - 1.  Read N and D mod q
+    in F_q[z], where p A^(p-1) B = 0.  A = 0 mod q would leave
+    N = (1-z)B^p != 0, as (A, B) has joint content 1.  If B = 0 mod q,
+    N = (p-1)A^p vanishes only when q | p - 1.  Otherwise q | p, and then
+    A^p = G(z^q) and B^p = H(z^q) with H != 0 (Frobenius: c^q = c in F_q),
+    so N = -G(z^q) + (1-z)H(z^q) keeps the nonzero terms of -zH(z^q), at
+    exponents = 1 mod q: no such q.  At p = 2 the content is therefore 1;
+    Newton at p = 3 on f = 1/2 gives (10 - 8z)/6, content 2.
     """
     _check_root_order(p)
     a, b = f.pair
@@ -149,7 +171,7 @@ def newton_step(f: RationalFunction, p: int = 2) -> RationalFunction:
     ap1 = _power(a, p - 1)
     num = _scaled_sum(p - 1, _convolve(ap1, a), 1, _times_one_minus_z(_power(b, p)))
     den = [p * c for c in _convolve(ap1, b)]
-    return _over_one_minus_z(num, den, a)
+    return _over_one_minus_z(num, den, a, p)
 
 
 def halley_step(f: RationalFunction, p: int = 2) -> RationalFunction:
@@ -165,6 +187,15 @@ def halley_step(f: RationalFunction, p: int = 2) -> RationalFunction:
     which needs A(1) = 0; then B(1) != 0, so 1 - z divides P at least twice,
     W once and D = BY once.  So ``_over_one_minus_z`` divides out 1 - z when
     A(1) = 0, and no gcd runs; the zero function (A = 0, B = 1) goes to 0.
+
+    Every prime q of the joint content divides p - 1.  Mod q, A X = 0 and
+    B Y = 0 in F_q[z].  A = 0 leaves B != 0, so Y = (p-1)W = 0 and
+    q | p - 1; B = 0 likewise gives X = (p-1)P = 0 and q | p - 1.
+    Otherwise X = Y = 0, so 4pW = 0 and q | 2p.  A q | p is ruled out as
+    in ``newton_step``: X = -G(z^q) + (1-z)H(z^q) with P = G(z^q),
+    B^p = H(z^q), H != 0.  That leaves q = 2 with p odd, a prime of p - 1.
+    At odd p, X and Y are both even, so the content is at least 2: the
+    Halley iterates from 1 at p = 3 and p = 5 have content exactly 2.
     """
     _check_root_order(p)
     a, b = f.pair
@@ -174,7 +205,7 @@ def halley_step(f: RationalFunction, p: int = 2) -> RationalFunction:
     if not any(y):
         raise DegenerateStep("Halley step hit an identically-zero denominator")
     num = _convolve(a, _scaled_sum(p - 1, ap, p + 1, wbp))
-    return _over_one_minus_z(num, _convolve(b, y), a)
+    return _over_one_minus_z(num, _convolve(b, y), a, p)
 
 
 def capped_degree(scheme: Scheme, k: int) -> int:
@@ -211,13 +242,16 @@ def v_iterate(n: int) -> RationalFunction:
     the x^(N-2j) coefficient of T_N, and that of B the x^(N-1-2j)
     coefficient of U_(N-1).  Pell's identity T_N^2 - (x^2-1) U_(N-1)^2 = 1,
     multiplied by z^N, becomes A^2 - (1-z) B^2 = z^N, so gcd(A, B) divides
-    z^N; B(0) = 2^(N-1) != 0 rules out z, so A and B are coprime.
+    z^N; B(0) = 2^(N-1) != 0 rules out z, so A and B are coprime.  A prime
+    dividing every coefficient of A and B would have its square divide the
+    coefficients of z^N, so the joint content is 1 and the store scans no
+    prime.
     """
     capped_degree(Scheme.v(), n)
     N = n + 1
     num = _cheb_ints(ChebKind.FIRST, N)[N::-2]
     den = _cheb_ints(ChebKind.SECOND, N - 1)[N - 1 :: -2]
-    return RationalFunction._from_coprime(num, den)
+    return RationalFunction._from_coprime(num, den, 1)
 
 
 def iterate(scheme: Scheme, k: int) -> RationalFunction:

@@ -44,6 +44,7 @@ from .errors import BadIndex, BadRootOrder, CapExceeded, OnBranchCut
 from .exact import (
     ONE_RF,
     RationalFunction,
+    _gaussian_horner,
     _taylor_scaled,
     _times_one_minus_z,
     eval_ratfun_complex,
@@ -698,7 +699,10 @@ def check_radius_pole(n_max: int, prec: int = DEFAULT_PREC) -> CheckResult:
         for n, f in vs:
             radius = radius_of_convergence(n, prec)
             b = f.pair[1]  # B / lead(B), the monic denominator, evaluated exactly
-            yield abs(RationalFunction._from_coprime(b, b[-1:])(_mpf_to_fraction(radius))), n
+            x = _mpf_to_fraction(radius)
+            e = len(b) - 1
+            value, _ = _gaussian_horner(b, x.numerator, 0, x.denominator, e)
+            yield abs(Fraction(value, x.denominator**e * b[-1])), n
             pf = decompose(n, prec)
             with workprec(prec + GUARD_BITS):
                 if any(rho * radius > 1 + _slack(prec) for rho in pf.pole_params):
@@ -742,7 +746,8 @@ def check_tail_sum(n_max: int, prec: int = DEFAULT_PREC) -> CheckResult:
 
     The partial sums come from the Taylor layer: coefficient m of
     A/((1 - z)B) is c_0 + ... + c_m for v_n = A/B, so the tail sum to m is
-    sums[n] - sums[m].  The pair stays coprime, as A(1)/B(1) = 1/(n+1) != 0.
+    sums[n] - sums[m].  The pair stays coprime, as A(1)/B(1) = 1/(n+1) != 0,
+    and primitive: 1 - z is, and by Gauss's lemma contents multiply.
     The sums stay integers, sums[m] = x_m / D_m with D_m > 0, so the
     overshoot test sums[m] < floor = p/q is x_m*q < p*D_m; only floor, the
     final gap and a reported overshoot are built as Fractions.
@@ -759,7 +764,7 @@ def check_tail_sum(n_max: int, prec: int = DEFAULT_PREC) -> CheckResult:
             continue
         cutoff = _tail_cutoff(n, prec)
         a, b = f.pair
-        running = RationalFunction._from_coprime(a, _times_one_minus_z(b))
+        running = RationalFunction._from_coprime(a, _times_one_minus_z(b), 1)
         xs, Ds = _taylor_scaled(running, cutoff)
         floor = Fraction(xs[n], Ds[n]) - identity  # the tail sum to m overshoots below it
         p, q = floor.numerator, floor.denominator

@@ -6,10 +6,12 @@ import hashlib
 import inspect
 import io
 import json
+import os
 import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -426,6 +428,17 @@ class TestDeterminismAndConfig:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["n"] == 2
 
+    def test_package_runs_as_a_module(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "chebsqrt", "--format", "json",
+             "verify", "--check", "head", "--n", "2"],
+            capture_output=True, text=True, cwd=Path(__file__).resolve().parents[1],
+            env={**os.environ, "PYTHONPATH": "src"},
+        )
+        assert proc.returncode == 0
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["name"] == "head"
+
 
 @pytest.mark.parametrize("argv", [
     ("eval", "--scheme", "v", "--k", "2", "--at", "1/0"),
@@ -540,6 +553,8 @@ def test_bad_input_is_usage_error(capsys, monkeypatch, argv):
     ("eval", "--scheme", "halley", "--k", "7", "--at-re", "0.5", "--at-im", "x"),
     ("coeffs", "--scheme", "newton", "--k", "12", "--M", "-1"),
     ("--prec", "1024", "verify", "--check", "tail-sum"),
+    # a rational point and a complex one at once
+    ("eval", "--scheme", "v", "--k", "3", "--at", "1/2", "--at-re", "0.1", "--at-im", "0.9"),
 ])
 def test_every_refusal_comes_before_any_work(capsys, monkeypatch, argv):
     def no_work(*args, **kwargs):

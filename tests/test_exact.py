@@ -337,6 +337,25 @@ class TestRationalFunction:
             again = RationalFunction(g.num, g.den)
             assert again == g and hash(again) == hash(g)
 
+    @given(st.lists(int_coeffs, max_size=5),
+           st.lists(int_coeffs, min_size=1, max_size=4).filter(any),
+           st.sampled_from([1, 2, 3, 4, 6, 12, 30]), st.integers(0, 3), st.integers(0, 2))
+    @example([4, 8], [2], 2, 2, 0)  # content 4: the first pass of r = 2 leaves content 2
+    @example([9, 3, 0], [-6, 3, 0], 6, 1, 2)  # trailing zeros, lead of den negative
+    @settings(max_examples=150, deadline=None)
+    def test_store_finds_a_content_of_the_named_primes(self, num, den, r, e, e2):
+        # plant a content c whose primes all divide r on a pair of joint content 1;
+        # the scan against r stores what the full rule (r = 0) stores
+        g = math.gcd(*num, *den)
+        num, den = [x // g for x in num], [x // g for x in den]
+        c = r**e * min(q for q in (2, 3, 5) if r % q == 0) ** e2 if r > 1 else 1
+        want = RationalFunction._from_coprime(num, den)
+        assert want.pair[1][-1] > 0 and math.gcd(*want.pair[0], *want.pair[1]) == 1
+        for planted in ([x * c for x in num], [x * c for x in den]), ([-x * c for x in num],
+                                                                        [-x * c for x in den]):
+            assert RationalFunction._from_coprime(*planted, r) == want
+            assert RationalFunction._from_coprime(*planted) == want
+
 
 class TestTaylor:
     def test_fixture_series(self):

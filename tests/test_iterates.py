@@ -128,10 +128,35 @@ planted_functions = st.one_of(
 )
 
 
+def primes_divide(g, r):
+    """Every prime of g divides r (r = 0: any prime)."""
+    while (h := math.gcd(g, r)) > 1:
+        g //= h
+    return g == 1
+
+
+def handed_contents(build):
+    """build()'s result and the (joint content, primes_of) of each pair handed to the store."""
+    store, handed = exact.RationalFunction._store, []
+
+    def spy(self, num, den, primes_of=0):
+        handed.append((math.gcd(*num, *den), primes_of))
+        store(self, num, den, primes_of)
+
+    with mock.patch.object(exact.RationalFunction, "_store", spy):
+        return build(), handed
+
+
 def step_without_gcd(kind, f, p):
-    """The step with the general gcd patched to raise, around the step call only."""
+    """The step with the general gcd patched to raise, around the step call only.
+
+    Also checks the content lemma: every prime of the pair's joint content
+    divides the number the step hands to the store.
+    """
     with mock.patch.object(exact, "_int_gcd", side_effect=AssertionError("a step ran the gcd")):
-        return STEPS[kind](f, p)
+        got, handed = handed_contents(lambda: STEPS[kind](f, p))
+    assert all(primes_divide(g, r) for g, r in handed)
+    return got
 
 
 class TestStepKernels:
@@ -191,7 +216,12 @@ class TestStepKernels:
         assert got == RationalFunction(got.num, got.den)  # the general constructor's pair
 
     @given(st.one_of(canonical_functions, planted_functions), st.sampled_from(sorted(STEPS)),
-           st.sampled_from([2, 3, 4]))
+           st.integers(2, 7))
+    # step pairs of joint content 2, a prime of p - 1, which the store divides out
+    @example(RationalFunction(F(1, 2)), "newton", 3)
+    @example(ONE, "halley", 3)
+    @example(ONE, "halley", 5)
+    @example(RationalFunction(Polynomial([3, -2]), Polynomial([3, -1])), "halley", 3)  # from 1
     @settings(max_examples=150, deadline=None)
     def test_steps_never_run_the_gcd(self, f, kind, p):
         try:
@@ -200,6 +230,65 @@ class TestStepKernels:
             return
         assert got == naive_step(kind, f, p)
         assert got == RationalFunction(got.num, got.den)
+
+    @pytest.mark.parametrize("kind, f, p, k", [
+        pytest.param("newton", RationalFunction(F(1, 2)), 3, 1, id="newton-p3-half"),
+        pytest.param("halley", ONE, 3, 4, id="halley-p3-from-1"),
+        pytest.param("halley", ONE, 5, 3, id="halley-p5-from-1"),
+    ])
+    def test_step_content_is_two(self, kind, f, p, k):
+        # Newton at p = 3 on 1/2 hands (10 - 8z, 6) to the store; at odd p Halley's X
+        # and Y are even, and each step from 1 hands over content exactly 2
+        def build():
+            g = f
+            for _ in range(k):
+                g = STEPS[kind](g, p)
+            return g
+
+        got, handed = handed_contents(build)
+        assert handed == [(2, p - 1)] * k
+        assert got == RationalFunction(got.num, got.den)
+
+    def test_constructions_run_no_content_gcd(self, monkeypatch):
+        # the store's scan takes gcd(r, c) only for r dividing p - 1: none for the v chain,
+        # v_iterate and p = 2, gcd(2, c) at p = 3; a content-1 pair is stored undivided
+        class GcdAgainst:  # exact's math module, its gcd(r, c) limited to r | m
+            def __init__(self, m):
+                self.m = m
+
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def gcd(self, r, c):
+                if r == 0 or self.m % r:
+                    raise AssertionError(f"a content gcd ran against {r}")
+                return math.gcd(r, c)
+
+        store, handed = exact.RationalFunction._store, []
+
+        def spy(self, num, den, primes_of=0):
+            store(self, num, den, primes_of)
+            handed.append((list(num), list(den), self.pair))
+
+        chain = [v_iterate(0)]
+        monkeypatch.setattr(exact.RationalFunction, "_store", spy)
+        with mock.patch.object(exact, "math", GcdAgainst(1)):
+            for _ in range(80):
+                chain.append(v_step(chain[-1]))
+            v80, newton6, halley4 = (v_iterate(80), iterate(Scheme.newton(2), 6),
+                                     iterate(Scheme.halley(2), 4))
+        with mock.patch.object(exact, "math", GcdAgainst(2)):
+            p3 = iterate(Scheme.newton(3), 4), iterate(Scheme.halley(3), 3)
+        monkeypatch.undo()
+        assert chain[80] == v80 == halley4 and newton6 == chain[63]
+        assert coeff_tuples(v80) == direct_v(80)
+        assert all(f == RationalFunction(f.num, f.den) for f in p3)
+        undivided = 0
+        for num, den, (a, b) in handed:
+            if math.gcd(*num, *den) == 1 and b[-1] == den[len(b) - 1]:
+                assert all(x is y for x, y in zip(a + b, num[:len(a)] + den[:len(b)]))
+                undivided += 1
+        assert undivided > 40
 
 
 class TestSteps:
