@@ -23,7 +23,6 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mpc, mpf, workprec
-from mpmath.libmp import from_rational
 
 from .chebyshev import DEFAULT_PREC
 from .closedform import decompose, radius_of_convergence, tail_sum_identity
@@ -41,6 +40,7 @@ from .verify import (
     _FloatEvaluator,
     _horner_bits,
     _slack,
+    _to_mpf,
     default_suite,
     guo_explore,
 )
@@ -61,6 +61,11 @@ def _float_str(x, prec: int) -> str:
     if mpmath.isinf(x):
         return "inf"
     return mpmath.nstr(x, mpmath.libmp.prec_to_dps(prec) + 2)
+
+
+def _rounded(*xs: Fraction) -> list:
+    """Each x rounded once at the working precision, by ``verify._to_mpf``."""
+    return [_to_mpf(x.numerator, x.denominator) for x in xs]
 
 
 def _scheme_from(name: str, p: int | None) -> Scheme:
@@ -166,7 +171,7 @@ def cmd_eval(args) -> int:
     if args.at is not None:
         value = f(x)
         with workprec(prec):
-            approx = mpmath.mpmathify(value)
+            approx = _to_mpf(value.numerator, value.denominator)
         if args.format == "json":
             print(json.dumps({"scheme": str(scheme), "k": args.k, "at": str(x),
                               "exact": str(value), "decimal": _float_str(approx, prec)}))
@@ -175,7 +180,7 @@ def cmd_eval(args) -> int:
     else:
         value = eval_ratfun_complex(f, re, im)
         with workprec(prec):
-            val_re, val_im = (mpmath.mpmathify(part) for part in value)
+            val_re, val_im = _rounded(*value)
         if args.format == "json":
             print(json.dumps({"scheme": str(scheme), "k": args.k,
                               "at_re": args.at_re, "at_im": args.at_im,
@@ -263,11 +268,6 @@ def _random_disk_rationals(rng: random.Random, count: int, denom: int = 64):
     return pts
 
 
-def _to_mpf(x: Fraction):
-    """x at the working precision, bit for bit as mpmathify(x) without its gcd on the pair."""
-    return mpmath.mp.make_mpf(from_rational(x.numerator, x.denominator, mpmath.mp.prec))
-
-
 def cmd_bench(args) -> int:
     if args.n < 2:
         raise ChebsqrtError("bench needs n >= 2 (no decomposition terms below that)")
@@ -281,39 +281,25 @@ def cmd_bench(args) -> int:
     f = v_iterate(args.n)
     pf = decompose(args.n, prec)
     work = _horner_bits(f, prec)
-
-    t0 = time.perf_counter()
-    exact_vals = None
-    for _ in range(args.reps):
-        exact_vals = [eval_ratfun_complex(f, re, im) for re, im in pts]
-    t_exact = time.perf_counter() - t0
-
-    with workprec(work):
-        zs = [mpc(mpmath.mpmathify(re), mpmath.mpmathify(im)) for re, im in pts]
     ev = _FloatEvaluator(f, work)
-    t0 = time.perf_counter()
-    horner_vals = None
-    for _ in range(args.reps):
-        with workprec(work):
-            horner_vals = [ev(z) for z in zs]
-    t_horner = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    pf_vals = None
-    for _ in range(args.reps):
-        pf_vals = [pf.eval(z) for z in zs]
-    t_pf = time.perf_counter() - t0
-
-    with workprec(work):
-        refs = [mpc(_to_mpf(re), _to_mpf(im)) for re, im in exact_vals]
-        dev_horner = max(abs(a - b) for a, b in zip(horner_vals, refs))
-        dev_pf = max(abs(a - b) for a, b in zip(pf_vals, refs))
+    with workprec(work):  # pf.eval sets its own precision
+        zs = [mpc(*_rounded(*z)) for z in pts]
+        # the strategies in row order; the first is exact, the others' reference
+        strategies = {
+            "exact-horner": lambda: [eval_ratfun_complex(f, re, im) for re, im in pts],
+            "bigfloat-horner": lambda: [ev(z) for z in zs],
+            "partial-fraction": lambda: [pf.eval(z) for z in zs],
+        }
+        timed = []
+        for name, run in strategies.items():
+            t0 = time.perf_counter()
+            for _ in range(args.reps):
+                vals = run()
+            timed.append((name, time.perf_counter() - t0, vals))
+        refs = [mpc(*_rounded(*v)) for v in timed[0][2]]
+        rows = [(name, t, max(abs(a - b) for a, b in zip(vals, refs)) if i else mpf(0))
+                for i, (name, t, vals) in enumerate(timed)]
         tol = _slack(prec)
-    rows = [
-        ("exact-horner", t_exact, mpf(0)),
-        ("bigfloat-horner", t_horner, dev_horner),
-        ("partial-fraction", t_pf, dev_pf),
-    ]
     if args.format == "json":
         print(json.dumps({
             "n": args.n, "points": args.points, "reps": args.reps, "seed": args.seed,
@@ -329,7 +315,7 @@ def cmd_bench(args) -> int:
         print(f"bench: n={args.n} points={args.points} reps={args.reps} seed={args.seed}")
         for s, t, d in rows:
             print(f"  {s:<18} {t:10.4f} s   max deviation {_float_str(d, 53)}")
-    return 1 if max(dev_horner, dev_pf) > tol else 0
+    return 1 if max(d for _, _, d in rows) > tol else 0
 
 
 # --------------------------------------------------------------------------

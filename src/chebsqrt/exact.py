@@ -32,8 +32,9 @@ exact division by ``_exact_quotient``).  The joint content is not a gcd of
 every coefficient either: each caller names a number that every prime of
 the content divides (1 where its lemma proves the content 1), and
 ``_store`` scans only against that number, so a content of 1 costs at most
-a few small gcds and divides no coefficient.  The general constructor and
-unpickling name 0, which every prime divides, and get the full gcd.
+a few small gcds and divides no coefficient.  Copy and pickle name 1, as
+the stored pair is canonical.  The general constructor and older
+two-argument pickles name 0, which every prime divides, and get the full gcd.
 Neither class carries arithmetic operators: a ``Polynomial`` is only the
 view that printing, JSON and ``==`` read.
 
@@ -303,8 +304,9 @@ class RationalFunction:
 
         Every prime of the lists' joint content divides ``primes_of``: 1 where
         the caller's lemma proves the content 1, p - 1 for the Newton and
-        Halley steps, and 0 (which every prime divides) where no lemma
-        covers the pair, as for unpickling.
+        Halley steps, 1 for copy and pickle of a stored pair, and 0 (which
+        every prime divides) where no lemma covers the pair, as for older
+        two-argument pickles.
         """
         self = object.__new__(cls)
         self._store(num, den, primes_of)
@@ -338,9 +340,9 @@ class RationalFunction:
         raise AttributeError("RationalFunction is immutable")
 
     def __reduce__(self):
-        # the stored pair is already coprime, so copy and pickle skip the polynomial
-        # gcd; with no lemma named, the store takes the content by its full rule
-        return (RationalFunction._from_coprime, self.pair)
+        # the stored pair is canonical already, so copy and pickle name no prime of
+        # its content (1) and take neither gcd; older two-argument pickles name 0
+        return (RationalFunction._from_coprime, (*self.pair, 1))
 
     @property
     def num(self) -> Polynomial:

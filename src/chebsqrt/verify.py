@@ -16,7 +16,9 @@ w is formed exactly from the Horner values and rounds once, to an mpf at W
 bits (``_grid_errors``).  ``_FloatEvaluator`` returns A(z)/B(z) itself,
 A(z), B(z) and the quotient each rounded once to the caller's precision.
 The mu-bound scan runs on fixed-point integers with prec + GUARD_BITS
-fractional bits, and rounds only its worst value.
+fractional bits, and rounds only its worst value.  An exact value p/q
+becomes a float through one rounder, ``_to_mpf``, fed the integers of the
+exact kernels; ``_fixed_point`` is the one reader back.
 
 Checks are pure; the suite runner executes them in a fixed order and the
 JSON-lines output is deterministic.
@@ -32,6 +34,7 @@ from typing import Optional
 
 import mpmath
 from mpmath import mpc, mpf, workprec
+from mpmath.libmp import fzero, from_rational
 
 from .chebyshev import DEFAULT_PREC, GUARD_BITS
 from .closedform import (
@@ -45,9 +48,10 @@ from .exact import (
     ONE_RF,
     RationalFunction,
     _gaussian_horner,
+    _gaussian_point,
+    _ratfun_gaussian,
     _taylor_scaled,
     _times_one_minus_z,
-    eval_ratfun_complex,
     root_series_coeffs,
     sqrt_series_coeff,
     taylor_coefficients,
@@ -91,7 +95,8 @@ MAX_RANGE_N = {
 }
 
 # The p = 2 iterates of the composition and head-lengths checks (Newton
-# k = 1..4, Halley k = 1..3) and of the guo-p2 sign scan.
+# k = 1..4, Halley k = 1..3), and those of the guo-p2 sign scan and the
+# suite's Newton and Halley disk-bound rows.
 NEWTON_K_MAX, HALLEY_K_MAX = 4, 3
 GUO_NEWTON_KS, GUO_HALLEY_KS = (2, 3, 4), (1, 2, 3)
 
@@ -226,10 +231,17 @@ def _fixed_horner(ints, x: int, y: int, s: int, work: int) -> tuple[int, int]:
     return ar, ai
 
 
+def _to_mpf(p: int, q: int):
+    """p/q, q != 0, rounded once toward zero at the working precision: bit for
+    bit ``mpmathify(Fraction(p, q))``, without the gcd that reduces the pair."""
+    return mpmath.mp.make_mpf(from_rational(p, q, mpmath.mp.prec))
+
+
 def _fixed_point(z) -> tuple[int, int, int]:
     """(x, y, s) with z = (x + y*i) / 2**s exactly and s >= 0, read from the signed
-    mantissas and exponents of the mpc ``z._mpc_`` (``mpc(z)`` would round it)."""
-    (xs, xm, xe, _), (ys, ym, ye, _) = z._mpc_
+    mantissas and exponents of an mpc's ``_mpc_`` or of an mpf's ``_mpf_`` (then
+    y = 0); ``mpc(z)`` would round it."""
+    (xs, xm, xe, _), (ys, ym, ye, _) = z._mpc_ if isinstance(z, mpc) else (z._mpf_, fzero)
     s = max(-xe, -ye, 0)  # a zero component, (0, 0, 0, 0), never raises it
     return (-xm if xs else xm) << (xe + s), (-ym if ys else ym) << (ye + s), s
 
@@ -424,16 +436,18 @@ _RATIO_SAMPLES = (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4
 def check_ratio_identity(n: int, prec: int = DEFAULT_PREC) -> CheckResult:
     """(f(x) - w)/(f(x) + w) equals ((1 - w)/(1 + w))**(n+1), w = sqrt(1-x).
 
-    Sampled at the rational x of _RATIO_SAMPLES; the iterate value is exact, the
-    square root is a float, and agreement is required within 2**-(prec - 16).
+    Sampled at the rational x of _RATIO_SAMPLES; the iterate value is exact and
+    rounds once, the square root is a float, and agreement is required within
+    2**-(prec - 16).
     """
     f = v_iterate(n)
     tol = _slack(prec)
     with workprec(prec + GUARD_BITS):
 
         def error(x):
-            v = mpmath.mpmathify(f(x))
-            w = sqrt_principal(mpmath.mpmathify(x), prec + GUARD_BITS)
+            a, _, s = _ratfun_gaussian(f, x.numerator, 0, x.denominator)
+            v = _to_mpf(a, s)
+            w = sqrt_principal(_to_mpf(x.numerator, x.denominator), prec + GUARD_BITS)
             return abs((v - w) / (v + w) - ((1 - w) / (1 + w)) ** (n + 1))
 
         worst_err, worst = _worst((error(x), x) for x in _RATIO_SAMPLES)
@@ -611,23 +625,22 @@ def resummation_points():
 def check_resummation(n_max: int, prec: int = DEFAULT_PREC) -> CheckResult:
     """Partial-fraction evaluation equals the exact iterate on D(0, 0.9).
 
-    The reference values are exact rational evaluations (real points through
-    the rational-function call, complex points through exact complex Horner),
-    compared within 2**-(prec - 16).
+    The reference values are exact evaluations on Gaussian integers, each part
+    rounded once, compared within 2**-(prec - 16).
     """
     vs = _v_range("resummation", 2, n_max)
-    pts = resummation_points()
+    pts = [_gaussian_point(re, im) for re, im in resummation_points()]
     tol = _slack(prec)
+    with workprec(prec + GUARD_BITS):
+        zs = [mpc(_to_mpf(x, D), _to_mpf(y, D)) for x, y, D in pts]
 
     def samples():
         for n, f in vs:
             pf = decompose(n, prec)
             with workprec(prec + GUARD_BITS):
-                for re, im in pts:
-                    exact = eval_ratfun_complex(f, re, im)
-                    z = mpc(mpmath.mpmathify(re), mpmath.mpmathify(im))
-                    ref = mpc(mpmath.mpmathify(exact[0]), mpmath.mpmathify(exact[1]))
-                    yield abs(pf.eval(z) - ref), (n, z)
+                for point, z in zip(pts, zs):
+                    a, b, s = _ratfun_gaussian(f, *point)
+                    yield abs(pf.eval(z) - mpc(_to_mpf(a, s), _to_mpf(b, s))), (n, z)
 
     worst_err, worst = _worst(samples())
     return CheckResult(
@@ -653,13 +666,13 @@ def check_coeff_formula(n_max: int, prec: int = DEFAULT_PREC) -> CheckResult:
     def samples():
         nonlocal sign_bad
         for n, f in vs:
-            exact = taylor_coefficients(f, 4 * n)
+            xs, Ds = _taylor_scaled(f, 4 * n)
             closed = coeff_closed_range(n, 4 * n, prec)
             with workprec(prec + GUARD_BITS):
                 for m, got in enumerate(closed, start=1):
                     if got >= 0 and sign_bad is None:
                         sign_bad = (n, m)
-                    yield abs(got - mpmath.mpmathify(exact[m])), (n, m)
+                    yield abs(got - _to_mpf(xs[m], Ds[m])), (n, m)
 
     worst_err, worst = _worst(samples())
     return CheckResult(
@@ -675,11 +688,6 @@ def check_coeff_formula(n_max: int, prec: int = DEFAULT_PREC) -> CheckResult:
             "sign_violation": str(sign_bad) if sign_bad else None,
         },
     )
-
-
-def _mpf_to_fraction(x) -> Fraction:
-    num, den = mpmath.libmp.to_rational(x._mpf_)
-    return Fraction(int(num), int(den))
 
 
 def check_radius_pole(n_max: int, prec: int = DEFAULT_PREC) -> CheckResult:
@@ -699,10 +707,10 @@ def check_radius_pole(n_max: int, prec: int = DEFAULT_PREC) -> CheckResult:
         for n, f in vs:
             radius = radius_of_convergence(n, prec)
             b = f.pair[1]  # B / lead(B), the monic denominator, evaluated exactly
-            x = _mpf_to_fraction(radius)
+            x, _, s = _fixed_point(radius)  # radius = x / 2**s
             e = len(b) - 1
-            value, _ = _gaussian_horner(b, x.numerator, 0, x.denominator, e)
-            yield abs(Fraction(value, x.denominator**e * b[-1])), n
+            value, _ = _gaussian_horner(b, x, 0, 1 << s, e)
+            yield abs(Fraction(value, (1 << s * e) * b[-1])), n
             pf = decompose(n, prec)
             with workprec(prec + GUARD_BITS):
                 if any(rho * radius > 1 + _slack(prec) for rho in pf.pole_params):
@@ -926,7 +934,7 @@ def _indices(name: str, n: Optional[int], n_max: int, M: Optional[int] = None):
 
 
 def _disk_bound_rows(n_max, prec, k=None, scheme=None, grid=None):
-    ks = {"v": range(2, min(n_max, 32) + 1), "newton": (2, 3, 4), "halley": (1, 2, 3)}
+    ks = {"v": range(2, min(n_max, 32) + 1), "newton": GUO_NEWTON_KS, "halley": GUO_HALLEY_KS}
     grid = grid or DiskGrid(prec=prec)
     rows = [(Scheme(s, None if s == "v" else 2), i)
             for s in ([scheme] if scheme else ks) for i in (ks[s] if k is None else [k])]

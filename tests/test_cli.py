@@ -7,7 +7,6 @@ import inspect
 import io
 import json
 import os
-import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -17,8 +16,7 @@ import mpmath
 import pytest
 from mpmath import mpf, workprec
 
-from chebsqrt import cli, eval_ratfun_complex, v_iterate, verify
-from chebsqrt.chebyshev import GUARD_BITS
+from chebsqrt import cli, verify
 from chebsqrt.cli import MAX_BENCH_EVALS, MAX_PREC, main
 from chebsqrt.verify import CHECKS, MAX_RANGE_N
 from test_exact import naive_ratfun_complex
@@ -315,15 +313,6 @@ class TestBench:
         doc = json.loads(out)
         tol = float(doc["tolerance"])
         assert all(float(row["max_deviation"]) <= tol for row in doc["rows"])
-
-    def test_reference_conversion_matches_mpmathify(self):
-        # the direct from_rational call rounds exactly as mpmathify's mpq path does
-        f = v_iterate(64)
-        for re, im in cli._random_disk_rationals(random.Random(3), 20):
-            for x in eval_ratfun_complex(f, re, im):
-                for prec in (53, 256 + GUARD_BITS + 80):
-                    with workprec(prec):
-                        assert cli._to_mpf(x)._mpf_ == mpmath.mpmathify(x)._mpf_
 
     def test_deterministic_modulo_timing(self, capsys):
         _, out1, _ = run_cli(capsys, "--format", "json", "bench",

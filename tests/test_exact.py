@@ -6,6 +6,7 @@ from itertools import accumulate
 import pickle
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -247,7 +248,11 @@ class TestCopyAndPickle:
         f = build()
         monkeypatch.setattr(exact, "poly_gcd", no_gcd)
         monkeypatch.setattr(exact, "_int_gcd", no_gcd)
-        for twin in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        # nor a content gcd: the stored pair names no prime of its content
+        monkeypatch.setattr(exact, "math", SimpleNamespace(gcd=no_gcd))
+        twins = copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))
+        monkeypatch.undo()
+        for twin in twins:
             assert type(twin) is RationalFunction and twin == f
             assert twin.num.coeffs == f.num.coeffs and twin.den.coeffs == f.den.coeffs
 

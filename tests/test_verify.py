@@ -1,5 +1,6 @@
 """Check battery: principal root, grids, bounds, sign-pattern exploration."""
 
+import dataclasses
 import json
 import math
 import random
@@ -52,13 +53,14 @@ from chebsqrt import (
 )
 from chebsqrt import cli, verify
 from chebsqrt.chebyshev import DEFAULT_PREC, GUARD_BITS
-from chebsqrt.exact import _taylor_scaled
+from chebsqrt.exact import _gaussian_point, _ratfun_gaussian, _taylor_scaled
 from chebsqrt.verify import (
     _fixed_horner,
     _fixed_point,
     _FloatEvaluator,
     _grid_errors,
     _horner_bits,
+    _to_mpf,
     _worst,
 )
 from oracles import grid_errors, horner, mu_bound_worst, mul, taylor
@@ -208,6 +210,59 @@ class TestExactChecks:
             # the cap itself is admitted: the row goes on to build its iterate
             with pytest.raises(AssertionError, match="was built"):
                 verify.CHECKS[name](16, PREC, n=cap)
+
+
+class TestRounding:
+    def test_rounds_as_mpmathify_of_the_fraction(self):
+        # one rounding of p/q, reduced or not: the (a, s) and (b, s) of the
+        # Gaussian-integer kernel at the bench points, and a few fixed pairs
+        f = v_iterate(64)
+        pairs = [(6, 4), (-6, 4), (3, 2), (-3, 2), (-7, 1), (0, 5), (10**40 + 1, 3 * 10**40)]
+        for re, im in cli._random_disk_rationals(random.Random(3), 20):
+            a, b, s = _ratfun_gaussian(f, *_gaussian_point(re, im))
+            pairs += [(a, s), (b, s)]
+        assert any(math.gcd(p, q) > 1 for p, q in pairs[7:])  # the kernel's are unreduced
+        assert any(p < 0 for p, _ in pairs[7:])
+        for prec in (53, PREC + GUARD_BITS + 80):
+            with workprec(prec):
+                for p, q in pairs:
+                    assert _to_mpf(p, q)._mpf_ == mpmath.mpmathify(F(p, q))._mpf_, (p, q, prec)
+
+    @given(st.integers(-(2**400), 2**400), st.integers(-(2**400), 2**400).filter(bool),
+           st.sampled_from([53, PREC + GUARD_BITS + 80]))
+    @settings(max_examples=200, deadline=None)
+    def test_any_pair_either_sign(self, p, q, prec):
+        with workprec(prec):
+            assert _to_mpf(p, q)._mpf_ == mpmath.mpmathify(F(p, q))._mpf_
+
+    def test_fixed_point_reads_an_mpf_exactly(self):
+        for man, exp in [(0, 0), (1, 0), (-3, 5), (5, -7), (-(2**300 + 1), -400), (7, 300)]:
+            x, y, s = _fixed_point(mpf((man, exp), prec=301))
+            assert (F(x, 2**s), y) == (man * F(2) ** exp, 0) and s >= 0
+        for n in (2, 17, 128):
+            radius = radius_of_convergence(n, PREC)
+            x, _, s = _fixed_point(radius)
+            with workprec(4 * PREC):
+                assert mpf(x) / 2**s == radius
+
+    def test_no_fraction_reaches_mpmathify(self, monkeypatch):
+        # every Fraction rounds through _to_mpf, in the suite and in the CLI alike;
+        # mpmath's own conversions go through mp.convert, which mpmathify is bound to
+        def guard(real):
+            def convert(x, *args, **kwargs):
+                assert not isinstance(x, F), f"mpmathify received the Fraction {x}"
+                return real(x, *args, **kwargs)
+
+            return convert
+
+        monkeypatch.setattr(mpmath, "mpmathify", guard(mpmath.mpmathify))
+        monkeypatch.setattr(mpmath.mp, "convert", guard(mpmath.mp.convert))
+        assert all(r.status in ("pass", "skip") for r in default_suite(4, PREC))
+        for argv in (["eval", "--scheme", "v", "--k", "5", "--at", "1/3"],
+                     ["eval", "--scheme", "newton", "--k", "2", "--at-re", "0.3",
+                      "--at-im=-1/7"],
+                     ["bench", "--n", "16", "--points", "10"]):
+            assert cli.main(argv) == 0, argv
 
 
 # integer coefficient lists of degree <= 40 and up to 200 bits, either sign
@@ -613,3 +668,79 @@ def test_computations_read_only_the_pair(monkeypatch, capsys):
     with workprec(PREC):
         _FloatEvaluator(f, PREC)(mpc("0.25", "0.5"))
     assert cli.main(["bench", "--n", "8", "--points", "5"]) == 0
+
+
+class TestFailureBranches:
+    """Each row below is made to fail by one planted defect on verify's names."""
+
+    def test_monotone_improvement_fails_inside_and_warns_on_the_circle(self, monkeypatch):
+        # v_3 planted worse than v_2 at z = 1/8 and at z = 1: the inside point
+        # fails the check, reported at n = 2; the one on |z| = 1 only warns
+        grid = DiskGrid(1.0, prec=PREC)
+        planted = {0: mpf(2) ** -20, (grid.radial - 1) * grid.angular: mpf(1)}
+        assert [grid.samples[i][0] for i in planted] == [mpf(1) / 8, 1]
+
+        def errors(n, grid):
+            return [planted.get(i, mpf(0)) if n == 3 else mpf(0) for i in range(len(grid.samples))]
+
+        monkeypatch.setattr(verify, "v_iterate", lambda n: n)
+        monkeypatch.setattr(verify, "_grid_errors", errors)
+        r = check_monotone_improvement(4, 1.0, PREC)
+        assert r.status == "fail" and r.samples == 4 * 128
+        assert r.worst_case == {"n": 2, "z": "(0.125 + 0.0j)",
+                                "increase": "9.5367431640625e-7"}
+        assert r.note == "1 boundary warnings (|z| = 1 is not asserted)"
+
+    def test_coeff_formula_reports_a_sign_violation(self, monkeypatch):
+        # c_3 of v_2 turned positive in both the exact and the closed form: the
+        # two agree, so the errors and their worst case stay as they were
+        clean = check_coeff_formula(4, PREC)
+        taylor, closed = verify._taylor_scaled, verify.coeff_closed_range
+
+        def flipped_taylor(f, M):
+            xs, Ds = taylor(f, M)
+            return ([-x if (M, m) == (8, 3) else x for m, x in enumerate(xs)], Ds)
+
+        def flipped_closed(n, M, prec):
+            return [-c if (n, m) == (2, 3) else c for m, c in enumerate(closed(n, M, prec), 1)]
+
+        monkeypatch.setattr(verify, "_taylor_scaled", flipped_taylor)
+        monkeypatch.setattr(verify, "coeff_closed_range", flipped_closed)
+        r = check_coeff_formula(4, PREC)
+        assert clean.status == "pass" and r.status == "fail"
+        assert r.worst_case == {**clean.worst_case, "sign_violation": "(2, 3)"}
+
+    def test_radius_pole_reports_a_pole_inside_the_radius(self, monkeypatch):
+        # v_3's largest pole parameter raised by 2**-(prec - 18) of itself puts
+        # its pole inside the radius by more than the slack 2**-(prec - 16)
+        clean = check_radius_pole(4, PREC)
+        real = verify.decompose
+
+        def moved(n, prec):
+            pf = real(n, prec)
+            if n != 3:
+                return pf
+            with workprec(prec + GUARD_BITS):
+                rhos = [rho * (1 + mpf(2) ** (18 - prec)) if rho == max(pf.pole_params) else rho
+                        for rho in pf.pole_params]
+            return dataclasses.replace(pf, pole_params=tuple(rhos))
+
+        monkeypatch.setattr(verify, "decompose", moved)
+        r = check_radius_pole(4, PREC)
+        assert clean.status == "pass" and r.status == "fail"
+        assert r.worst_case == {**clean.worst_case, "pole_violation_at": 3}
+
+    def test_guo_rows_catch_one_flipped_sign(self, monkeypatch):
+        # c_5 of the Newton k = 3 iterate turned positive: guo-p2 reports it as
+        # the first sign violation, head-lengths as a head of 5 short of 2**3
+        target = iterate(Scheme.newton(2), 3)
+        real = verify.taylor_coefficients
+
+        def flipped(f, M):
+            return tuple(-c if f == target and m == 5 else c for m, c in enumerate(real(f, M)))
+
+        monkeypatch.setattr(verify, "taylor_coefficients", flipped)
+        guo, heads = check_guo_p2(64), check_head_lengths(64)
+        assert guo.status == "fail" and guo.worst_case == {"scheme": "newton", "k": 3, "m": 5}
+        assert heads.status == "fail"
+        assert heads.worst_case == {"scheme": "newton", "k": 3, "head": 5, "required": 8}
