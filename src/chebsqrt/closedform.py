@@ -28,7 +28,7 @@ from functools import cached_property
 
 import mpmath
 from mpmath import mpc, mpf, workprec
-from mpmath.libmp import fzero, to_fixed
+from mpmath.libmp import from_man_exp, fzero, round_nearest, to_fixed
 
 from .chebyshev import DEFAULT_PREC, GUARD_BITS, u_zero_nodes
 from .errors import BadIndex, ChebsqrtError, NearPole
@@ -66,10 +66,14 @@ class PartialFractionForm:
 
     @cached_property
     def _fixed_terms(self) -> tuple:
-        """(w_k, rho_k) pairs as integers scaled by 2**(prec + GUARD_BITS)."""
+        """(w_k << 2W, r_k, r_k**2) for the weights and pole parameters truncated
+        to integers w_k, r_k scaled by 2**W, W = prec + GUARD_BITS."""
         work = self.prec + GUARD_BITS
-        return tuple((to_fixed(w._mpf_, work), to_fixed(rho._mpf_, work))
-                     for w, rho in zip(self.weights, self.pole_params))
+        terms = []
+        for w, rho in zip(self.weights, self.pole_params):
+            r = to_fixed(rho._mpf_, work)
+            terms.append((to_fixed(w._mpf_, work) << 2 * work, r, r * r))
+        return tuple(terms)
 
     def eval(self, z):
         """Value of the partial-fraction expression at a complex point.
@@ -77,20 +81,33 @@ class PartialFractionForm:
         The sum runs on integers scaled by 2**W, W = prec + GUARD_BITS.  With
         X, Y, w_k and r_k the truncations of 2**W times Re z, Im z, weight_k
         and rho_k = pole_param_k, 1 - z rho_k is (a - ib) / 2**W for
-        a = 2**W - (X r_k >> W) and b = Y r_k >> W, and term k adds
-        floor(w_k a 2**W / den) and floor(w_k b 2**W / den), den = a**2 + b**2,
-        to the real and imaginary sums.  The head 1 - z/2 - scale z**2 sum is
-        then formed at W bits and the result is rounded to prec bits.
+        a = 2**W - (X r_k >> W) and b = Y r_k >> W.  Term k takes one division,
+        q = floor(w_k 2**(2W) / den), den = a**2 + b**2, and adds q a and q b to
+        the real and imaginary sums, which are shifted down by W once into acc.
+        With N = n + 1, the head 1 - z/2 - z**2 acc / (2N) of the truncated
+        point z' = (X + iY) / 2**W is one Gaussian integer over 2N 2**(3W); it
+        is divided by 2N once, with GUARD_BITS more fractional bits, and each
+        part is rounded once to nearest at prec bits.
 
-        Error bound.  Let u = 2**-W and delta = min_k |1 - z rho_k|.  Each
-        truncation and each floor costs under one unit u, so a u and b u are
-        within (|z| + 3) u of the real and imaginary parts of 1 - z rho_k on
-        the stored (weight_k, rho_k).  While (2|z| + 6) u <= delta/2, each
-        term is then within (2 + 2/delta + (4|z| + 13)/delta**2) u of
-        weight_k / (1 - z rho_k), and as scale * floor(n/2) < 1/4 the sum
-        moves the result by at most |z|**2/4 (2 + 2/delta + (4|z| + 13)/delta**2) u
-        before the W-bit head and the final rounding.  On |z| <= 1,
-        delta >= sin^2(pi/(n+1)).
+        Error bound.  Let u = 2**-W, K = floor(n/2), zeta = 1 + |z| and
+        delta = min_k |1 - z cos^2(k pi/N)|, for the true pole parameters.
+        ``decompose``'s rho_k and weight_k lie within u and 4u of cos^2(k pi/N)
+        and sin^2(2k pi/N) (tested), so r_k u and w_k u lie within 2u and 5u
+        of them, and (a - ib) u is within e = 3 zeta u of 1 - z cos^2(k pi/N).
+        While e <= delta/2, q (a + ib) u**2 is within
+        E = (zeta + e) u + 10u/delta + 6 zeta u/delta**2 of the true term: the
+        floor of q costs |a - ib| u**2 <= (zeta + e) u, the weight 5u/(delta/2)
+        and the pole e/(delta**2/2).  The shift adds sqrt(2) u, so acc u is
+        within K E + sqrt(2) u of the true sum S, and |S| <= K/delta.  As
+        |z - z'| < sqrt(2) u, |z'| <= zeta, |z'**2 - z**2| <= 3 zeta u and, for
+        K >= 1, K/(2N) < 1/4 and sqrt(2)/(2N) < 1/4, the head before its
+        division is within
+        B = u + zeta**2 (E + u)/4 + 3 zeta u/(4 delta)
+        of the iterate f(z) (for n = 1, where K = 0, within sqrt(2) u/2).  The
+        division's floor adds under 2**-(3W), covered by B's first u, and the
+        rounding 2**-prec of the value, so
+        |eval(z) - f(z)| <= 2**-prec |f(z)| + (1 + 2**-prec) B.
+        On |z| <= 1, delta >= sin^2(pi/N).
 
         Raises NearPole when z is within 2**-h, h = prec // 2, of a pole
         1/rho_k, tested exactly as den * 2**(2h) < r_k**2, and ChebsqrtError
@@ -101,25 +118,34 @@ class PartialFractionForm:
             z = mpmath.mpmathify(z)
             if not mpmath.isfinite(z):
                 raise ChebsqrtError(f"z = {z} is not a finite point")
-            re, im = z._mpc_ if isinstance(z, mpc) else (z._mpf_, fzero)
+            is_complex = isinstance(z, mpc)
+            re, im = z._mpc_ if is_complex else (z._mpf_, fzero)
             x, y = to_fixed(re, work), to_fixed(im, work)
             one = 1 << work
             h = self.prec // 2
             acc_re = acc_im = 0
-            for w, r in self._fixed_terms:
+            for w, r, r2 in self._fixed_terms:
                 a = one - (x * r >> work)
                 b = y * r >> work
                 den = a * a + b * b
-                if den << 2 * h < r * r:
+                if den << 2 * h < r2:
                     raise NearPole(f"z = {z} is within {mpmath.nstr(mpf(2) ** -h, 3)} of a pole")
-                acc_re += (w * a << work) // den
-                acc_im += (w * b << work) // den
-            acc = mpf((acc_re, -work))
-            if isinstance(z, mpc):
-                acc = mpc(acc, mpf((acc_im, -work)))
-            out = 1 - z / 2 - self.scale * z * z * acc
-        with workprec(self.prec):
-            return +out
+                q = w // den
+                acc_re += q * a
+                acc_im += q * b
+        acc_re >>= work
+        acc_im >>= work
+        # 2N 2**(3W) (1 - z'/2) - (X + iY)**2 acc, with (X + iY)**2 = sr + si*i
+        N = self.n + 1
+        sr, si = x * x - y * y, 2 * x * y
+        hr = (N << 3 * work + 1) - (N * x << 2 * work) - (sr * acc_re - si * acc_im)
+        exp = -3 * work - GUARD_BITS
+        out_re = from_man_exp((hr << GUARD_BITS) // (2 * N), exp, self.prec, round_nearest)
+        if not is_complex:
+            return mpmath.mp.make_mpf(out_re)
+        hi = -(N * y << 2 * work) - (sr * acc_im + si * acc_re)
+        out_im = from_man_exp((hi << GUARD_BITS) // (2 * N), exp, self.prec, round_nearest)
+        return mpmath.mp.make_mpc((out_re, out_im))
 
     def to_json_dict(self) -> dict:
         digits = mpmath.libmp.prec_to_dps(self.prec) + 2

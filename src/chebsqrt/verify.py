@@ -13,8 +13,11 @@ each step floors once to W fractional bits, W = prec + GUARD_BITS plus the
 pair's largest coefficient bit length (``_horner_bits``).  The grid checks
 stay on integers after that: |A(z)/B(z) - w| against the grid's dyadic root
 w is formed exactly from the Horner values and rounds once, to an mpf at W
-bits (``_grid_errors``).  ``_FloatEvaluator`` returns A(z)/B(z) itself,
-A(z), B(z) and the quotient each rounded once to the caller's precision.
+bits (``_grid_errors``).  ``_FloatEvaluator`` returns A(z)/B(z) itself: the
+four integer parts of A(z) and B(z) round once each and the quotient once,
+at the caller's precision, on mpmath's raw tuples.  ``resummation`` holds
+``closedform.PartialFractionForm.eval``, which stays on integers up to one
+rounding per part of its value, to the exact values.
 The mu-bound scan runs on fixed-point integers with prec + GUARD_BITS
 fractional bits, and rounds only its worst value.  An exact value p/q
 becomes a float through one rounder, ``_to_mpf``, fed the integers of the
@@ -34,7 +37,7 @@ from typing import Optional
 
 import mpmath
 from mpmath import mpc, mpf, workprec
-from mpmath.libmp import fzero, from_rational
+from mpmath.libmp import from_int, from_rational, fzero, mpc_div
 
 from .chebyshev import DEFAULT_PREC, GUARD_BITS
 from .closedform import (
@@ -250,7 +253,9 @@ class _FloatEvaluator:
     """f = A/B at an mpc point, read exactly by ``_fixed_point``.
 
     A(z) and B(z) run through ``_fixed_horner`` at ``workbits`` fractional
-    bits; they and their quotient round once each, at the caller's precision.
+    bits.  Each of their four integer parts rounds once, and the quotient
+    once, at the caller's precision and rounding: bit for bit
+    ``mpc(ar, ai) / mpc(br, bi)``, without building those two mpcs.
     """
 
     def __init__(self, f: RationalFunction, workbits: int):
@@ -261,7 +266,10 @@ class _FloatEvaluator:
         x, y, s = _fixed_point(z)
         ar, ai = _fixed_horner(self.a, x, y, s, self.work)
         br, bi = _fixed_horner(self.b, x, y, s, self.work)
-        return mpc(ar, ai) / mpc(br, bi)
+        prec, rnd = mpmath.mp._prec_rounding
+        num = from_int(ar, prec, rnd), from_int(ai, prec, rnd)
+        den = from_int(br, prec, rnd), from_int(bi, prec, rnd)
+        return mpmath.mp.make_mpc(mpc_div(num, den, prec, rnd))
 
 
 def _horner_bits(f: RationalFunction, prec: int) -> int:
@@ -697,6 +705,7 @@ def check_radius_pole(n_max: int, prec: int = DEFAULT_PREC) -> CheckResult:
     dyadic approximation of sec^2(pi/(n+1)), must have magnitude below
     2**-(prec - 56); and no pole of the decomposition may lie inside that
     radius: rho * radius <= 1 + 2**-(prec - 16) for every pole parameter.
+    The first n with such a pole is reported as ``pole_violation_at``.
     """
     vs = _v_range("radius-pole", 2, n_max)
     tol = Fraction(1, 2 ** (prec - 56))
@@ -713,7 +722,8 @@ def check_radius_pole(n_max: int, prec: int = DEFAULT_PREC) -> CheckResult:
             yield abs(Fraction(value, (1 << s * e) * b[-1])), n
             pf = decompose(n, prec)
             with workprec(prec + GUARD_BITS):
-                if any(rho * radius > 1 + _slack(prec) for rho in pf.pole_params):
+                if pole_bad is None and any(rho * radius > 1 + _slack(prec)
+                                            for rho in pf.pole_params):
                     pole_bad = n
 
     worst_res, worst = _worst(samples())

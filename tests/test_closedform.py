@@ -2,9 +2,12 @@
 
 import random
 from fractions import Fraction as F
+from functools import lru_cache
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpc, mpf, workprec
 
 from chebsqrt import (
@@ -38,6 +41,29 @@ def naive_pf_eval(pf, z):
         out = 1 - z / 2 - pf.scale * z * z * acc
     with workprec(pf.prec):
         return +out
+
+
+def eval_error_bound(n, prec, z, fz):
+    """The bound of ``PartialFractionForm.eval``'s docstring on |eval(z) - f(z)|.
+
+    2**-prec |f(z)| + (1 + 2**-prec) B, with B from u = 2**-W, zeta = 1 + |z| and
+    delta = min_k |1 - z cos^2(k pi/(n+1))|, all at 2W bits.
+    """
+    work = prec + GUARD_BITS
+    with workprec(2 * work):
+        u, N, K = mpf(2) ** -work, n + 1, n // 2
+        zeta = 1 + abs(z)
+        delta = min(abs(1 - z * mpmath.cospi(mpf(k) / N) ** 2) for k in range(1, K + 1))
+        e = 3 * zeta * u
+        assert e <= delta / 2
+        E = (zeta + e) * u + 10 * u / delta + 6 * zeta * u / delta**2
+        B = u + zeta**2 * (E + u) / 4 + 3 * zeta * u / (4 * delta)
+        return abs(fz) / 2**prec + (1 + mpf(2) ** -prec) * B
+
+
+@lru_cache(maxsize=None)
+def iterate_and_form(n, prec):
+    return v_iterate(n), decompose(n, prec)
 
 
 def dyadic(x) -> F:
@@ -99,11 +125,14 @@ class TestDecompose:
     @pytest.mark.parametrize("n", [2, 3, 16, 17, 255])
     def test_weights_are_sin_squared_of_twice_the_angle(self, n):
         # 4 rho (1 - rho) = sin^2(2 pi k/(n+1)) to a few units of 2**-WORK, the
-        # absolute precision at which the fixed-point kernel reads each weight
+        # absolute precision at which the fixed-point kernel reads each weight,
+        # and rho = cos^2(pi k/(n+1)) to one unit: the error bound of
+        # PartialFractionForm.eval takes both
         pf = decompose(n, PREC)
         with workprec(WORK + 64):
-            for k, w in enumerate(pf.weights, start=1):
+            for k, (w, rho) in enumerate(zip(pf.weights, pf.pole_params), start=1):
                 assert abs(w - mpmath.sinpi(mpf(2 * k) / (n + 1)) ** 2) <= mpf(2) ** (2 - WORK), k
+                assert abs(rho - mpmath.cospi(mpf(k) / (n + 1)) ** 2) <= mpf(2) ** -WORK, k
 
     def test_json_shape(self):
         doc = decompose(2, PREC).to_json_dict()
@@ -191,6 +220,27 @@ class TestFixedPointKernel:
             xs += [poles[-1] * 3 / 2, poles[-1] * 4]
         self.assert_matches_exact(f, pf, [(dyadic(x), F(0)) for x in xs])
         self.assert_matches_exact(f, pf, [(F(x), F(0)) for x in (-3, -1, 0, 1, 2, 7)])
+
+    @given(st.integers(2, 64), st.sampled_from([53, PREC]), st.booleans(),
+           st.integers(1, 2**16 - 1), st.integers(0, 2**16 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_within_the_stated_bound(self, n, prec, annulus, radial, angle):
+        # |eval - exact| within the docstring's bound at a dyadic point of the
+        # unit disk, or of the annulus 1 < |z| < sec^2(pi/(n+1)) inside
+        # the first pole
+        f, pf = iterate_and_form(n, prec)
+        with workprec(2 * WORK):
+            t, first_pole = mpf(radial) / 2**16, 1 / mpmath.cospi(mpf(1) / (n + 1)) ** 2
+            radius = 1 + (first_pole - 1) * t if annulus else t
+            point = radius * mpmath.expjpi(mpf(angle) / 2**15)
+            re, im = (F(round(c * 2**48), 2**48) for c in (point.real, point.imag))
+            z = mpc(mpf(re.numerator) / re.denominator, mpf(im.numerator) / im.denominator)
+            assert 1 < abs(z) < first_pole if annulus else abs(z) <= 1
+        fr, fi = eval_ratfun_complex(f, re, im)
+        got = pf.eval(z)
+        with workprec(2 * WORK):
+            fz = mpc(mpf(fr.numerator) / fr.denominator, mpf(fi.numerator) / fi.denominator)
+            assert abs(got - fz) <= eval_error_bound(n, prec, z, fz), (n, prec, re, im)
 
     def test_bit_for_bit_with_the_mpc_loop(self):
         for n in range(2, 17):

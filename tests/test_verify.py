@@ -332,6 +332,24 @@ class TestFloatEvaluator:
                 old_worst = max(old_worst, abs(old - exact))
         assert new_worst <= tol < old_worst
 
+    @pytest.mark.parametrize("prec", [53, 256, 368])
+    def test_bit_for_bit_with_the_mpc_quotient(self, prec):
+        # the four Horner integers and their quotient round as two mpcs and
+        # their division would, at the caller's precision, in and beyond the disk
+        pts = cli._random_disk_rationals(random.Random(prec), 40)
+        pts += [(F(-3), F(0)), (F(7, 2), F(-5, 4)), (F(0), F(9, 8)), (F(0), F(0))]
+        for f in (v_iterate(5), v_iterate(64), iterate(Scheme.halley(3), 2)):
+            for work in (prec, _horner_bits(f, prec)):
+                ev = _FloatEvaluator(f, work)
+                with workprec(prec):
+                    for re, im in pts:
+                        z = mpc(_exact_mpf(re), _exact_mpf(im))
+                        x, y, s = _fixed_point(z)
+                        ar, ai = _fixed_horner(ev.a, x, y, s, work)
+                        br, bi = _fixed_horner(ev.b, x, y, s, work)
+                        got, want = ev(z), mpc(ar, ai) / mpc(br, bi)
+                        assert got._mpc_ == want._mpc_, (f, work, re, im)
+
 
 def _gaussian_abs_sq(re, im):
     return re * re + im * im
@@ -710,15 +728,16 @@ class TestFailureBranches:
         assert clean.status == "pass" and r.status == "fail"
         assert r.worst_case == {**clean.worst_case, "sign_violation": "(2, 3)"}
 
-    def test_radius_pole_reports_a_pole_inside_the_radius(self, monkeypatch):
-        # v_3's largest pole parameter raised by 2**-(prec - 18) of itself puts
-        # its pole inside the radius by more than the slack 2**-(prec - 16)
-        clean = check_radius_pole(4, PREC)
+    @staticmethod
+    def move_poles_inside(monkeypatch, ns):
+        # the largest pole parameter of each v_n, n in ns, raised by
+        # 2**-(prec - 18) of itself puts its pole inside the radius by more
+        # than the slack 2**-(prec - 16)
         real = verify.decompose
 
         def moved(n, prec):
             pf = real(n, prec)
-            if n != 3:
+            if n not in ns:
                 return pf
             with workprec(prec + GUARD_BITS):
                 rhos = [rho * (1 + mpf(2) ** (18 - prec)) if rho == max(pf.pole_params) else rho
@@ -726,9 +745,41 @@ class TestFailureBranches:
             return dataclasses.replace(pf, pole_params=tuple(rhos))
 
         monkeypatch.setattr(verify, "decompose", moved)
+
+    def test_radius_pole_reports_a_pole_inside_the_radius(self, monkeypatch):
+        clean = check_radius_pole(4, PREC)
+        self.move_poles_inside(monkeypatch, (3,))
         r = check_radius_pole(4, PREC)
         assert clean.status == "pass" and r.status == "fail"
         assert r.worst_case == {**clean.worst_case, "pole_violation_at": 3}
+
+    def test_radius_pole_reports_the_first_pole_inside_the_radius(self, monkeypatch):
+        clean = check_radius_pole(6, PREC)
+        self.move_poles_inside(monkeypatch, (3, 5))
+        r = check_radius_pole(6, PREC)
+        assert clean.status == "pass" and r.status == "fail"
+        assert r.worst_case == {**clean.worst_case, "pole_violation_at": 3}
+
+    def test_resummation_fails_on_one_weight_off(self, monkeypatch):
+        # v_5's second weight raised by 2**-(prec - 24) moves its partial
+        # fractions by more than the tolerance 2**-(prec - 16) at the larger
+        # points, and the worst case names n = 5
+        clean = check_resummation(6, PREC)
+        real = verify.decompose
+
+        def planted(n, prec):
+            pf = real(n, prec)
+            if n != 5:
+                return pf
+            with workprec(prec + GUARD_BITS):
+                weights = (pf.weights[0], pf.weights[1] + mpf(2) ** (24 - prec))
+            return dataclasses.replace(pf, weights=weights)
+
+        monkeypatch.setattr(verify, "decompose", planted)
+        r = check_resummation(6, PREC)
+        assert clean.status == "pass" and r.status == "fail"
+        assert r.worst_case["n"] == 5 and r.samples == clean.samples
+        assert mpf(r.worst_case["error"]) > mpf(r.worst_case["tolerance"])
 
     def test_guo_rows_catch_one_flipped_sign(self, monkeypatch):
         # c_5 of the Newton k = 3 iterate turned positive: guo-p2 reports it as
