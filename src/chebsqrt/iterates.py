@@ -188,6 +188,10 @@ def halley_step(f: RationalFunction, p: int = 2) -> RationalFunction:
     W once and D = BY once.  So ``_over_one_minus_z`` divides out 1 - z when
     A(1) = 0, and no gcd runs; the zero function (A = 0, B = 1) goes to 0.
 
+    Y is never identically zero, so the step raises no DegenerateStep.  For
+    A != 0 its two terms have degrees p deg A and 1 + p deg B, which differ
+    mod p, so the higher one survives; for A = 0, Y = (p-1)(1-z)B^p != 0.
+
     Every prime q of the joint content divides p - 1.  Mod q, A X = 0 and
     B Y = 0 in F_q[z].  A = 0 leaves B != 0, so Y = (p-1)W = 0 and
     q | p - 1; B = 0 likewise gives X = (p-1)P = 0 and q | p - 1.
@@ -202,8 +206,6 @@ def halley_step(f: RationalFunction, p: int = 2) -> RationalFunction:
     ap = _power(a, p)
     wbp = _times_one_minus_z(_power(b, p))
     y = _scaled_sum(p + 1, ap, p - 1, wbp)
-    if not any(y):
-        raise DegenerateStep("Halley step hit an identically-zero denominator")
     num = _convolve(a, _scaled_sum(p - 1, ap, p + 1, wbp))
     return _over_one_minus_z(num, _convolve(b, y), a, p)
 

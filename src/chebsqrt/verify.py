@@ -489,11 +489,10 @@ def check_disk_bound(scheme: Scheme, k: int, grid: DiskGrid) -> CheckResult:
     3^k analogue for Halley.  Slack 2**-(prec - 16) covers float rounding.
     """
     prec = grid.prec
-    with workprec(prec + GUARD_BITS):
-        factor, power = _disk_bound_factor(scheme, k)  # validates before the build
-    errs = _grid_errors(iterate(scheme, k), grid)
     tol = _slack(prec)
     with workprec(prec + GUARD_BITS):
+        factor, power = _disk_bound_factor(scheme, k)  # validates before the build
+        errs = _grid_errors(iterate(scheme, k), grid)
         worst_excess, worst = _worst(
             (err - factor * r ** power, z)
             for (z, _), r, err in zip(grid.samples, grid.moduli, errs))
@@ -639,23 +638,20 @@ def check_resummation(n_max: int, prec: int = DEFAULT_PREC) -> CheckResult:
     vs = _v_range("resummation", 2, n_max)
     pts = [_gaussian_point(re, im) for re, im in resummation_points()]
     tol = _slack(prec)
+    errors = []
     with workprec(prec + GUARD_BITS):
         zs = [mpc(_to_mpf(x, D), _to_mpf(y, D)) for x, y, D in pts]
-
-    def samples():
         for n, f in vs:
             pf = decompose(n, prec)
-            with workprec(prec + GUARD_BITS):
-                for point, z in zip(pts, zs):
-                    a, b, s = _ratfun_gaussian(f, *point)
-                    yield abs(pf.eval(z) - mpc(_to_mpf(a, s), _to_mpf(b, s))), (n, z)
-
-    worst_err, worst = _worst(samples())
+            for point, z in zip(pts, zs):
+                a, b, s = _ratfun_gaussian(f, *point)
+                errors.append((abs(pf.eval(z) - mpc(_to_mpf(a, s), _to_mpf(b, s))), (n, z)))
+    worst_err, worst = _worst(errors)
     return CheckResult(
         name="resummation",
         params={"n": "2..%d" % n_max},
         passed=bool(worst_err <= tol),
-        samples=(n_max - 1) * len(pts),
+        samples=len(errors),
         worst_case={
             "n": worst[0],
             "z": _nstr(worst[1]),
@@ -669,31 +665,26 @@ def check_coeff_formula(n_max: int, prec: int = DEFAULT_PREC) -> CheckResult:
     """Closed-form coefficients match exact ones for m = 1..4n and are negative."""
     vs = _v_range("coeff-formula", 2, n_max)
     tol = _slack(prec)
-    sign_bad = None
-
-    def samples():
-        nonlocal sign_bad
+    errors, signs = [], []
+    with workprec(prec + GUARD_BITS):
         for n, f in vs:
             xs, Ds = _taylor_scaled(f, 4 * n)
-            closed = coeff_closed_range(n, 4 * n, prec)
-            with workprec(prec + GUARD_BITS):
-                for m, got in enumerate(closed, start=1):
-                    if got >= 0 and sign_bad is None:
-                        sign_bad = (n, m)
-                    yield abs(got - _to_mpf(xs[m], Ds[m])), (n, m)
-
-    worst_err, worst = _worst(samples())
+            for m, got in enumerate(coeff_closed_range(n, 4 * n, prec), start=1):
+                errors.append((abs(got - _to_mpf(xs[m], Ds[m])), (n, m)))
+                if got >= 0:
+                    signs.append((n, m))
+    worst_err, worst = _worst(errors)
     return CheckResult(
         name="coeff-formula",
         params={"n": "2..%d" % n_max},
-        passed=bool(worst_err <= tol and sign_bad is None),
-        samples=sum(4 * n for n in range(2, n_max + 1)),
+        passed=bool(worst_err <= tol and not signs),
+        samples=len(errors),
         worst_case={
             "n": worst[0],
             "m": worst[1],
             "error": _nstr(worst_err),
             "tolerance": _nstr(tol),
-            "sign_violation": str(sign_bad) if sign_bad else None,
+            "sign_violation": str(signs[0]) if signs else None,
         },
     )
 
@@ -709,35 +700,29 @@ def check_radius_pole(n_max: int, prec: int = DEFAULT_PREC) -> CheckResult:
     """
     vs = _v_range("radius-pole", 2, n_max)
     tol = Fraction(1, 2 ** (prec - 56))
-    pole_bad = None
-
-    def samples():
-        nonlocal pole_bad
+    residuals, poles_inside = [], []
+    with workprec(prec + GUARD_BITS):
         for n, f in vs:
             radius = radius_of_convergence(n, prec)
             b = f.pair[1]  # B / lead(B), the monic denominator, evaluated exactly
             x, _, s = _fixed_point(radius)  # radius = x / 2**s
             e = len(b) - 1
             value, _ = _gaussian_horner(b, x, 0, 1 << s, e)
-            yield abs(Fraction(value, (1 << s * e) * b[-1])), n
-            pf = decompose(n, prec)
-            with workprec(prec + GUARD_BITS):
-                if pole_bad is None and any(rho * radius > 1 + _slack(prec)
-                                            for rho in pf.pole_params):
-                    pole_bad = n
-
-    worst_res, worst = _worst(samples())
+            residuals.append((abs(Fraction(value, (1 << s * e) * b[-1])), n))
+            if any(rho * radius > 1 + _slack(prec) for rho in decompose(n, prec).pole_params):
+                poles_inside.append(n)
+    worst_res, worst = _worst(residuals)
     return CheckResult(
         name="radius-pole",
         params={"n": "2..%d" % n_max},
-        passed=bool(worst_res < tol and pole_bad is None),
-        samples=n_max - 1,
+        passed=bool(worst_res < tol and not poles_inside),
+        samples=len(residuals),
         worst_case={
             "n": worst,
             "den_at_radius": _nstr(mpmath.mpf(worst_res.numerator) / worst_res.denominator
                                    if worst_res else mpf(0)),
             "tolerance": _nstr(mpf(2) ** (56 - prec)),
-            "pole_violation_at": pole_bad,
+            "pole_violation_at": poles_inside[0] if poles_inside else None,
         },
     )
 

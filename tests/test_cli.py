@@ -7,6 +7,7 @@ import inspect
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -79,6 +80,17 @@ class TestCoeffs:
         rows = [line.split(",")[:2] for line in out.strip().splitlines()[1:]]
         assert rows == [["0", "1"], ["1", "0"], ["2", "0"]]
 
+    def test_human_form(self, capsys):
+        code, out, _ = run_cli(capsys, "coeffs", "--scheme", "v", "--k", "2", "--M", "3")
+        assert code == 0
+        assert out.splitlines() == [
+            "series coefficients: scheme v, k = 2",
+            "  m=0    1                        ref 1                        + head",
+            "  m=1    -1/2                     ref -1/2                     - head",
+            "  m=2    -1/8                     ref -1/8                     - head",
+            "  m=3    -1/32                    ref -1/16                    - tail",
+        ]
+
     def test_json_shape(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "json", "coeffs",
                                "--scheme", "halley", "--k", "1", "--M", "3")
@@ -110,6 +122,13 @@ class TestDecompose:
         lines = out.strip().splitlines()
         assert lines[0] == "n,k,weight,pole_param,scale,radius,tail_sum"
         assert lines[1].startswith("3,1,1.0,0.5,0.125,2.0,1/16")
+
+    def test_csv_row_without_terms(self, capsys):
+        # v_1 = 1 - z/2 has no partial fractions: one row with empty term columns
+        code, out, _ = run_cli(capsys, "--format", "csv", "decompose", "--n", "1")
+        assert code == 0
+        assert out.splitlines() == ["n,k,weight,pole_param,scale,radius,tail_sum",
+                                    "1,,,,0.25,inf,0"]
 
     def test_rejects_constant(self, capsys):
         code, _, err = run_cli(capsys, "decompose", "--n", "0")
@@ -243,6 +262,15 @@ class TestVerify:
             main(["verify", "--check", "head", "--n", "2", "--p", "2"])
         assert exc.value.code == 2
 
+    def test_failed_rows_exit_one(self, capsys, monkeypatch):
+        # a sqrt-series reference planted wrong at m = 3 fails the head rows
+        # n = 3 and n = 4 and passes n = 1 and n = 2
+        real = verify.sqrt_series_coeff
+        monkeypatch.setattr(verify, "sqrt_series_coeff", lambda m: -real(m) if m == 3 else real(m))
+        code, out, _ = run_cli(capsys, "verify", "--check", "head", "--n-max", "4")
+        assert code == 1
+        assert [line.split()[0] for line in out.splitlines()] == ["PASS", "PASS", "FAIL", "FAIL"]
+
     def test_requires_selection(self, capsys):
         code, _, err = run_cli(capsys, "verify")
         assert code == 2
@@ -267,6 +295,36 @@ class TestExploreGuo:
         assert code == 0
         doc = json.loads(out)
         assert doc["head_agreement_length"] >= 3
+
+    def test_human_form_of_a_polynomial_iterate(self, capsys):
+        code, out, _ = run_cli(capsys, "explore-guo", "--p", "2", "--scheme", "newton",
+                               "--k", "1", "--M", "4")
+        assert code == 0
+        assert out.splitlines() == [
+            "sign-pattern report: p=2 newton k=1 M=4",
+            "  head agreement length: 2",
+            "  coefficients scanned:  1",
+            "  signs: {'negative': 1, 'zero': 0, 'positive': 0}",
+            "  first sign violation:  None",
+            "  note: polynomial iterate of degree 1: zero coefficients beyond the degree "
+            "are structural and excluded from the sign scan",
+        ]
+
+    def test_sign_violation_at_p2_exits_one(self, capsys, monkeypatch):
+        # c_5 of the Newton k = 3 iterate turned positive would contradict the proved case
+        real = verify.taylor_coefficients
+        monkeypatch.setattr(verify, "taylor_coefficients", lambda f, M: tuple(
+            -c if m == 5 else c for m, c in enumerate(real(f, M))))
+        code, out, _ = run_cli(capsys, "explore-guo", "--p", "2", "--scheme", "newton",
+                               "--k", "3", "--M", "16")
+        assert code == 1
+        assert out.splitlines() == [
+            "sign-pattern report: p=2 newton k=3 M=16",
+            "  head agreement length: 5",
+            "  coefficients scanned:  16",
+            "  signs: {'negative': 15, 'zero': 0, 'positive': 1}",
+            "  first sign violation:  5",
+        ]
 
     def test_bad_root_order(self, capsys):
         code, _, err = run_cli(capsys, "explore-guo", "--p", "1",
@@ -313,6 +371,18 @@ class TestBench:
         doc = json.loads(out)
         tol = float(doc["tolerance"])
         assert all(float(row["max_deviation"]) <= tol for row in doc["rows"])
+
+    def test_csv_form(self, capsys):
+        # one row per strategy; every column but seconds matches the JSON form
+        argv = ("bench", "--n", "4", "--points", "3", "--seed", "1")
+        code, out, _ = run_cli(capsys, "--format", "csv", *argv)
+        assert code == 0
+        header, *rows = out.splitlines()
+        assert header == "strategy,points,reps,seconds,max_deviation"
+        _, doc, _ = run_cli(capsys, "--format", "json", *argv)
+        want = [[r["strategy"], "3", "1", r["max_deviation"]] for r in json.loads(doc)["rows"]]
+        assert [row[:3] + row[4:] for row in (r.split(",") for r in rows)] == want
+        assert all(float(row.split(",")[3]) >= 0 for row in rows)
 
     def test_deterministic_modulo_timing(self, capsys):
         _, out1, _ = run_cli(capsys, "--format", "json", "bench",
@@ -427,6 +497,14 @@ class TestDeterminismAndConfig:
         assert proc.returncode == 0
         lines = proc.stdout.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["name"] == "head"
+
+    def test_package_main_exits_with_mains_code(self, capsys, monkeypatch):
+        # the module body in this interpreter: sys.exit(main()) on sys.argv
+        monkeypatch.setattr(sys, "argv", ["chebsqrt", "--format", "json", "decompose", "--n", "2"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("chebsqrt", run_name="__main__")
+        assert exc.value.code == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 2
 
 
 @pytest.mark.parametrize("argv", [

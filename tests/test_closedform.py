@@ -353,6 +353,10 @@ class TestRadius:
         for n in range(2, 40):
             assert radius_of_convergence(n, PREC) > 1
 
+    def test_negative_index_refused(self):
+        with pytest.raises(BadIndex):
+            radius_of_convergence(-1, PREC)
+
 
 class TestTailSum:
     def test_identity_values(self):

@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chebsqrt import (
+    BadIndex,
     BadRootOrder,
     NotAnalyticAtZero,
     PoleAtPoint,
@@ -118,6 +119,18 @@ class TestPolynomial:
         assert Polynomial([1, 2, 0, 0]).coeffs == (F(1), F(2))
         assert Polynomial([0, 0]).is_zero
         assert Polynomial().degree == -1
+
+    def test_negative_index_refused(self):
+        with pytest.raises(BadIndex):
+            Polynomial([1]).coeff(-1)
+
+    @pytest.mark.parametrize("coeffs, text", [
+        ([], "0"),
+        ([0, 1, 0, -1], "z - z^3"),
+        ([-1, 0, F(3, 2), 0, 1], "-1 + 3/2*z^2 + z^4"),
+    ])
+    def test_str(self, coeffs, text):
+        assert str(Polynomial(coeffs)) == text
 
     def test_gcd(self):
         z2m1 = Polynomial([-1, 0, 1])
@@ -307,6 +320,17 @@ class TestRationalFunction:
         planted = RationalFunction(Polynomial(mul(num, h)), Polynomial(mul(den, h)))
         assert planted == f
         assert (planted.num.coeffs, planted.den.coeffs) == (f.num.coeffs, f.den.coeffs)
+
+    def test_non_polynomial_parts_rejected(self):
+        with pytest.raises(TypeError):
+            RationalFunction("x")
+
+    def test_str(self):
+        # the numerator and the monic denominator, printed as Polynomial prints them
+        assert str(v_iterate(3)) == "(-2 + 2*z - 1/4*z^2) / (-2 + z)"
+        assert str(v_iterate(1)) == "1 - 1/2*z"
+        f = RationalFunction(Polynomial([0, -1, 0, 1]), Polynomial([2, 0, 2]))
+        assert str(f) == "(-1/2*z + 1/2*z^3) / (1 + z^2)"
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDenominator):
@@ -518,6 +542,17 @@ class TestSeriesConstants:
     def test_bad_root_order(self):
         with pytest.raises(BadRootOrder):
             root_series_coeffs(1, 4)
+
+    @pytest.mark.parametrize("call", [
+        lambda: taylor_coefficients(v_iterate(2), -1),
+        lambda: sqrt_series_coeff(-1),
+        lambda: central_binomial_ratio(-1),
+        lambda: root_series_coeffs(3, -1),
+    ], ids=["taylor_coefficients", "sqrt_series_coeff", "central_binomial_ratio",
+            "root_series_coeffs"])
+    def test_negative_index_refused(self, call):
+        with pytest.raises(BadIndex):
+            call()
 
 
 # point coordinates: zero, ints, Fractions of unrelated (also negative)

@@ -63,7 +63,7 @@ from chebsqrt.verify import (
     _to_mpf,
     _worst,
 )
-from oracles import grid_errors, horner, mu_bound_worst, mul, taylor
+from oracles import add, grid_errors, horner, mu_bound_worst, mul, taylor
 
 PREC = 256
 
@@ -185,6 +185,12 @@ class TestExactChecks:
             check_monotone_improvement(0, 0.9, PREC)
         with pytest.raises(BadIndex):
             default_suite(n_max=0, prec=PREC)
+
+    def test_tail_and_compact_radius_refused(self):
+        with pytest.raises(BadIndex, match="M > n"):
+            check_tail_signs(3, 3)
+        with pytest.raises(BadIndex, match="compact radius"):
+            check_uniform_compact(4, 1.0)
 
     @pytest.mark.parametrize("name, n_max", [
         ("value_at_one", 4097), ("uniform_compact", 4097), ("monotone_improvement", 4096),
@@ -795,3 +801,153 @@ class TestFailureBranches:
         assert guo.status == "fail" and guo.worst_case == {"scheme": "newton", "k": 3, "m": 5}
         assert heads.status == "fail"
         assert heads.worst_case == {"scheme": "newton", "k": 3, "head": 5, "required": 8}
+
+    # The rows below had no failing test: each plants the smallest defect the
+    # row exists to catch and pins the report it gives.
+
+    @staticmethod
+    def plus(f, term):
+        """f + term as a rational function: (A + term*B) / B for f = A/B."""
+        a, b = f.pair
+        return RationalFunction(Polynomial(add(a, mul(term, b))), Polynomial(b))
+
+    def test_head_catches_an_iterate_one_step_short(self, monkeypatch):
+        # v_2 in place of v_3 agrees with the sqrt series up to z**2 only
+        real = verify.v_iterate
+        monkeypatch.setattr(verify, "v_iterate", lambda n: real(n - 1))
+        r = check_head(3)
+        assert r.status == "fail" and r.samples == 4
+        assert r.worst_case == {"m": 3, "value": "-1/32"}
+
+    def test_tail_signs_catches_one_zero_coefficient(self, monkeypatch):
+        # the tail must be strictly negative: c_20 of v_4 set to 0 fails it
+        real = verify._taylor_scaled
+
+        def zeroed(f, M):
+            xs, Ds = real(f, M)
+            return [0 if m == 20 else x for m, x in enumerate(xs)], Ds
+
+        monkeypatch.setattr(verify, "_taylor_scaled", zeroed)
+        r = check_tail_signs(4, 32)
+        assert r.status == "fail" and r.samples == 28
+        assert r.worst_case == {"m": 20, "value": "0"}
+
+    def test_value_at_one_catches_a_term_of_2_to_the_minus_40(self, monkeypatch):
+        # v_3 + z**9 / 2**40 keeps its head and misses 1/4 at z = 1
+        real = verify.v_iterate
+        monkeypatch.setattr(verify, "v_iterate", lambda n: (
+            self.plus(real(n), [0] * 9 + [F(1, 2**40)]) if n == 3 else real(n)))
+        r = check_value_at_one(6)
+        assert r.status == "fail" and r.samples == 7
+        assert r.worst_case == {"n": 3}
+
+    def test_ratio_identity_catches_a_linear_term_just_over_the_tolerance(self, monkeypatch):
+        # v_4 + z / 2**(prec - 20) moves the ratio by about 2**(20 - prec) / (2w),
+        # most where w is least, at x = 9/10
+        real = verify.v_iterate
+        monkeypatch.setattr(verify, "v_iterate",
+                            lambda n: self.plus(real(n), [0, F(1, 2 ** (PREC - 20))]))
+        r = check_ratio_identity(4, PREC)
+        assert r.status == "fail" and r.samples == 5
+        assert r.worst_case == {"x": "9/10", "error": "1.1929767829311023e-71",
+                                "tolerance": "5.6597994242666952e-73"}
+
+    def test_disk_bound_catches_a_newton_iterate_one_step_short(self, monkeypatch):
+        # Newton k = 2 (v_3) in place of k = 3 (v_7) breaks the |z|**8 bound
+        real = verify.iterate
+        monkeypatch.setattr(verify, "iterate", lambda scheme, k: real(scheme, k - 1))
+        r = check_disk_bound(Scheme.newton(2), 3, DiskGrid(prec=PREC))
+        assert r.status == "fail" and r.samples == 128
+        assert r.worst_case == {"z": "(0.375 + 0.0j)", "excess": "0.00012918488365057188",
+                                "slack": "5.6597994242666952e-73"}
+
+    def test_uniform_compact_catches_a_step_backwards(self, monkeypatch):
+        # v_1 in place of v_3: the sampled sup rises from v_2's, reported at
+        # the earlier index, 2; the geometric bound still holds there
+        real = verify.v_iterate
+        monkeypatch.setattr(verify, "v_iterate", lambda n: real(1) if n == 3 else real(n))
+        r = check_uniform_compact(4, 0.9, PREC)
+        assert r.status == "fail" and r.samples == 512
+        assert r.worst_case == {"q": "0.51949385329591574", "sup_first": "0.23377223398316209",
+                                "sup_last": "0.024870403700300177",
+                                "geometric_violation_at": None, "monotonicity_violation_at": 2}
+
+    def test_uniform_compact_catches_a_stalled_chain(self, monkeypatch):
+        # v_2 returned for every n >= 2: the sup never rises, but from n = 5
+        # it lies above the geometric bound C q**(n+1)
+        real = verify.v_iterate
+        monkeypatch.setattr(verify, "v_iterate", lambda n: real(min(n, 2)))
+        r = check_uniform_compact(6, 0.9, PREC)
+        assert r.status == "fail" and r.samples == 768
+        assert r.worst_case == {"q": "0.51949385329591574", "sup_first": "0.23377223398316209",
+                                "sup_last": "0.1031270726928395",
+                                "geometric_violation_at": 5, "monotonicity_violation_at": None}
+
+    def test_sqrt_consistency_catches_a_root_off_by_2_to_the_10_units(self, monkeypatch):
+        # the root at z = 1/2 raised by 2**(10 - prec) squares back with a
+        # residual of about 2**(11 - prec) |w|, over the tolerance 2**(8 - prec)
+        real = verify.sqrt_principal
+
+        def off(z, prec):
+            w = real(z, prec)
+            with workprec(prec + GUARD_BITS):
+                return w + mpf(2) ** (10 - prec) if z == mpf(1) / 2 else w
+
+        monkeypatch.setattr(verify, "sqrt_principal", off)
+        r = check_sqrt_consistency(DiskGrid(prec=PREC))
+        assert r.status == "fail" and r.samples == 128
+        assert r.worst_case == {"z": "(0.5 + 0.0j)", "residual": "1.2502930487731054e-74",
+                                "tolerance": "2.2108591501041778e-75"}
+
+    def test_sqrt_consistency_catches_the_other_branch(self, monkeypatch):
+        # -w at z = -1 squares back exactly, so only the sign test fails it,
+        # and the worst residual reported is the clean one
+        clean = check_sqrt_consistency(DiskGrid(prec=PREC))
+        real = verify.sqrt_principal
+        monkeypatch.setattr(verify, "sqrt_principal",
+                            lambda z, prec: -real(z, prec) if z == -1 else real(z, prec))
+        r = check_sqrt_consistency(DiskGrid(prec=PREC))
+        assert clean.status == "pass" and r.status == "fail"
+        assert r.worst_case == clean.worst_case == {
+            "z": "(-0.69290964938346507 + 0.28701257427381733j)",
+            "residual": "2.2525045534501052e-77", "tolerance": "2.2108591501041778e-75"}
+
+    def test_mu_bound_catches_pi_taken_as_22_over_7(self, monkeypatch):
+        # 22/7 exceeds pi by 4.0e-4 of itself, while pi n mu_n**2 stays below
+        # 1 by about 1/(4n): from n = 622 on the product passes 1
+        monkeypatch.setattr(verify, "mpmath", SimpleNamespace(
+            ldexp=mpmath.ldexp, pi=mpf(22) / 7, nstr=mpmath.nstr))
+        r = check_mu_bound(10_000, PREC)
+        assert r.status == "fail" and r.samples == 10_000
+        assert r.worst_case == {"n": 10_000, "pi_n_mu_sq": "1.0003774896849184"}
+
+    def test_coeff_formula_catches_one_coefficient_off(self, monkeypatch):
+        # c_5 of v_3's closed form moved by 2**(18 - prec), four times the tolerance
+        real = verify.coeff_closed_range
+
+        def shifted(n, M, prec):
+            with workprec(prec):
+                return [c + mpf(2) ** (18 - prec) if (n, m) == (3, 5) else c
+                        for m, c in enumerate(real(n, M, prec), start=1)]
+
+        monkeypatch.setattr(verify, "coeff_closed_range", shifted)
+        r = check_coeff_formula(4, PREC)
+        assert r.status == "fail" and r.samples == 36
+        assert r.worst_case == {"n": 3, "m": 5, "error": "2.2639197697066781e-72",
+                                "tolerance": "5.6597994242666952e-73", "sign_violation": None}
+
+    def test_radius_pole_catches_a_radius_off_by_2_to_the_60_units(self, monkeypatch):
+        # v_3's radius lowered by 2**(60 - prec) of itself: the denominator
+        # there is far above the tolerance 2**(56 - prec), and no pole moves inside
+        real = verify.radius_of_convergence
+
+        def low(n, prec):
+            r = real(n, prec)
+            with workprec(prec + GUARD_BITS):
+                return r * (1 - mpf(2) ** (60 - prec)) if n == 3 else r
+
+        monkeypatch.setattr(verify, "radius_of_convergence", low)
+        r = check_radius_pole(4, PREC)
+        assert r.status == "fail" and r.samples == 3
+        assert r.worst_case == {"n": 3, "den_at_radius": "1.9913648889155653e-59",
+                                "tolerance": "6.2230152778611417e-61", "pole_violation_at": None}
