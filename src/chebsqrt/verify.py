@@ -13,9 +13,13 @@ each step floors once to W fractional bits, W = prec + GUARD_BITS plus the
 pair's largest coefficient bit length (``_horner_bits``).  The grid checks
 stay on integers after that: |A(z)/B(z) - w| against the grid's dyadic root
 w is formed exactly from the Horner values and rounds once, to an mpf at W
-bits (``_grid_errors``).  ``_FloatEvaluator`` returns A(z)/B(z) itself: the
-four integer parts of A(z) and B(z) round once each and the quotient once,
-at the caller's precision, on mpmath's raw tuples.  ``resummation`` holds
+bits (``_grid_errors``), once per iterate and grid: rows given one grid
+share what its sweeps reduce to (``DiskGrid.reductions``), so ``verify
+--all`` sweeps its compact grid once for two rows, and a Newton or Halley
+disk-bound row equal to a v row reads that row's worst case.
+``_FloatEvaluator`` returns A(z)/B(z) itself: the four integer parts of
+A(z) and B(z) round once each and the quotient once, at the caller's
+precision, on mpmath's raw tuples.  ``resummation`` holds
 ``closedform.PartialFractionForm.eval``, which stays on integers up to one
 rounding per part of its value, to the exact values.
 The mu-bound scan runs on fixed-point integers with prec + GUARD_BITS
@@ -55,7 +59,6 @@ from .exact import (
     _ratfun_gaussian,
     _taylor_scaled,
     _times_one_minus_z,
-    root_series_coeffs,
     sqrt_series_coeff,
     taylor_coefficients,
 )
@@ -168,7 +171,9 @@ class DiskGrid:
     radial rings at radii radius*i/radial (i = 1..radial) with angular
     equispaced angles each; the boundary ring and the angle-0 point
     (z = radius) are included.  The samples, their exact fixed-point form
-    and their moduli are each built once per grid, on first use.
+    and their moduli are each built once per grid, on first use.  Rows
+    given the same grid share ``reductions``: summaries (never error
+    vectors) that a sweep of the grid leaves for the next row to read.
     """
 
     radius: float = 1.0
@@ -208,6 +213,12 @@ class DiskGrid:
         """abs(z) at prec + GUARD_BITS for every sample."""
         with workprec(self.prec + GUARD_BITS):
             return [abs(z) for z, _ in self.samples]
+
+    @cached_property
+    def reductions(self) -> dict:
+        """disk-bound's (worst excess, its z) by (pair, power) and the compact
+        sweep's summary by its top index, as rows on this grid compute them."""
+        return {}
 
 
 def sqrt_principal(z, prec: int = DEFAULT_PREC):
@@ -487,41 +498,81 @@ def check_disk_bound(scheme: Scheme, k: int, grid: DiskGrid) -> CheckResult:
     factor = 2/sqrt(pi k) with power k+1 for the linear-fraction scheme;
     2/sqrt(pi)/sqrt(2^k - 1) with power 2^k for Newton (p = 2), and the
     3^k analogue for Halley.  Slack 2**-(prec - 16) covers float rounding.
+    The factor follows from the power, so a row whose pair and power equal
+    an earlier row's on the same grid (Newton k = 2 and v_3, say) reads that
+    row's worst excess from ``grid.reductions`` instead of sweeping again.
     """
     prec = grid.prec
     tol = _slack(prec)
     with workprec(prec + GUARD_BITS):
         factor, power = _disk_bound_factor(scheme, k)  # validates before the build
-        errs = _grid_errors(iterate(scheme, k), grid)
-        worst_excess, worst = _worst(
-            (err - factor * r ** power, z)
-            for (z, _), r, err in zip(grid.samples, grid.moduli, errs))
+        f = iterate(scheme, k)
+        key = ("disk-bound", f.pair, power)
+        if key not in grid.reductions:
+            grid.reductions[key] = _worst(
+                (err - factor * r ** power, z)
+                for (z, _), r, err in zip(grid.samples, grid.moduli, _grid_errors(f, grid)))
+        worst_excess, worst = grid.reductions[key]
     return CheckResult(
         name="disk-bound",
         params={"scheme": str(scheme), "k": k, "radius": grid.radius,
                 "grid": f"{grid.radial}x{grid.angular}"},
         passed=bool(worst_excess <= tol),
-        samples=len(errs),
+        samples=grid.radial * grid.angular,
         worst_case={"z": _nstr(worst), "excess": _nstr(worst_excess), "slack": _nstr(tol)},
     )
 
 
+def _compact_sweep(vs, top: int, grid: DiskGrid) -> tuple:
+    """(sups, increase, warnings) of one pass over vs = (n, v_n), n = 1..top, on grid.
+
+    ``_grid_errors`` runs once per iterate, and two error vectors are live at
+    a time.  sups[n - 1] is the sampled sup of |v_n - w|.  increase is the
+    first pointwise |v_n(z) - w| > |v_(n-1)(z) - w| + slack with |z| < 1, as
+    monotone-improvement reports it (at n - 1), or None; warnings counts
+    those on |z| = 1.  The summary is kept in grid.reductions under top, so
+    rows given one grid sweep it once.
+    """
+    key = ("compact", top)
+    if key not in grid.reductions:
+        tol = _slack(grid.prec)
+        sups, bad, warnings, errs = [], None, 0, []
+        with workprec(grid.prec + GUARD_BITS):
+            for n, f in vs:
+                new_errs = _grid_errors(f, grid)
+                sups.append(max(new_errs))
+                for (z, _), before, after in zip(grid.samples, errs, new_errs):
+                    if after > before and after > before + tol:  # before + tol >= before
+                        if abs(z) >= 1:
+                            warnings += 1
+                        elif bad is None:
+                            bad = {"n": n - 1, "z": _nstr(z), "increase": _nstr(after - before)}
+                errs = new_errs
+        grid.reductions[key] = sups, bad, warnings
+    return grid.reductions[key]
+
+
 def check_uniform_compact(
-    n_max: int, compact_radius: float = 0.9, prec: int = DEFAULT_PREC
+    n_max: int, compact_radius: float | DiskGrid = 0.9, prec: int = DEFAULT_PREC
 ) -> CheckResult:
     """Sampled sup of |f_n - sqrt(1-z)| on a compact disk decays geometrically.
 
     With q = sampled sup of |(1 - w)/(1 + w)| < 1 and C = 2 sup|w|/(1 - q**2),
     the sup at step n must lie below C * q**(n+1) and be non-increasing in n
-    (both up to slack).
+    (both up to slack).  A DiskGrid in place of the radius is one that
+    ``default_suite`` gives both compact rows: it is swept to v_(n_max + 1),
+    once for the two, at the grid's precision.
     """
-    vs = _v_range("uniform-compact", 1, n_max)
-    if not 0 < compact_radius < 1:
+    shared = isinstance(compact_radius, DiskGrid)
+    ahead = 1 if shared else 0  # a shared sweep reaches monotone-improvement's last iterate
+    vs = _v_range("uniform-compact", 1, n_max, ahead)
+    radius = compact_radius.radius if shared else compact_radius
+    if not 0 < radius < 1:
         raise BadIndex("compact radius must be in (0, 1)")
-    grid = DiskGrid(compact_radius, prec=prec)
-    tol = _slack(prec)
-    sups = [max(_grid_errors(f, grid)) for _, f in vs]
-    with workprec(prec + GUARD_BITS):
+    grid = compact_radius if shared else DiskGrid(radius, prec=prec)
+    sups = _compact_sweep(vs, n_max + ahead, grid)[0][:n_max]
+    tol = _slack(grid.prec)
+    with workprec(grid.prec + GUARD_BITS):
         ws = [w for _, w in grid.samples]
         q = max(abs((1 - w) / (1 + w)) for w in ws)
         big_c = 2 * max(abs(w) for w in ws) / (1 - q * q)
@@ -535,7 +586,7 @@ def check_uniform_compact(
     passed = geo_bad is None and mono_bad is None
     return CheckResult(
         name="uniform-compact",
-        params={"n_max": n_max, "radius": compact_radius},
+        params={"n_max": n_max, "radius": radius},
         passed=bool(passed),
         samples=len(ws) * n_max,
         worst_case={
@@ -549,36 +600,23 @@ def check_uniform_compact(
 
 
 def check_monotone_improvement(
-    n_max: int, radius: float = 0.9, prec: int = DEFAULT_PREC
+    n_max: int, radius: float | DiskGrid = 0.9, prec: int = DEFAULT_PREC
 ) -> CheckResult:
     """|f_{n+1}(z) - sqrt(1-z)| <= |f_n(z) - sqrt(1-z)| + slack pointwise.
 
     Asserted on disks of radius <= 0.9.  On the unit circle itself the
     improvement is only a heuristic, so |z| = 1 points are reported in the
-    note as warnings rather than failures.
+    note as warnings rather than failures.  A DiskGrid in place of the
+    radius is read as ``check_uniform_compact`` reads it.
     """
     vs = _v_range("monotone-improvement", 1, n_max, ahead=1)
-    grid = DiskGrid(radius, prec=prec)
-    tol = _slack(prec)
-    bad = None
-    warnings = 0
-    _, f = next(vs)
-    errs = _grid_errors(f, grid)
-    with workprec(prec + GUARD_BITS):
-        for n, f in vs:  # v_n against v_(n - 1), reported at n - 1
-            new_errs = _grid_errors(f, grid)
-            for (z, _), before, after in zip(grid.samples, errs, new_errs):
-                if after > before + tol:
-                    if abs(z) >= 1:
-                        warnings += 1
-                    elif bad is None:
-                        bad = {"n": n - 1, "z": _nstr(z), "increase": _nstr(after - before)}
-            errs = new_errs
+    grid = radius if isinstance(radius, DiskGrid) else DiskGrid(radius, prec=prec)
+    _, bad, warnings = _compact_sweep(vs, n_max + 1, grid)
     return CheckResult(
         name="monotone-improvement",
-        params={"n_max": n_max, "radius": radius},
+        params={"n_max": n_max, "radius": grid.radius},
         passed=bad is None,
-        samples=len(errs) * n_max,
+        samples=grid.radial * grid.angular * n_max,
         worst_case=bad,
         note=f"{warnings} boundary warnings (|z| = 1 is not asserted)" if warnings else "",
     )
@@ -829,7 +867,8 @@ def guo_explore(p: int, scheme_kind: str, k: int, M: int) -> GuoReport:
     For p = 2 every coefficient from index 1 on should be strictly negative
     (that is a theorem); for p >= 3 the analogous statement is an open
     conjecture, so this function only reports what it finds and asserts
-    nothing.
+    nothing.  The scan stays on the integers of ``_taylor_scaled``: c_m has
+    the sign of x_m, as D_m > 0, and the head is compared by cross products.
     """
     if scheme_kind not in ("newton", "halley"):
         raise BadIndex(f"scheme must be newton or halley, got {scheme_kind!r}")
@@ -839,17 +878,20 @@ def guo_explore(p: int, scheme_kind: str, k: int, M: int) -> GuoReport:
     if M > MAX_COEFF_INDEX:
         raise CapExceeded(f"M = {M} exceeds the coefficient cap {MAX_COEFF_INDEX}")
     f = iterate(scheme, k)
-    cs = taylor_coefficients(f, M)
-    ref = root_series_coeffs(p, M)
-    head = 0
-    while head <= M and cs[head] == ref[head]:
+    xs, Ds = _taylor_scaled(f, M)  # c_m = xs[m] / Ds[m] with Ds[m] > 0
+    # c_m against r_m = rn / rd, the coefficient of (1 - z)**(1/p), by cross
+    # products; r_(m+1) = r_m * (m*p - 1) / ((m + 1)*p) is built only while they agree
+    head, rn, rd = 0, 1, 1
+    while head <= M and xs[head] * rd == rn * Ds[head]:
+        rn, rd = rn * (head * p - 1), rd * (head + 1) * p
         head += 1
     is_poly = f.is_polynomial
     degree = len(f.pair[0]) - 1
     scan_hi = min(M, degree) if is_poly else M
-    violation = next((m for m in range(1, scan_hi + 1) if cs[m] >= 0), None)
-    neg = sum(1 for m in range(1, scan_hi + 1) if cs[m] < 0)
-    zero = sum(1 for m in range(1, scan_hi + 1) if cs[m] == 0)
+    signs = xs[1:scan_hi + 1]  # the signs of c_1..c_scan_hi
+    violation = next((m for m, x in enumerate(signs, start=1) if x >= 0), None)
+    neg = sum(1 for x in signs if x < 0)
+    zero = signs.count(0)
     pos = scan_hi - neg - zero
     note = ""
     if is_poly:
@@ -977,4 +1019,8 @@ def default_suite(n_max: int = 16, prec: int = DEFAULT_PREC) -> list[CheckResult
     if n_max > min(MAX_RANGE_N.values()):
         raise CapExceeded(f"n_max = {n_max} exceeds the suite cap {min(MAX_RANGE_N.values())}")
     _tail_cutoff(n_max, prec)  # the one row whose cap depends on prec, admitted before any row
-    return [r for rows in CHECKS.values() for r in rows(n_max, prec)]
+    # the two compact rows get one grid, so one sweep serves both; popped as they
+    # run, it is freed before the rows after them
+    shared = dict.fromkeys(("uniform-compact", "monotone-improvement"),
+                           {"compact_radius": DiskGrid(0.9, prec=prec)})
+    return [r for name, rows in CHECKS.items() for r in rows(n_max, prec, **shared.pop(name, {}))]

@@ -106,3 +106,39 @@ def mu_bound_worst(n_max, work):
                          initial=mpf(1))
         return max(((pi * n * mu * mu, n) for n, mu in enumerate(mus) if n),
                    key=lambda sample: sample[0])
+
+
+def root_series(p, M):
+    """Coefficients c_0..c_M of (1 - z)**(1/p) as Fractions, c_m = c_(m-1) * (m - 1 - 1/p) / m."""
+    cs = [Fraction(1)]
+    for m in range(1, M + 1):
+        cs.append(cs[-1] * (m - 1 - Fraction(1, p)) / m)
+    return cs
+
+
+def guo_report(p, scheme, k, M, a, b):
+    """The fields of ``GuoReport.to_json_dict`` for the iterate a/b, on Fractions.
+
+    Every coefficient c_0..c_M of a/b comes from ``taylor`` and is compared
+    with ``root_series`` as a Fraction: the head is the length of their
+    agreement from c_0, and the signs are read from c_1 on, up to the degree
+    when b is a constant.
+    """
+    cs, ref = taylor(a, b, M), root_series(p, M)
+    head = 0
+    while head <= M and cs[head] == ref[head]:
+        head += 1
+    is_poly, degree = len(b) == 1, len(a) - 1
+    scan = cs[1:min(M, degree) + 1] if is_poly else cs[1:]
+    counts = {"negative": sum(c < 0 for c in scan), "zero": sum(c == 0 for c in scan),
+              "positive": sum(c > 0 for c in scan)}
+    return {
+        "p": p, "scheme": scheme, "k": k, "M": M,
+        "coeffs_checked": len(scan),
+        "head_agreement_length": head,
+        "first_sign_violation": next((m for m, c in enumerate(scan, 1) if c >= 0), None),
+        "is_polynomial": is_poly,
+        "sign_counts": counts,
+        "note": (f"polynomial iterate of degree {degree}: zero coefficients beyond the "
+                 "degree are structural and excluded from the sign scan") if is_poly else "",
+    }

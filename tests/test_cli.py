@@ -312,9 +312,13 @@ class TestExploreGuo:
 
     def test_sign_violation_at_p2_exits_one(self, capsys, monkeypatch):
         # c_5 of the Newton k = 3 iterate turned positive would contradict the proved case
-        real = verify.taylor_coefficients
-        monkeypatch.setattr(verify, "taylor_coefficients", lambda f, M: tuple(
-            -c if m == 5 else c for m, c in enumerate(real(f, M))))
+        real = verify._taylor_scaled
+
+        def flipped(f, M):
+            xs, Ds = real(f, M)
+            return [-x if m == 5 else x for m, x in enumerate(xs)], Ds
+
+        monkeypatch.setattr(verify, "_taylor_scaled", flipped)
         code, out, _ = run_cli(capsys, "explore-guo", "--p", "2", "--scheme", "newton",
                                "--k", "3", "--M", "16")
         assert code == 1
@@ -325,6 +329,20 @@ class TestExploreGuo:
             "  signs: {'negative': 15, 'zero': 0, 'positive': 1}",
             "  first sign violation:  5",
         ]
+
+    @pytest.mark.parametrize("argv, digest", [
+        pytest.param(("--p", "3", "--scheme", "newton", "--k", "3", "--M", "200"),
+                     "46e9cd47b94cfb041dfb65fb21c2be08de257d12cbe92cdbc3751a098630a8fe",
+                     id="p3-newton-k3-M200"),
+        pytest.param(("--p", "4", "--scheme", "halley", "--k", "2", "--M", "300"),
+                     "e17ee094aa1344272600a86852a69bbf88260d087085304c09ef25edf82e1ee8",
+                     id="p4-halley-k2-M300"),
+    ])
+    def test_json_golden_output(self, capsys, argv, digest):
+        # the bytes of the Fraction scan, kept by the integer one
+        code, out, _ = run_cli(capsys, "--format", "json", "explore-guo", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_bad_root_order(self, capsys):
         code, _, err = run_cli(capsys, "explore-guo", "--p", "1",

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import random
+import weakref
 from fractions import Fraction as F
 from itertools import accumulate
 from types import SimpleNamespace
@@ -63,7 +64,7 @@ from chebsqrt.verify import (
     _to_mpf,
     _worst,
 )
-from oracles import add, grid_errors, horner, mu_bound_worst, mul, taylor
+from oracles import add, grid_errors, guo_report, horner, mu_bound_worst, mul, taylor
 
 PREC = 256
 
@@ -633,6 +634,32 @@ class TestGuoExplorer:
     def test_head_lengths(self):
         assert check_head_lengths(M=128).status == "pass"
 
+    def test_a_zero_coefficient_is_counted_as_zero_and_violates(self, monkeypatch):
+        # no iterate checked has a zero coefficient, so one is planted: c_9 of
+        # Halley k = 2 (past its head of 9), and c_3 with it, inside the head
+        real = verify._taylor_scaled
+
+        def zeroed(f, M):
+            xs, Ds = real(f, M)
+            return [0 if m in (3, 9) else x for m, x in enumerate(xs)], Ds
+
+        monkeypatch.setattr(verify, "_taylor_scaled", zeroed)
+        rep = guo_explore(2, "halley", 2, 16)
+        assert (rep.head_agreement_length, rep.first_sign_violation) == (3, 3)
+        assert rep.sign_counts == {"negative": 14, "zero": 2, "positive": 0}
+
+    @pytest.mark.parametrize("M", [1, 8, 64, 300])
+    @pytest.mark.parametrize("kind", ["newton", "halley"])
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_every_field_matches_the_fraction_oracle(self, p, kind, M):
+        # the integer scan reads signs from the scaled numerators and the head
+        # by cross products; the oracle compares every coefficient as a Fraction.
+        # Newton k = 1 is the polynomial 1 - z/p, scanned to its degree only
+        for k in (1, 2, 3):
+            f = iterate(Scheme(kind, p), k)
+            assert f.is_polynomial == (kind == "newton" and k == 1)
+            assert guo_explore(p, kind, k, M).to_json_dict() == guo_report(p, kind, k, M, *f.pair)
+
 
 class TestSuiteRunner:
     def test_default_suite_green_and_deterministic(self):
@@ -665,6 +692,83 @@ class TestSuiteRunner:
     def test_worst_keeps_the_first_of_equal_errors(self):
         assert _worst([(1, "a"), (3, "b"), (2, "c"), (3, "d")]) == (3, "b")
         assert _worst(iter([(mpf(0), 1), (mpf(0), 2)])) == (0, 1)
+
+    def test_verify_all_sweeps_each_pair_once_per_grid(self, monkeypatch):
+        # the compact rows share one sweep of v_1..v_17 (alone they make 16 + 17),
+        # and five of the six Newton/Halley disk-bound rows read the v row of
+        # equal pair and power (16 sweeps for 21 rows): 33 in all, 54 unshared
+        calls = []
+        real = verify._grid_errors
+
+        def counting(f, grid):
+            calls.append((f.pair, grid.radius))
+            return real(f, grid)
+
+        monkeypatch.setattr(verify, "_grid_errors", counting)
+        rows = default_suite(16, PREC)
+        assert all(r.status in ("pass", "skip") for r in rows)
+        assert [radius for _, radius in calls].count(0.9) == 17
+        assert [radius for _, radius in calls].count(1.0) == 16
+        assert len(set(calls)) == len(calls) == 33
+
+    @pytest.mark.parametrize("order", [(check_uniform_compact, check_monotone_improvement),
+                                       (check_monotone_improvement, check_uniform_compact)])
+    def test_compact_rows_alone_equal_their_suite_rows(self, order):
+        suite = {r.name: r.to_json_dict() for r in default_suite(4, PREC)}
+        for check in order:
+            r = check(4, 0.9, PREC)
+            assert r.to_json_dict() == suite[r.name]
+
+    def test_a_clean_compact_row_after_a_planted_one_passes(self, monkeypatch):
+        # no sweep outlives its row: the planted step backwards fails, and the
+        # clean rows right after it pass with the suite's bytes
+        suite = {r.name: r.to_json_dict() for r in default_suite(4, PREC)}
+        real = verify.v_iterate
+        with monkeypatch.context() as planted:
+            planted.setattr(verify, "v_iterate", lambda n: real(1) if n == 3 else real(n))
+            assert check_uniform_compact(4, 0.9, PREC).status == "fail"
+            assert check_monotone_improvement(4, 0.9, PREC).status == "fail"
+        assert check_uniform_compact(4, 0.9, PREC).to_json_dict() == suite["uniform-compact"]
+        assert check_monotone_improvement(4, 0.9, PREC).to_json_dict() == (
+            suite["monotone-improvement"])
+
+    def test_the_compact_grid_is_freed_before_the_rows_after_it(self, monkeypatch):
+        # the shared grid, its samples and its sweep summary go with the
+        # monotone row, so they add nothing to the memory of the later rows
+        grids, alive = [], []
+
+        class Recorded(DiskGrid):
+            def __post_init__(self):
+                super().__post_init__()
+                grids.append(weakref.ref(self))
+
+        real = verify.check_resummation
+
+        def probe(*args):
+            alive.extend(g().radius for g in grids if g() is not None)
+            return real(*args)
+
+        monkeypatch.setattr(verify, "DiskGrid", Recorded)
+        monkeypatch.setattr(verify, "check_resummation", probe)
+        default_suite(4, PREC)
+        assert len(grids) == 3 and alive == []  # sqrt-consistency's, disk-bound's, the compact one
+
+    def test_disk_bound_shares_only_an_exact_pair_and_power(self, monkeypatch):
+        # v_4 planted for Newton k = 2: its pair is the v_4 row's, but its power
+        # is 4, v_3's, so it sweeps on its own and reports its own worst case,
+        # while the v_3 and v_4 rows keep their bytes
+        def by_row(rows):
+            return {(r.params["scheme"], r.params["k"]): r.to_json_dict() for r in rows}
+
+        clean = by_row(verify._disk_bound_rows(16, PREC))
+        real = verify.iterate
+        newton = Scheme.newton(2)
+        monkeypatch.setattr(verify, "iterate", lambda scheme, k: (
+            real(Scheme.v(), 4) if (scheme, k) == (newton, 2) else real(scheme, k)))
+        alone = check_disk_bound(newton, 2, DiskGrid(prec=PREC)).to_json_dict()
+        planted = by_row(verify._disk_bound_rows(16, PREC))
+        assert planted[str(newton), 2] == alone != clean[str(newton), 2]
+        assert planted == {**clean, (str(newton), 2): alone}
 
     def test_results_carry_sample_counts(self):
         for r in default_suite(n_max=3, prec=PREC):
@@ -791,12 +895,13 @@ class TestFailureBranches:
         # c_5 of the Newton k = 3 iterate turned positive: guo-p2 reports it as
         # the first sign violation, head-lengths as a head of 5 short of 2**3
         target = iterate(Scheme.newton(2), 3)
-        real = verify.taylor_coefficients
+        real = verify._taylor_scaled
 
         def flipped(f, M):
-            return tuple(-c if f == target and m == 5 else c for m, c in enumerate(real(f, M)))
+            xs, Ds = real(f, M)
+            return [-x if f == target and m == 5 else x for m, x in enumerate(xs)], Ds
 
-        monkeypatch.setattr(verify, "taylor_coefficients", flipped)
+        monkeypatch.setattr(verify, "_taylor_scaled", flipped)
         guo, heads = check_guo_p2(64), check_head_lengths(64)
         assert guo.status == "fail" and guo.worst_case == {"scheme": "newton", "k": 3, "m": 5}
         assert heads.status == "fail"
