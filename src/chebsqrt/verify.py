@@ -17,15 +17,15 @@ bits (``_grid_errors``), once per iterate and grid: rows given one grid
 share what its sweeps reduce to (``DiskGrid.reductions``), so ``verify
 --all`` sweeps its compact grid once for two rows, and a Newton or Halley
 disk-bound row equal to a v row reads that row's worst case.
-``_FloatEvaluator`` returns A(z)/B(z) itself: the four integer parts of
-A(z) and B(z) round once each and the quotient once, at the caller's
-precision, on mpmath's raw tuples.  ``resummation`` holds
-``closedform.PartialFractionForm.eval``, which stays on integers up to one
-rounding per part of its value, to the exact values.
-The mu-bound scan runs on fixed-point integers with prec + GUARD_BITS
-fractional bits, and rounds only its worst value.  An exact value p/q
-becomes a float through one rounder, ``_to_mpf``, fed the integers of the
-exact kernels; ``_fixed_point`` is the one reader back.
+``_FloatEvaluator`` returns A(z)/B(z) itself, its four integer parts and
+the quotient each rounded once.  ``resummation`` holds
+``closedform.PartialFractionForm.eval``, one rounding per part, to the
+exact values.  The mu-bound scan runs on fixed-point integers with
+prec + GUARD_BITS fractional bits, and rounds only its worst value.  An
+exact value p/q becomes a float through one rounder, ``_to_mpf``, fed the
+integers of the exact kernels; ``_fixed_point`` is the one reader back.
+Taylor coefficients are read only as ``_taylor_scaled``'s integers, and one
+head scan, ``_head_length``, serves head, head-lengths and explore-guo.
 
 Checks are pure; the suite runner executes them in a fixed order and the
 JSON-lines output is deterministic.
@@ -59,8 +59,6 @@ from .exact import (
     _ratfun_gaussian,
     _taylor_scaled,
     _times_one_minus_z,
-    sqrt_series_coeff,
-    taylor_coefficients,
 )
 from .iterates import Scheme, capped_degree, iterate, v_iterate, v_step
 
@@ -321,19 +319,28 @@ def _grid_errors(f: RationalFunction, grid: DiskGrid) -> list:
 # exact checks
 
 
+def _head_length(xs, Ds, p: int) -> int:
+    """How many leading xs[m] / Ds[m] equal r_m = rn / rd, the coefficients of (1 - z)**(1/p)."""
+    head, rn, rd = 0, 1, 1
+    while head < len(xs) and xs[head] * rd == rn * Ds[head]:
+        rn, rd = rn * (head * p - 1), rd * (head + 1) * p  # r_(m+1) = r_m * (m*p - 1) / ((m + 1)*p)
+        head += 1
+    return head
+
+
 def check_head(n: int) -> CheckResult:
     """Coefficients 0..n of the n-th linear-fraction iterate equal the
     sqrt-series coefficients exactly."""
     if n < 1:
         raise BadIndex("head check needs n >= 1")
-    cs = taylor_coefficients(v_iterate(n), n)
-    bad = next((m for m in range(n + 1) if cs[m] != sqrt_series_coeff(m)), None)
+    xs, Ds = _taylor_scaled(v_iterate(n), n)
+    bad = _head_length(xs, Ds, 2)  # the first m that differs, if any
     return CheckResult(
         name="head",
         params={"n": n},
-        passed=bad is None,
+        passed=bad > n,
         samples=n + 1,
-        worst_case=None if bad is None else {"m": bad, "value": str(cs[bad])},
+        worst_case=None if bad > n else {"m": bad, "value": str(Fraction(xs[bad], Ds[bad]))},
     )
 
 
@@ -623,19 +630,20 @@ def check_monotone_improvement(
 
 
 def check_sqrt_consistency(grid: DiskGrid) -> CheckResult:
-    """sqrt_principal squares back to 1 - z and has nonnegative real part."""
+    """sqrt_principal squares back to 1 - z and has nonnegative real part (wrong_branch_z if not)."""
     prec = grid.prec
     tol = mpf(2) ** (8 - prec)
     with workprec(prec + GUARD_BITS):
         roots = [(z, sqrt_principal(z, prec)) for z in grid.points()]
         worst_err, worst = _worst((abs(w * w - (1 - z)), z) for z, w in roots)
-    sign_bad = any(w.real < 0 for _, w in roots)
+    sign_bad = next((z for z, w in roots if w.real < 0), None)  # the first root on the other branch
     return CheckResult(
         name="sqrt-consistency",
         params={"radius": grid.radius, "grid": f"{grid.radial}x{grid.angular}"},
-        passed=bool(worst_err <= tol and not sign_bad),
+        passed=bool(worst_err <= tol and sign_bad is None),
         samples=grid.radial * grid.angular,
-        worst_case={"z": _nstr(worst), "residual": _nstr(worst_err), "tolerance": _nstr(tol)},
+        worst_case={"z": _nstr(worst), "residual": _nstr(worst_err), "tolerance": _nstr(tol),
+                    **({} if sign_bad is None else {"wrong_branch_z": _nstr(sign_bad)})},
     )
 
 
@@ -868,7 +876,7 @@ def guo_explore(p: int, scheme_kind: str, k: int, M: int) -> GuoReport:
     (that is a theorem); for p >= 3 the analogous statement is an open
     conjecture, so this function only reports what it finds and asserts
     nothing.  The scan stays on the integers of ``_taylor_scaled``: c_m has
-    the sign of x_m, as D_m > 0, and the head is compared by cross products.
+    the sign of x_m, as D_m > 0, and the head is ``_head_length``'s.
     """
     if scheme_kind not in ("newton", "halley"):
         raise BadIndex(f"scheme must be newton or halley, got {scheme_kind!r}")
@@ -879,12 +887,7 @@ def guo_explore(p: int, scheme_kind: str, k: int, M: int) -> GuoReport:
         raise CapExceeded(f"M = {M} exceeds the coefficient cap {MAX_COEFF_INDEX}")
     f = iterate(scheme, k)
     xs, Ds = _taylor_scaled(f, M)  # c_m = xs[m] / Ds[m] with Ds[m] > 0
-    # c_m against r_m = rn / rd, the coefficient of (1 - z)**(1/p), by cross
-    # products; r_(m+1) = r_m * (m*p - 1) / ((m + 1)*p) is built only while they agree
-    head, rn, rd = 0, 1, 1
-    while head <= M and xs[head] * rd == rn * Ds[head]:
-        rn, rd = rn * (head * p - 1), rd * (head + 1) * p
-        head += 1
+    head = _head_length(xs, Ds, p)
     is_poly = f.is_polynomial
     degree = len(f.pair[0]) - 1
     scan_hi = min(M, degree) if is_poly else M
@@ -933,26 +936,24 @@ def check_guo_p2(M: int) -> CheckResult:
 
 
 def check_head_lengths(M: int) -> CheckResult:
-    """Head agreement reaches 2^k (Newton) and 3^k (Halley) at p = 2."""
+    """Head agreement reaches 2^k (Newton) and 3^k (Halley) at p = 2, each iterate
+    read only to c_(required - 1), required = min(M + 1, head_length(k))."""
+    if M < 1:
+        raise BadIndex("need k >= 1 and M >= 1")
+    if M > MAX_COEFF_INDEX:
+        raise CapExceeded(f"M = {M} exceeds the coefficient cap {MAX_COEFF_INDEX}")
     bad = None
-    samples = 0
-    for kind, k_max in (("newton", NEWTON_K_MAX), ("halley", HALLEY_K_MAX)):
+    for scheme, k_max in ((Scheme.newton(2), NEWTON_K_MAX), (Scheme.halley(2), HALLEY_K_MAX)):
         for k in range(1, k_max + 1):
-            report = guo_explore(2, kind, k, M)
-            samples += 1
-            required = min(M + 1, Scheme(kind, 2).head_length(k))
-            if report.head_agreement_length < required and bad is None:
-                bad = {
-                    "scheme": kind,
-                    "k": k,
-                    "head": report.head_agreement_length,
-                    "required": required,
-                }
+            required = min(M + 1, scheme.head_length(k))
+            head = _head_length(*_taylor_scaled(iterate(scheme, k), required - 1), 2)
+            if head < required and bad is None:
+                bad = {"scheme": scheme.kind, "k": k, "head": head, "required": required}
     return CheckResult(
         name="head-lengths",
         params={"newton_k_max": NEWTON_K_MAX, "halley_k_max": HALLEY_K_MAX, "M": M},
         passed=bad is None,
-        samples=samples,
+        samples=NEWTON_K_MAX + HALLEY_K_MAX,
         worst_case=bad,
     )
 

@@ -263,10 +263,15 @@ class TestVerify:
         assert exc.value.code == 2
 
     def test_failed_rows_exit_one(self, capsys, monkeypatch):
-        # a sqrt-series reference planted wrong at m = 3 fails the head rows
+        # a Taylor coefficient planted wrong at m = 3 fails the head rows
         # n = 3 and n = 4 and passes n = 1 and n = 2
-        real = verify.sqrt_series_coeff
-        monkeypatch.setattr(verify, "sqrt_series_coeff", lambda m: -real(m) if m == 3 else real(m))
+        real = verify._taylor_scaled
+
+        def flipped(f, M):
+            xs, Ds = real(f, M)
+            return [-x if m == 3 else x for m, x in enumerate(xs)], Ds
+
+        monkeypatch.setattr(verify, "_taylor_scaled", flipped)
         code, out, _ = run_cli(capsys, "verify", "--check", "head", "--n-max", "4")
         assert code == 1
         assert [line.split()[0] for line in out.splitlines()] == ["PASS", "PASS", "FAIL", "FAIL"]
@@ -646,8 +651,7 @@ def test_every_refusal_comes_before_any_work(capsys, monkeypatch, argv):
         raise AssertionError("work started before the request was refused")
 
     for owner, name in ((verify, "v_iterate"), (verify, "iterate"),
-                        (verify, "taylor_coefficients"), (verify, "_taylor_scaled"),
-                        (verify, "decompose"),
+                        (verify, "_taylor_scaled"), (verify, "decompose"),
                         (verify, "_grid_errors"), (cli, "iterate")):
         monkeypatch.setattr(owner, name, no_work)
     code, _, err = run_cli(capsys, *argv)

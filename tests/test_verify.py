@@ -1,12 +1,15 @@
 """Check battery: principal root, grids, bounds, sign-pattern exploration."""
 
 import dataclasses
+import importlib.util
 import json
 import math
 import random
+import sys
 import weakref
 from fractions import Fraction as F
 from itertools import accumulate
+from pathlib import Path
 from types import SimpleNamespace
 
 import mpmath
@@ -46,6 +49,7 @@ from chebsqrt import (
     guo_explore,
     iterate,
     radius_of_convergence,
+    root_series_coeffs,
     sqrt_principal,
     tail_sum_identity,
     taylor_coefficients,
@@ -60,6 +64,7 @@ from chebsqrt.verify import (
     _fixed_point,
     _FloatEvaluator,
     _grid_errors,
+    _head_length,
     _horner_bits,
     _to_mpf,
     _worst,
@@ -661,6 +666,53 @@ class TestGuoExplorer:
             assert guo_explore(p, kind, k, M).to_json_dict() == guo_report(p, kind, k, M, *f.pair)
 
 
+def _leading_agreement(cs, ref):
+    """The count of leading cs[m] == ref[m], compared as Fractions."""
+    return next((m for m, (c, r) in enumerate(zip(cs, ref)) if c != r), len(cs))
+
+
+class TestHeadScan:
+    """``_head_length``, the one head scan of head, head-lengths and explore-guo."""
+
+    @pytest.mark.parametrize("kind", ["newton", "halley"])
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_newton_and_halley_heads_match_the_fraction_compare(self, p, kind):
+        # at M = head_length(k) - 1 every term agrees and the scan returns len(xs)
+        for k in (1, 2, 3):
+            f = iterate(Scheme(kind, p), k)
+            for M in (Scheme(kind, p).head_length(k) - 1, 40):
+                expected = _leading_agreement(taylor_coefficients(f, M), root_series_coeffs(p, M))
+                assert _head_length(*_taylor_scaled(f, M), p) == expected, (k, M)
+            assert _head_length(*_taylor_scaled(f, 40), p) == Scheme(kind, p).head_length(k)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_v_heads_match_the_fraction_compare(self, n):
+        f = v_iterate(n)
+        for M in (n, n + 8):
+            expected = _leading_agreement(taylor_coefficients(f, M), root_series_coeffs(2, M))
+            assert _head_length(*_taylor_scaled(f, M), 2) == expected == n + 1
+
+    def test_a_scan_that_differs_at_once_or_never(self):
+        assert _head_length([2], [1], 2) == 0
+        assert _head_length([1, -1], [1, 2], 2) == 2  # 1 - z/2, the head of sqrt(1 - z)
+
+    def test_head_lengths_reads_each_iterate_only_to_its_head(self, monkeypatch):
+        # Newton k = 1..4 and Halley k = 1..3 need c_0..c_(head_length(k) - 1), capped at M
+        sizes = []
+        real = verify._taylor_scaled
+
+        def sized(f, M):
+            sizes.append(M)
+            return real(f, M)
+
+        monkeypatch.setattr(verify, "_taylor_scaled", sized)
+        assert check_head_lengths(300).status == "pass"
+        assert sizes == [1, 3, 7, 15, 2, 8, 26]
+        sizes.clear()
+        assert check_head_lengths(5).status == "pass"
+        assert sizes == [1, 3, 5, 5, 2, 5, 5]
+
+
 class TestSuiteRunner:
     def test_default_suite_green_and_deterministic(self):
         first = default_suite(n_max=4, prec=PREC)
@@ -688,6 +740,22 @@ class TestSuiteRunner:
             monkeypatch.setattr(verify, attr, counting(name, getattr(verify, attr)))
         rows = default_suite(n_max=4, prec=PREC)
         assert calls == [r.name for r in rows]
+
+    def test_perfbench_timer_times_one_call_per_row(self, monkeypatch):
+        # the verify-all workload counts its operations with spans.time_checks:
+        # one timed call per result row, in order, or the benchmark's count gate fails
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look it up
+        spec.loader.exec_module(spans)
+        timed = []
+        undo = spans.time_checks(lambda name, seconds: timed.append(name))
+        try:
+            rows = default_suite(n_max=4, prec=PREC)
+        finally:
+            undo()
+        assert timed == [r.name.replace("-", "_") for r in rows]
 
     def test_worst_keeps_the_first_of_equal_errors(self):
         assert _worst([(1, "a"), (3, "b"), (2, "c"), (3, "d")]) == (3, "b")
@@ -1005,17 +1073,18 @@ class TestFailureBranches:
                                 "tolerance": "2.2108591501041778e-75"}
 
     def test_sqrt_consistency_catches_the_other_branch(self, monkeypatch):
-        # -w at z = -1 squares back exactly, so only the sign test fails it,
-        # and the worst residual reported is the clean one
+        # -w at z = -1 squares back exactly, so only the sign test fails it:
+        # the worst residual reported is the clean one, and z = -1 is named
         clean = check_sqrt_consistency(DiskGrid(prec=PREC))
         real = verify.sqrt_principal
         monkeypatch.setattr(verify, "sqrt_principal",
                             lambda z, prec: -real(z, prec) if z == -1 else real(z, prec))
         r = check_sqrt_consistency(DiskGrid(prec=PREC))
         assert clean.status == "pass" and r.status == "fail"
-        assert r.worst_case == clean.worst_case == {
+        assert clean.worst_case == {
             "z": "(-0.69290964938346507 + 0.28701257427381733j)",
             "residual": "2.2525045534501052e-77", "tolerance": "2.2108591501041778e-75"}
+        assert r.worst_case == {**clean.worst_case, "wrong_branch_z": "(-1.0 + 0.0j)"}
 
     def test_mu_bound_catches_pi_taken_as_22_over_7(self, monkeypatch):
         # 22/7 exceeds pi by 4.0e-4 of itself, while pi n mu_n**2 stays below
