@@ -13,10 +13,11 @@ each step floors once to W fractional bits, W = prec + GUARD_BITS plus the
 pair's largest coefficient bit length (``_horner_bits``).  The grid checks
 stay on integers after that: |A(z)/B(z) - w| against the grid's dyadic root
 w is formed exactly from the Horner values and rounds once, to an mpf at W
-bits (``_grid_errors``), once per iterate and grid: rows given one grid
-share what its sweeps reduce to (``DiskGrid.reductions``), so ``verify
---all`` sweeps its compact grid once for two rows, and a Newton or Halley
-disk-bound row equal to a v row reads that row's worst case.
+bits (``_grid_errors``), once per iterate, grid and conjugate pair of
+samples: rows given one grid share what its sweeps reduce to
+(``DiskGrid.reductions``), so ``verify --all`` sweeps its compact grid once
+for two rows, and a Newton or Halley disk-bound row equal to a v row reads
+that row's worst case.
 ``_FloatEvaluator`` returns A(z)/B(z) itself, its four integer parts and
 the quotient each rounded once.  ``resummation`` holds
 ``closedform.PartialFractionForm.eval``, one rounding per part, to the
@@ -34,6 +35,7 @@ JSON-lines output is deterministic.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -41,7 +43,7 @@ from typing import Optional
 
 import mpmath
 from mpmath import mpc, mpf, workprec
-from mpmath.libmp import from_int, from_rational, fzero, mpc_div
+from mpmath.libmp import from_int, from_rational, fzero, mpc_div, mpf_neg
 
 from .chebyshev import DEFAULT_PREC, GUARD_BITS
 from .closedform import (
@@ -60,7 +62,7 @@ from .exact import (
     _taylor_scaled,
     _times_one_minus_z,
 )
-from .iterates import Scheme, capped_degree, iterate, v_iterate, v_step
+from .iterates import MAX_DEGREE, Scheme, capped_degree, iterate, v_iterate, v_step
 
 SLACK_BITS = 16
 
@@ -70,6 +72,10 @@ SLACK_BITS = 16
 MAX_COEFF_INDEX = 4096
 MAX_MU_N = 100_000
 MAX_GRID_POINTS = 1024
+
+# Largest degree x grid samples of a disk-bound row: the degree cap on the
+# suite's 8 x 16 grid.  Newton k = 12 on a 32 x 32 grid, eight times that, ran 72-94 s.
+MAX_DISK_BOUND_WORK = MAX_DEGREE * 128
 
 # Largest cutoff of tail-sum's exact partial sums.  The cutoff grows linearly
 # with the precision.  This was the power of two nearest a 5 s run under the
@@ -169,7 +175,11 @@ class DiskGrid:
     radial rings at radii radius*i/radial (i = 1..radial) with angular
     equispaced angles each; the boundary ring and the angle-0 point
     (z = radius) are included.  The samples, their exact fixed-point form
-    and their moduli are each built once per grid, on first use.  Rows
+    and their moduli are each built once per grid, on first use.  A sample
+    whose point and root are an earlier sample's exact conjugates mirrors it
+    (``mirrors``): off the cut sqrt(1 - conj z) = conj sqrt(1 - z), so it
+    takes that root conjugated, and the iterates' integer coefficients give
+    it the same error, which only the ``sources`` are swept for.  Rows
     given the same grid share ``reductions``: summaries (never error
     vectors) that a sweep of the grid leaves for the next row to read.
     """
@@ -197,14 +207,33 @@ class DiskGrid:
 
     @cached_property
     def samples(self) -> list:
-        """(z, sqrt_principal(z)) for every point, the root at prec + GUARD_BITS."""
-        return [(z, sqrt_principal(z, self.prec + GUARD_BITS)) for z in self.points()]
+        """(z, sqrt_principal(z)) for every point, the root at prec + GUARD_BITS;
+        a mirror's root is its source's with the imaginary part negated, unrounded."""
+        points, samples = self.points(), []
+        for z, j in zip(points, _mirrors([(_fixed_point(z),) for z in points])):
+            if j < len(samples):
+                re, im = samples[j][1]._mpc_
+                samples.append((z, mpmath.mp.make_mpc((re, mpf_neg(im)))))
+            else:
+                samples.append((z, sqrt_principal(z, self.prec + GUARD_BITS)))
+        return samples
 
     @cached_property
     def fixed(self) -> list:
         """((x, y, s), (wr, wi, t)) for every sample: z = (x + y*i) / 2**s and its
         root (wr + wi*i) / 2**t, read exactly by ``_fixed_point``."""
         return [(_fixed_point(z), _fixed_point(w)) for z, w in self.samples]
+
+    @cached_property
+    def mirrors(self) -> list:
+        """``_mirrors(fixed)``: the sample each sample mirrors, or its own index."""
+        return _mirrors(self.fixed)
+
+    @cached_property
+    def sources(self) -> list:
+        """(i, weight) for each sample i that mirrors none, in order; weight counts
+        i and its mirrors, whose errors, moduli and |(1 - w)/(1 + w)| equal i's."""
+        return list(Counter(self.mirrors).items())
 
     @cached_property
     def moduli(self) -> list:
@@ -247,6 +276,18 @@ def _to_mpf(p: int, q: int):
     """p/q, q != 0, rounded once toward zero at the working precision: bit for
     bit ``mpmathify(Fraction(p, q))``, without the gcd that reduces the pair."""
     return mpmath.mp.make_mpf(from_rational(p, q, mpmath.mp.prec))
+
+
+def _mirrors(fixed) -> list:
+    """For each sample of ``fixed``, a tuple of exact (x, y, s) triples, the index of
+    the first earlier source sample whose every triple is (x, -y, s), or its own."""
+    first, mirrors = {}, []
+    for i, key in enumerate(fixed):
+        j = first.get(tuple((x, -y, s) for x, y, s in key))
+        if j is None:
+            first.setdefault(key, i)
+        mirrors.append(i if j is None else j)
+    return mirrors
 
 
 def _fixed_point(z) -> tuple[int, int, int]:
@@ -300,12 +341,18 @@ def _grid_errors(f: RationalFunction, grid: DiskGrid) -> list:
     integer E = a*2**t - (wr + wi*i)*b, and |E|/|b| is one isqrt of a floored
     quotient, carrying at least W + 8 bits.  The result is |a/b - w| rounded
     once to W bits, within 2**-(W - 1) of it relatively; |b| = 0 raises
-    ZeroDivisionError.  No mpc is built, and one mpf per sample.
+    ZeroDivisionError.  No mpc is built, and one mpf per sample.  A sample
+    that mirrors an earlier one (``_mirrors``) copies its error: A and B have
+    integer coefficients, so its E and b are the earlier ones' conjugates.
     """
     work = _horner_bits(f, grid.prec)
     a, b = f.pair
     errs = []
-    for (x, y, s), (wr, wi, t) in grid.fixed:
+    for ((x, y, s), (wr, wi, t)), j in zip(grid.fixed, getattr(grid, "mirrors", None)
+                                           or _mirrors(grid.fixed)):
+        if j < len(errs):
+            errs.append(errs[j])
+            continue
         ar, ai = _fixed_horner(a, x, y, s, work)
         br, bi = _fixed_horner(b, x, y, s, work)
         er, ei = (ar << t) - wr * br + wi * bi, (ai << t) - wr * bi - wi * br
@@ -486,7 +533,7 @@ def check_ratio_identity(n: int, prec: int = DEFAULT_PREC) -> CheckResult:
     )
 
 
-def _disk_bound_factor(scheme: Scheme, k: int):
+def _disk_bound_factor(scheme: Scheme, k: int, grid: DiskGrid):
     # factor and |z|-power of the closed-unit-disk error bound.  By the
     # composition identity the k-th iterate is v_n with n = head_length(k) - 1,
     # so every scheme takes the v bound 2/sqrt(pi n) with power n + 1
@@ -494,7 +541,10 @@ def _disk_bound_factor(scheme: Scheme, k: int):
         raise BadRootOrder("closed-disk bounds are proved for p = 2 only")
     if k < 1:
         raise BadIndex("disk bound needs k >= 1")
-    capped_degree(scheme, k)
+    degree, points = capped_degree(scheme, k), grid.radial * grid.angular
+    if degree * points > MAX_DISK_BOUND_WORK:
+        raise CapExceeded(f"{scheme} k = {k}: degree {degree} x {points} samples exceeds "
+                          f"the disk-bound cap {MAX_DISK_BOUND_WORK}")
     n = scheme.head_length(k) - 1
     return 2 / mpmath.sqrt(mpmath.pi * n), n + 1
 
@@ -512,13 +562,14 @@ def check_disk_bound(scheme: Scheme, k: int, grid: DiskGrid) -> CheckResult:
     prec = grid.prec
     tol = _slack(prec)
     with workprec(prec + GUARD_BITS):
-        factor, power = _disk_bound_factor(scheme, k)  # validates before the build
+        factor, power = _disk_bound_factor(scheme, k, grid)  # validates before the build
         f = iterate(scheme, k)
         key = ("disk-bound", f.pair, power)
         if key not in grid.reductions:
+            errs = _grid_errors(f, grid)
             grid.reductions[key] = _worst(
-                (err - factor * r ** power, z)
-                for (z, _), r, err in zip(grid.samples, grid.moduli, _grid_errors(f, grid)))
+                (errs[i] - factor * grid.moduli[i] ** power, grid.samples[i][0])
+                for i, _ in grid.sources)
         worst_excess, worst = grid.reductions[key]
     return CheckResult(
         name="disk-bound",
@@ -548,10 +599,11 @@ def _compact_sweep(vs, top: int, grid: DiskGrid) -> tuple:
             for n, f in vs:
                 new_errs = _grid_errors(f, grid)
                 sups.append(max(new_errs))
-                for (z, _), before, after in zip(grid.samples, errs, new_errs):
+                for i, weight in grid.sources if errs else ():
+                    z, before, after = grid.samples[i][0], errs[i], new_errs[i]
                     if after > before and after > before + tol:  # before + tol >= before
                         if abs(z) >= 1:
-                            warnings += 1
+                            warnings += weight
                         elif bad is None:
                             bad = {"n": n - 1, "z": _nstr(z), "increase": _nstr(after - before)}
                 errs = new_errs
@@ -580,7 +632,7 @@ def check_uniform_compact(
     sups = _compact_sweep(vs, n_max + ahead, grid)[0][:n_max]
     tol = _slack(grid.prec)
     with workprec(grid.prec + GUARD_BITS):
-        ws = [w for _, w in grid.samples]
+        ws = [grid.samples[i][1] for i, _ in grid.sources]
         q = max(abs((1 - w) / (1 + w)) for w in ws)
         big_c = 2 * max(abs(w) for w in ws) / (1 - q * q)
         geo_bad = next(
@@ -595,7 +647,7 @@ def check_uniform_compact(
         name="uniform-compact",
         params={"n_max": n_max, "radius": radius},
         passed=bool(passed),
-        samples=len(ws) * n_max,
+        samples=len(grid.samples) * n_max,
         worst_case={
             "q": _nstr(q),
             "sup_first": _nstr(sups[0]),
@@ -977,7 +1029,7 @@ def _disk_bound_rows(n_max, prec, k=None, scheme=None, grid=None):
     rows = [(Scheme(s, None if s == "v" else 2), i)
             for s in ([scheme] if scheme else ks) for i in (ks[s] if k is None else [k])]
     for row in rows:
-        _disk_bound_factor(*row)  # every row is admitted before the first runs
+        _disk_bound_factor(*row, grid)  # every row is admitted before the first runs
     return [check_disk_bound(*row, grid) for row in rows]
 
 

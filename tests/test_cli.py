@@ -645,6 +645,9 @@ def test_bad_input_is_usage_error(capsys, monkeypatch, argv):
     ("--prec", "1024", "verify", "--check", "tail-sum"),
     # a rational point and a complex one at once
     ("eval", "--scheme", "v", "--k", "3", "--at", "1/2", "--at-re", "0.1", "--at-im", "0.9"),
+    # under the degree cap, but past the disk-bound cap on degree x grid samples
+    ("verify", "--check", "disk-bound", "--scheme", "newton", "--k", "12",
+     "--grid-radial", "32", "--grid-angular", "32"),
 ])
 def test_every_refusal_comes_before_any_work(capsys, monkeypatch, argv):
     def no_work(*args, **kwargs):

@@ -124,9 +124,26 @@ class TestDiskGrid:
             DiskGrid(1.0, 0, 8, PREC)
 
     def test_samples_are_cached_roots(self):
-        grid = DiskGrid(0.9, 2, 4, PREC)
-        assert grid.samples is grid.samples
-        assert grid.samples == [(z, sqrt_principal(z, PREC + GUARD_BITS)) for z in grid.points()]
+        # a mirror's point and root are an earlier source's exact conjugates, and
+        # its root, read at the default 53 bits, is sqrt_principal's bit for bit;
+        # 7 angles are inexact, so that grid pairs nothing
+        assert mpmath.mp.prec == 53
+        for radius in (1.0, 0.9):
+            for radial, angular, mirrored in ((8, 16, 56), (16, 32, 240), (5, 7, 0)):
+                grid = DiskGrid(radius, radial, angular, PREC)
+                assert grid.samples is grid.samples
+                assert [z for z, _ in grid.samples] == grid.points()
+                for z, w in grid.samples:
+                    assert w._mpc_ == sqrt_principal(z, PREC + GUARD_BITS)._mpc_
+                pairs = [(i, j) for i, j in enumerate(grid.mirrors) if j != i]
+                assert len(pairs) == mirrored
+                for i, j in pairs:
+                    assert j < i and grid.mirrors[j] == j
+                    assert all((x, -y, s) == conj
+                               for (x, y, s), conj in zip(grid.fixed[i], grid.fixed[j]))
+                weights = dict(grid.sources)  # a source's weight counts it and its mirrors
+                assert list(weights) == [i for i, j in enumerate(grid.mirrors) if j == i]
+                assert all(w == grid.mirrors.count(i) for i, w in weights.items())
 
     def test_fixed_form_and_moduli_are_the_samples_exactly(self):
         grid = DiskGrid(0.9, 2, 4, PREC)
@@ -209,6 +226,20 @@ class TestExactChecks:
         monkeypatch.setattr(verify, "v_iterate", _no_build)
         with pytest.raises(CapExceeded):
             getattr(verify, f"check_{name}")(n_max)
+
+    def test_disk_bound_work_cap(self, monkeypatch):
+        # degree x samples up to MAX_DEGREE x 128 is admitted: every 8x16 row under
+        # the degree cap and Newton k = 11 on 16x16; past it, refused before the build
+        monkeypatch.setattr(verify, "iterate", lambda scheme, k: _no_build(k))
+        newton, halley = Scheme.newton(2), Scheme.halley(2)
+        for scheme, k, radial, angular in ((newton, 12, 8, 16), (Scheme.v(), 4095, 8, 16),
+                                           (newton, 11, 16, 16)):
+            with pytest.raises(AssertionError, match="was built"):
+                check_disk_bound(scheme, k, DiskGrid(1.0, radial, angular, PREC))
+        for scheme, k, radial, angular in ((newton, 12, 16, 16), (newton, 12, 32, 32),
+                                           (halley, 7, 16, 16)):
+            with pytest.raises(CapExceeded, match="disk-bound cap"):
+                check_disk_bound(scheme, k, DiskGrid(1.0, radial, angular, PREC))
 
     def test_row_indices_refuse_before_any_build(self, monkeypatch):
         monkeypatch.setattr(verify, "v_iterate", _no_build)
@@ -869,23 +900,49 @@ def test_computations_read_only_the_pair(monkeypatch, capsys):
 class TestFailureBranches:
     """Each row below is made to fail by one planted defect on verify's names."""
 
+    @staticmethod
+    def plant_on_v3(monkeypatch, planted):
+        # v_3 planted worse than v_2 at the sample indices of planted, on the unit grid
+        def errors(n, grid):
+            return [planted.get(i, mpf(0)) if n == 3 else mpf(0) for i in range(len(grid.samples))]
+
+        monkeypatch.setattr(verify, "v_iterate", lambda n: n)
+        monkeypatch.setattr(verify, "_grid_errors", errors)
+        return check_monotone_improvement(4, 1.0, PREC)
+
     def test_monotone_improvement_fails_inside_and_warns_on_the_circle(self, monkeypatch):
         # v_3 planted worse than v_2 at z = 1/8 and at z = 1: the inside point
         # fails the check, reported at n = 2; the one on |z| = 1 only warns
         grid = DiskGrid(1.0, prec=PREC)
         planted = {0: mpf(2) ** -20, (grid.radial - 1) * grid.angular: mpf(1)}
         assert [grid.samples[i][0] for i in planted] == [mpf(1) / 8, 1]
-
-        def errors(n, grid):
-            return [planted.get(i, mpf(0)) if n == 3 else mpf(0) for i in range(len(grid.samples))]
-
-        monkeypatch.setattr(verify, "v_iterate", lambda n: n)
-        monkeypatch.setattr(verify, "_grid_errors", errors)
-        r = check_monotone_improvement(4, 1.0, PREC)
+        r = self.plant_on_v3(monkeypatch, planted)
         assert r.status == "fail" and r.samples == 4 * 128
         assert r.worst_case == {"n": 2, "z": "(0.125 + 0.0j)",
                                 "increase": "9.5367431640625e-7"}
         assert r.note == "1 boundary warnings (|z| = 1 is not asserted)"
+
+    def test_monotone_improvement_warns_twice_for_a_conjugate_pair_on_the_circle(self, monkeypatch):
+        # angles 1 and 15 of 16 on the outer ring: one pair, two samples, two warnings
+        grid = DiskGrid(1.0, prec=PREC)
+        pair = [(grid.radial - 1) * grid.angular + j for j in (1, grid.angular - 1)]
+        (re, im), conj = (grid.samples[i][0]._mpc_ for i in pair)
+        assert im != mpmath.libmp.fzero and conj == (re, mpmath.libmp.mpf_neg(im))
+        r = self.plant_on_v3(monkeypatch, dict.fromkeys(pair, mpf(1)))
+        assert r.status == "pass" and r.worst_case is None
+        assert r.note == "2 boundary warnings (|z| = 1 is not asserted)"
+
+    def test_monotone_improvement_reports_the_first_of_a_conjugate_pair(self, monkeypatch):
+        # angles 3 and 13 of 16 on the ring |z| = 1/2: equal increases, the earlier z
+        grid = DiskGrid(1.0, prec=PREC)
+        first, second = (3 * grid.angular + j for j in (3, grid.angular - 3))
+        z = grid.samples[first][0]
+        re, im = z._mpc_
+        assert z.imag > 0 and grid.samples[second][0]._mpc_ == (re, mpmath.libmp.mpf_neg(im))
+        r = self.plant_on_v3(monkeypatch, {first: mpf(2) ** -20, second: mpf(2) ** -20})
+        assert r.status == "fail" and r.note == ""
+        assert r.worst_case == {"n": 2, "z": mpmath.nstr(z, 17), "increase": "9.5367431640625e-7"}
+        assert r.worst_case["z"] == "(0.19134171618254489 + 0.46193976625564338j)"
 
     def test_coeff_formula_reports_a_sign_violation(self, monkeypatch):
         # c_3 of v_2 turned positive in both the exact and the closed form: the
