@@ -35,7 +35,6 @@ JSON-lines output is deterministic.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -43,7 +42,7 @@ from typing import Optional
 
 import mpmath
 from mpmath import mpc, mpf, workprec
-from mpmath.libmp import from_int, from_rational, fzero, mpc_div, mpf_neg
+from mpmath.libmp import from_int, from_rational, fzero, mpc_div
 
 from .chebyshev import DEFAULT_PREC, GUARD_BITS
 from .closedform import (
@@ -174,14 +173,13 @@ class DiskGrid:
 
     radial rings at radii radius*i/radial (i = 1..radial) with angular
     equispaced angles each; the boundary ring and the angle-0 point
-    (z = radius) are included.  The samples, their exact fixed-point form
-    and their moduli are each built once per grid, on first use.  A sample
-    whose point and root are an earlier sample's exact conjugates mirrors it
-    (``mirrors``): off the cut sqrt(1 - conj z) = conj sqrt(1 - z), so it
-    takes that root conjugated, and the iterates' integer coefficients give
-    it the same error, which only the ``sources`` are swept for.  Rows
-    given the same grid share ``reductions``: summaries (never error
-    vectors) that a sweep of the grid leaves for the next row to read.
+    (z = radius) are included.  ``sources``, the one sample table, is built
+    once per grid, on first use.  A point that is an earlier point's exact
+    conjugate has no entry of its own: off the cut sqrt(1 - conj z) =
+    conj sqrt(1 - z), and the iterates' integer coefficients give it the
+    same error, so it adds to that source's weight.  Rows given the same
+    grid share ``reductions``: summaries (never error vectors) that a sweep
+    of the grid leaves for the next row to read.
     """
 
     radius: float = 1.0
@@ -206,40 +204,25 @@ class DiskGrid:
                     for j in range(self.angular)]
 
     @cached_property
-    def samples(self) -> list:
-        """(z, sqrt_principal(z)) for every point, the root at prec + GUARD_BITS;
-        a mirror's root is its source's with the imaginary part negated, unrounded."""
-        points, samples = self.points(), []
-        for z, j in zip(points, _mirrors([(_fixed_point(z),) for z in points])):
-            if j < len(samples):
-                re, im = samples[j][1]._mpc_
-                samples.append((z, mpmath.mp.make_mpc((re, mpf_neg(im)))))
-            else:
-                samples.append((z, sqrt_principal(z, self.prec + GUARD_BITS)))
-        return samples
-
-    @cached_property
-    def fixed(self) -> list:
-        """((x, y, s), (wr, wi, t)) for every sample: z = (x + y*i) / 2**s and its
-        root (wr + wi*i) / 2**t, read exactly by ``_fixed_point``."""
-        return [(_fixed_point(z), _fixed_point(w)) for z, w in self.samples]
-
-    @cached_property
-    def mirrors(self) -> list:
-        """``_mirrors(fixed)``: the sample each sample mirrors, or its own index."""
-        return _mirrors(self.fixed)
-
-    @cached_property
     def sources(self) -> list:
-        """(i, weight) for each sample i that mirrors none, in order; weight counts
-        i and its mirrors, whose errors, moduli and |(1 - w)/(1 + w)| equal i's."""
-        return list(Counter(self.mirrors).items())
-
-    @cached_property
-    def moduli(self) -> list:
-        """abs(z) at prec + GUARD_BITS for every sample."""
+        """(z, w, |z|, (x, y, s), (wr, wi, t), weight) for each point that is not an
+        earlier point's exact conjugate, in point order: z = (x + y*i) / 2**s, its
+        root w = sqrt_principal(z) = (wr + wi*i) / 2**t and |z|, at prec + GUARD_BITS,
+        read exactly by ``_fixed_point``; weight counts z and its conjugates, whose
+        errors, moduli and |(1 - w)/(1 + w)| equal z's."""
+        entries, weights, first = [], [], {}
         with workprec(self.prec + GUARD_BITS):
-            return [abs(z) for z, _ in self.samples]
+            for z in self.points():
+                x, y, s = key = _fixed_point(z)
+                j = first.get((x, -y, s))
+                if j is None:
+                    w = sqrt_principal(z, self.prec + GUARD_BITS)
+                    first[key] = len(entries)
+                    entries.append((z, w, abs(z), key, _fixed_point(w)))
+                    weights.append(1)
+                else:
+                    weights[j] += 1
+        return [(*entry, weight) for entry, weight in zip(entries, weights)]
 
     @cached_property
     def reductions(self) -> dict:
@@ -276,18 +259,6 @@ def _to_mpf(p: int, q: int):
     """p/q, q != 0, rounded once toward zero at the working precision: bit for
     bit ``mpmathify(Fraction(p, q))``, without the gcd that reduces the pair."""
     return mpmath.mp.make_mpf(from_rational(p, q, mpmath.mp.prec))
-
-
-def _mirrors(fixed) -> list:
-    """For each sample of ``fixed``, a tuple of exact (x, y, s) triples, the index of
-    the first earlier source sample whose every triple is (x, -y, s), or its own."""
-    first, mirrors = {}, []
-    for i, key in enumerate(fixed):
-        j = first.get(tuple((x, -y, s) for x, y, s in key))
-        if j is None:
-            first.setdefault(key, i)
-        mirrors.append(i if j is None else j)
-    return mirrors
 
 
 def _fixed_point(z) -> tuple[int, int, int]:
@@ -333,26 +304,21 @@ def _horner_bits(f: RationalFunction, prec: int) -> int:
 
 
 def _grid_errors(f: RationalFunction, grid: DiskGrid) -> list:
-    """|f(z) - sqrt(1 - z)| at every grid sample, as mpfs at W = _horner_bits(f, grid.prec) bits.
+    """|f(z) - sqrt(1 - z)| at every grid source, as mpfs at W = _horner_bits(f, grid.prec) bits.
 
     A(z) and B(z) come from ``_fixed_horner`` at W fractional bits as Gaussian
-    integers a, b over 2**W, and the root from ``grid.fixed`` as
+    integers a, b over 2**W, and the root from ``grid.sources`` as
     w = (wr + wi*i) / 2**t.  So a/b - w = E / (2**t * b) with the Gaussian
     integer E = a*2**t - (wr + wi*i)*b, and |E|/|b| is one isqrt of a floored
     quotient, carrying at least W + 8 bits.  The result is |a/b - w| rounded
     once to W bits, within 2**-(W - 1) of it relatively; |b| = 0 raises
-    ZeroDivisionError.  No mpc is built, and one mpf per sample.  A sample
-    that mirrors an earlier one (``_mirrors``) copies its error: A and B have
-    integer coefficients, so its E and b are the earlier ones' conjugates.
+    ZeroDivisionError.  No mpc is built, and one mpf per source: A and B have
+    integer coefficients, so a source's conjugates have its E and b conjugated.
     """
     work = _horner_bits(f, grid.prec)
     a, b = f.pair
     errs = []
-    for ((x, y, s), (wr, wi, t)), j in zip(grid.fixed, getattr(grid, "mirrors", None)
-                                           or _mirrors(grid.fixed)):
-        if j < len(errs):
-            errs.append(errs[j])
-            continue
+    for _, _, _, (x, y, s), (wr, wi, t), _ in grid.sources:
         ar, ai = _fixed_horner(a, x, y, s, work)
         br, bi = _fixed_horner(b, x, y, s, work)
         er, ei = (ar << t) - wr * br + wi * bi, (ai << t) - wr * bi - wi * br
@@ -566,10 +532,9 @@ def check_disk_bound(scheme: Scheme, k: int, grid: DiskGrid) -> CheckResult:
         f = iterate(scheme, k)
         key = ("disk-bound", f.pair, power)
         if key not in grid.reductions:
-            errs = _grid_errors(f, grid)
             grid.reductions[key] = _worst(
-                (errs[i] - factor * grid.moduli[i] ** power, grid.samples[i][0])
-                for i, _ in grid.sources)
+                (err - factor * r ** power, z)
+                for err, (z, _, r, *_) in zip(_grid_errors(f, grid), grid.sources))
         worst_excess, worst = grid.reductions[key]
     return CheckResult(
         name="disk-bound",
@@ -599,10 +564,9 @@ def _compact_sweep(vs, top: int, grid: DiskGrid) -> tuple:
             for n, f in vs:
                 new_errs = _grid_errors(f, grid)
                 sups.append(max(new_errs))
-                for i, weight in grid.sources if errs else ():
-                    z, before, after = grid.samples[i][0], errs[i], new_errs[i]
+                for before, after, (z, _, r, *_, weight) in zip(errs, new_errs, grid.sources):
                     if after > before and after > before + tol:  # before + tol >= before
-                        if abs(z) >= 1:
+                        if r >= 1:
                             warnings += weight
                         elif bad is None:
                             bad = {"n": n - 1, "z": _nstr(z), "increase": _nstr(after - before)}
@@ -632,7 +596,7 @@ def check_uniform_compact(
     sups = _compact_sweep(vs, n_max + ahead, grid)[0][:n_max]
     tol = _slack(grid.prec)
     with workprec(grid.prec + GUARD_BITS):
-        ws = [grid.samples[i][1] for i, _ in grid.sources]
+        ws = [w for _, w, *_ in grid.sources]
         q = max(abs((1 - w) / (1 + w)) for w in ws)
         big_c = 2 * max(abs(w) for w in ws) / (1 - q * q)
         geo_bad = next(
@@ -647,7 +611,7 @@ def check_uniform_compact(
         name="uniform-compact",
         params={"n_max": n_max, "radius": radius},
         passed=bool(passed),
-        samples=len(grid.samples) * n_max,
+        samples=grid.radial * grid.angular * n_max,
         worst_case={
             "q": _nstr(q),
             "sup_first": _nstr(sups[0]),

@@ -124,35 +124,42 @@ class TestDiskGrid:
             DiskGrid(1.0, 0, 8, PREC)
 
     def test_samples_are_cached_roots(self):
-        # a mirror's point and root are an earlier source's exact conjugates, and
-        # its root, read at the default 53 bits, is sqrt_principal's bit for bit;
-        # 7 angles are inexact, so that grid pairs nothing
+        # the sources are the points, in order, less each exact conjugate of an
+        # earlier point, whose own root is its source's conjugated; every root,
+        # read at the default 53 bits, is sqrt_principal's bit for bit, and a
+        # source's weight counts it and its conjugates; 7 angles are inexact, so
+        # that grid pairs nothing
         assert mpmath.mp.prec == 53
+        neg = mpmath.libmp.mpf_neg
         for radius in (1.0, 0.9):
-            for radial, angular, mirrored in ((8, 16, 56), (16, 32, 240), (5, 7, 0)):
+            for radial, angular, count in ((8, 16, 72), (16, 32, 272), (5, 7, 35)):
                 grid = DiskGrid(radius, radial, angular, PREC)
-                assert grid.samples is grid.samples
-                assert [z for z, _ in grid.samples] == grid.points()
-                for z, w in grid.samples:
-                    assert w._mpc_ == sqrt_principal(z, PREC + GUARD_BITS)._mpc_
-                pairs = [(i, j) for i, j in enumerate(grid.mirrors) if j != i]
-                assert len(pairs) == mirrored
-                for i, j in pairs:
-                    assert j < i and grid.mirrors[j] == j
-                    assert all((x, -y, s) == conj
-                               for (x, y, s), conj in zip(grid.fixed[i], grid.fixed[j]))
-                weights = dict(grid.sources)  # a source's weight counts it and its mirrors
-                assert list(weights) == [i for i, j in enumerate(grid.mirrors) if j == i]
-                assert all(w == grid.mirrors.count(i) for i, w in weights.items())
+                assert grid.sources is grid.sources and len(grid.sources) == count
+                assert sum(entry[-1] for entry in grid.sources) == radial * angular
+                entries, first, weights = iter(grid.sources), {}, []
+                for z in grid.points():
+                    (re, im), root = z._mpc_, sqrt_principal(z, PREC + GUARD_BITS)._mpc_
+                    j = first.get((re, neg(im)))
+                    if j is None:
+                        source_z, source_w, *_ = next(entries)
+                        assert source_z._mpc_ == z._mpc_ and source_w._mpc_ == root
+                        first[z._mpc_] = len(weights)
+                        weights.append(1)
+                    else:
+                        wr, wi = grid.sources[j][1]._mpc_
+                        assert root == (wr, neg(wi))
+                        weights[j] += 1
+                assert next(entries, None) is None
+                assert [entry[-1] for entry in grid.sources] == weights
 
     def test_fixed_form_and_moduli_are_the_samples_exactly(self):
         grid = DiskGrid(0.9, 2, 4, PREC)
-        assert grid.fixed is grid.fixed and grid.moduli is grid.moduli
+        assert grid.sources is grid.sources
         with workprec(4 * PREC):
-            for (z, w), ((x, y, s), (wr, wi, t)) in zip(grid.samples, grid.fixed):
+            for z, w, _, (x, y, s), (wr, wi, t), _ in grid.sources:
                 assert mpc(x, y) / 2**s == z and mpc(wr, wi) / 2**t == w
         with workprec(PREC + GUARD_BITS):
-            assert grid.moduli == [abs(z) for z, _ in grid.samples]
+            assert [r for _, _, r, *_ in grid.sources] == [abs(z) for z, *_ in grid.sources]
 
 
 class TestExactChecks:
@@ -437,7 +444,8 @@ class TestGridErrors:
             # a/b = (har + hai*i)/(hbr + hbi*i), both over 2^work, as exact Fractions
             qr, qi = F(har * hbr + hai * hbi, hb2), F(hai * hbr - har * hbi, hb2)
             tight = mpmath.sqrt(mpmath.mpmathify(_gaussian_abs_sq(qr - wr, qi - wi)))
-        [got] = _grid_errors(f, SimpleNamespace(prec=prec, fixed=[((x, y, s), fixed_w)]))
+        [got] = _grid_errors(f, SimpleNamespace(prec=prec,
+                                                sources=[(z, w, None, (x, y, s), fixed_w, 1)]))
         assert mpmath.libmp.bitcount(int(got.man)) <= work
         with workprec(2 * work + 64):
             assert abs(got - tight) <= tight * 2 ** (1 - work)
@@ -451,7 +459,8 @@ class TestGridErrors:
         for n in range(1, n_max + 1):
             f = v_iterate(n)
             work = _horner_bits(f, PREC)
-            want = grid_errors(_FloatEvaluator(f, work), grid.samples, work)
+            want = grid_errors(_FloatEvaluator(f, work), [(z, w) for z, w, *_ in grid.sources],
+                               work)
             assert [mpmath.nstr(e, 17) for e in _grid_errors(f, grid)] == [
                 mpmath.nstr(e, 17) for e in want], n
 
@@ -902,20 +911,28 @@ class TestFailureBranches:
 
     @staticmethod
     def plant_on_v3(monkeypatch, planted):
-        # v_3 planted worse than v_2 at the sample indices of planted, on the unit grid
+        # v_3 planted worse than v_2 at the source indices of planted, on the unit grid
         def errors(n, grid):
-            return [planted.get(i, mpf(0)) if n == 3 else mpf(0) for i in range(len(grid.samples))]
+            return [planted.get(i, mpf(0)) if n == 3 else mpf(0) for i in range(len(grid.sources))]
 
         monkeypatch.setattr(verify, "v_iterate", lambda n: n)
         monkeypatch.setattr(verify, "_grid_errors", errors)
         return check_monotone_improvement(4, 1.0, PREC)
 
+    @staticmethod
+    def source_index(grid, i):
+        # the index in grid.sources of the i-th point, which must be a source
+        z = grid.points()[i]
+        return next(j for j, (source, *_) in enumerate(grid.sources) if source._mpc_ == z._mpc_)
+
     def test_monotone_improvement_fails_inside_and_warns_on_the_circle(self, monkeypatch):
         # v_3 planted worse than v_2 at z = 1/8 and at z = 1: the inside point
         # fails the check, reported at n = 2; the one on |z| = 1 only warns
         grid = DiskGrid(1.0, prec=PREC)
-        planted = {0: mpf(2) ** -20, (grid.radial - 1) * grid.angular: mpf(1)}
-        assert [grid.samples[i][0] for i in planted] == [mpf(1) / 8, 1]
+        one = self.source_index(grid, (grid.radial - 1) * grid.angular)
+        planted = {0: mpf(2) ** -20, one: mpf(1)}
+        assert [grid.sources[i][0] for i in planted] == [mpf(1) / 8, 1]
+        assert [grid.sources[i][-1] for i in planted] == [1, 1]
         r = self.plant_on_v3(monkeypatch, planted)
         assert r.status == "fail" and r.samples == 4 * 128
         assert r.worst_case == {"n": 2, "z": "(0.125 + 0.0j)",
@@ -923,23 +940,27 @@ class TestFailureBranches:
         assert r.note == "1 boundary warnings (|z| = 1 is not asserted)"
 
     def test_monotone_improvement_warns_twice_for_a_conjugate_pair_on_the_circle(self, monkeypatch):
-        # angles 1 and 15 of 16 on the outer ring: one pair, two samples, two warnings
+        # angles 1 and 15 of 16 on the outer ring: one source of weight 2, two warnings
         grid = DiskGrid(1.0, prec=PREC)
         pair = [(grid.radial - 1) * grid.angular + j for j in (1, grid.angular - 1)]
-        (re, im), conj = (grid.samples[i][0]._mpc_ for i in pair)
+        (re, im), conj = (grid.points()[i]._mpc_ for i in pair)
         assert im != mpmath.libmp.fzero and conj == (re, mpmath.libmp.mpf_neg(im))
-        r = self.plant_on_v3(monkeypatch, dict.fromkeys(pair, mpf(1)))
+        source = self.source_index(grid, pair[0])
+        assert grid.sources[source][-1] == 2
+        r = self.plant_on_v3(monkeypatch, {source: mpf(1)})
         assert r.status == "pass" and r.worst_case is None
         assert r.note == "2 boundary warnings (|z| = 1 is not asserted)"
 
     def test_monotone_improvement_reports_the_first_of_a_conjugate_pair(self, monkeypatch):
-        # angles 3 and 13 of 16 on the ring |z| = 1/2: equal increases, the earlier z
+        # angles 3 and 13 of 16 on the ring |z| = 1/2: one source of weight 2, the earlier z
         grid = DiskGrid(1.0, prec=PREC)
         first, second = (3 * grid.angular + j for j in (3, grid.angular - 3))
-        z = grid.samples[first][0]
+        z = grid.points()[first]
         re, im = z._mpc_
-        assert z.imag > 0 and grid.samples[second][0]._mpc_ == (re, mpmath.libmp.mpf_neg(im))
-        r = self.plant_on_v3(monkeypatch, {first: mpf(2) ** -20, second: mpf(2) ** -20})
+        assert z.imag > 0 and grid.points()[second]._mpc_ == (re, mpmath.libmp.mpf_neg(im))
+        source = self.source_index(grid, first)
+        assert grid.sources[source][-1] == 2
+        r = self.plant_on_v3(monkeypatch, {source: mpf(2) ** -20})
         assert r.status == "fail" and r.note == ""
         assert r.worst_case == {"n": 2, "z": mpmath.nstr(z, 17), "increase": "9.5367431640625e-7"}
         assert r.worst_case["z"] == "(0.19134171618254489 + 0.46193976625564338j)"
