@@ -39,6 +39,7 @@ from .verify import (
     DiskGrid,
     _FloatEvaluator,
     _horner_bits,
+    _refuse_taylor_work,
     _slack,
     _to_mpf,
     default_suite,
@@ -83,6 +84,7 @@ def cmd_coeffs(args) -> int:
     scheme = _scheme_from(args.scheme, args.p)
     if not 0 <= args.M <= MAX_COEFF_INDEX:
         raise ChebsqrtError(f"--M = {args.M} is outside the coefficient range 0..{MAX_COEFF_INDEX}")
+    _refuse_taylor_work(scheme, args.k, args.M)
     f = iterate(scheme, args.k)
     cs = taylor_coefficients(f, args.M)
     p = 2 if scheme.kind == "v" else scheme.p

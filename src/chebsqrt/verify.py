@@ -76,6 +76,13 @@ MAX_GRID_POINTS = 1024
 # suite's 8 x 16 grid.  Newton k = 12 on a 32 x 32 grid, eight times that, ran 72-94 s.
 MAX_DISK_BOUND_WORK = MAX_DEGREE * 128
 
+# Largest degree x M of a coefficient listing (coeffs, explore-guo): the largest
+# power of two whose runs stay within about 5 s.  On a shared 2-vCPU host the
+# slowest admitted, coeffs --scheme v --k 255 --M 4096 and --scheme newton --k 12
+# --M 256, took 1.8-2.4 and 3.0-3.7 s; at twice the cap, --scheme v --k 511 --M 4096
+# took 4.5-5.0 s and the Taylor kernel alone at degree 512, M = 2048 up to 5.1 s.
+MAX_TAYLOR_WORK = MAX_DEGREE * 256
+
 # Largest cutoff of tail-sum's exact partial sums.  The cutoff grows linearly
 # with the precision.  This was the power of two nearest a 5 s run under the
 # Fraction recurrence (7-8 s at 800 bits); on the integer kernel, on a shared
@@ -125,6 +132,14 @@ def _v_range(name: str, start: int, n_max: int, ahead: int = 0):
 def _refuse_past_cap(name: str, top: int) -> None:
     if top > MAX_RANGE_N[name]:
         raise CapExceeded(f"n = {top} exceeds the {name} cap {MAX_RANGE_N[name]}")
+
+
+def _refuse_taylor_work(scheme: Scheme, k: int, M: int) -> None:
+    """CapExceeded, before the k-th iterate is built, when its degree x M passes MAX_TAYLOR_WORK."""
+    degree = capped_degree(scheme, k)
+    if degree * M > MAX_TAYLOR_WORK:
+        raise CapExceeded(f"{scheme} k = {k}: degree {degree} x M = {M} exceeds "
+                          f"the Taylor work cap {MAX_TAYLOR_WORK}")
 
 
 def _worst(samples):
@@ -766,7 +781,7 @@ def check_radius_pole(n_max: int, prec: int = DEFAULT_PREC) -> CheckResult:
     with workprec(prec + GUARD_BITS):
         for n, f in vs:
             radius = radius_of_convergence(n, prec)
-            b = f.pair[1]  # B / lead(B), the monic denominator, evaluated exactly
+            b = f.pair[1]  # B itself, not monic: the Fraction below divides B(radius) by its lead
             x, _, s = _fixed_point(radius)  # radius = x / 2**s
             e = len(b) - 1
             value, _ = _gaussian_horner(b, x, 0, 1 << s, e)
@@ -901,6 +916,7 @@ def guo_explore(p: int, scheme_kind: str, k: int, M: int) -> GuoReport:
         raise BadIndex("need k >= 1 and M >= 1")
     if M > MAX_COEFF_INDEX:
         raise CapExceeded(f"M = {M} exceeds the coefficient cap {MAX_COEFF_INDEX}")
+    _refuse_taylor_work(scheme, k, M)
     f = iterate(scheme, k)
     xs, Ds = _taylor_scaled(f, M)  # c_m = xs[m] / Ds[m] with Ds[m] > 0
     head = _head_length(xs, Ds, p)

@@ -648,6 +648,8 @@ def test_bad_input_is_usage_error(capsys, monkeypatch, argv):
     # under the degree cap, but past the disk-bound cap on degree x grid samples
     ("verify", "--check", "disk-bound", "--scheme", "newton", "--k", "12",
      "--grid-radial", "32", "--grid-angular", "32"),
+    # under the degree and coefficient caps, but past the Taylor work cap on degree x M
+    ("coeffs", "--scheme", "v", "--k", "4096", "--M", "4096"),
 ])
 def test_every_refusal_comes_before_any_work(capsys, monkeypatch, argv):
     def no_work(*args, **kwargs):

@@ -248,6 +248,18 @@ class TestExactChecks:
             with pytest.raises(CapExceeded, match="disk-bound cap"):
                 check_disk_bound(scheme, k, DiskGrid(1.0, radial, angular, PREC))
 
+    def test_taylor_work_cap(self, monkeypatch):
+        # degree x M up to MAX_DEGREE x 256 is admitted: Newton k = 12 (degree 2048)
+        # to M = 256 and Halley k = 7 (degree 1093) to M = 479; past it, refused
+        # before the build
+        monkeypatch.setattr(verify, "iterate", lambda scheme, k: _no_build(k))
+        for kind, k, M in (("newton", 12, 256), ("halley", 7, 479)):
+            with pytest.raises(AssertionError, match="was built"):
+                guo_explore(2, kind, k, M)
+        for kind, k, M in (("newton", 12, 257), ("halley", 7, 480)):
+            with pytest.raises(CapExceeded, match="Taylor work cap"):
+                guo_explore(2, kind, k, M)
+
     def test_row_indices_refuse_before_any_build(self, monkeypatch):
         monkeypatch.setattr(verify, "v_iterate", _no_build)
         for name in ("head", "tail-signs", "ratio-identity"):
@@ -804,7 +816,10 @@ class TestSuiteRunner:
     def test_verify_all_sweeps_each_pair_once_per_grid(self, monkeypatch):
         # the compact rows share one sweep of v_1..v_17 (alone they make 16 + 17),
         # and five of the six Newton/Halley disk-bound rows read the v row of
-        # equal pair and power (16 sweeps for 21 rows): 33 in all, 54 unshared
+        # equal pair and power (16 sweeps for 21 rows): 33 in all, 54 unshared.
+        # Each sweep runs A and B on the 72 sources of its 8x16 grid, not on
+        # all 128 points: 33 * 72 * 2 Horner calls.  The roots are the two grids'
+        # 2 * 72, sqrt-consistency's 128 and ratio-identity's 16 * 5
         calls = []
         real = verify._grid_errors
 
@@ -812,12 +827,24 @@ class TestSuiteRunner:
             calls.append((f.pair, grid.radius))
             return real(f, grid)
 
+        def tally(name):
+            inner, count = getattr(verify, name), [0]
+
+            def counted(*args):
+                count[0] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(verify, name, counted)
+            return count
+
         monkeypatch.setattr(verify, "_grid_errors", counting)
+        horners, roots = tally("_fixed_horner"), tally("sqrt_principal")
         rows = default_suite(16, PREC)
         assert all(r.status in ("pass", "skip") for r in rows)
         assert [radius for _, radius in calls].count(0.9) == 17
         assert [radius for _, radius in calls].count(1.0) == 16
         assert len(set(calls)) == len(calls) == 33
+        assert horners == [33 * 72 * 2] and roots == [2 * 72 + 128 + 16 * 5]
 
     @pytest.mark.parametrize("order", [(check_uniform_compact, check_monotone_improvement),
                                        (check_monotone_improvement, check_uniform_compact)])
