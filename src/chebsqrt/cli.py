@@ -278,9 +278,9 @@ def cmd_bench(args) -> int:
     if args.points * args.reps > MAX_BENCH_EVALS:
         raise ChebsqrtError(f"--points x --reps exceeds the bench cap {MAX_BENCH_EVALS}")
     prec = args.prec
+    f = v_iterate(args.n)  # refuses an n past the degree cap before a point is drawn
     rng = random.Random(args.seed)
     pts = _random_disk_rationals(rng, args.points)
-    f = v_iterate(args.n)
     pf = decompose(args.n, prec)
     work = _horner_bits(f, prec)
     ev = _FloatEvaluator(f, work)

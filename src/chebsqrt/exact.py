@@ -36,7 +36,9 @@ a few small gcds and divides no coefficient.  Copy and pickle name 1, as
 the stored pair is canonical.  The general constructor and older
 two-argument pickles name 0, which every prime divides, and get the full gcd.
 Neither class carries arithmetic operators: a ``Polynomial`` is only the
-view that printing, JSON and ``==`` read.
+view that printing, JSON and ``==`` read.  Both are frozen dataclasses of
+their one field, ``coeffs`` or ``pair``, so ``==`` and ``hash`` compare that
+canonical data and an object compares equal only to its own kind.
 
 Wire format: a rational scalar serializes as ``"p/q"`` in base 10 (``"p"``
 when the denominator is 1, which is what ``str(Fraction)`` produces); a
@@ -48,6 +50,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Sequence, Union
@@ -67,24 +70,23 @@ def as_fraction(x: RationalLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+@dataclass(frozen=True)
 class Polynomial:
     """Dense univariate polynomial; ``coeffs[i]`` multiplies ``z**i``.
 
     A read-only view with no arithmetic.  The zero polynomial stores no
     coefficients; otherwise the last stored coefficient is nonzero, so two
-    equal polynomials are structurally equal.  Instances are immutable.
+    equal polynomials are structurally equal.
     """
 
     __slots__ = ("coeffs",)
+    coeffs: tuple
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
         cs = [as_fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
 
     def __reduce__(self):
         # copy and pickle rebuild through __init__, not through __setattr__
@@ -107,16 +109,6 @@ class Polynomial:
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == Polynomial((other,))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __repr__(self):
         return f"Polynomial({[str(c) for c in self.coeffs]})"
@@ -141,12 +133,12 @@ class Polynomial:
         return " ".join(parts)
 
 
-def _coerce_poly(x):
+def _coerce_poly(x) -> Polynomial:
     if isinstance(x, Polynomial):
         return x
     if isinstance(x, (int, Fraction)):
         return Polynomial((x,))
-    return NotImplemented
+    raise TypeError("num and den must be Polynomial or rational scalars")
 
 
 ONE = Polynomial((1,))
@@ -274,6 +266,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial(Fraction(c, g[-1]) for c in g)
 
 
+@dataclass(frozen=True)
 class RationalFunction:
     """Quotient of two polynomials in canonical form.
 
@@ -283,12 +276,11 @@ class RationalFunction:
     """
 
     __slots__ = ("pair",)
+    pair: tuple
 
     def __init__(self, num, den=ONE):
         num = _coerce_poly(num)
         den = _coerce_poly(den)
-        if num is NotImplemented or den is NotImplemented:
-            raise TypeError("num and den must be Polynomial or rational scalars")
         if den.is_zero:
             raise ZeroDenominator("denominator is the zero polynomial")
         da, a = _integer_form(num.coeffs)
@@ -336,9 +328,6 @@ class RationalFunction:
                 num, den = [c // r for c in num], [c // r for c in den]
         object.__setattr__(self, "pair", (tuple(num), tuple(den)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
-
     def __reduce__(self):
         # the stored pair is canonical already, so copy and pickle name no prime of
         # its content (1) and take neither gcd; older two-argument pickles name 0
@@ -359,16 +348,6 @@ class RationalFunction:
     @property
     def is_polynomial(self) -> bool:
         return len(self.pair[1]) == 1
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RationalFunction):
-            return self.pair == other.pair
-        if isinstance(other, (int, Fraction, Polynomial)):
-            return self == RationalFunction(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.pair)
 
     def __call__(self, x: RationalLike) -> Fraction:
         """Exact value at a rational point; raises PoleAtPoint on a pole.

@@ -971,7 +971,7 @@ def check_head_lengths(M: int) -> CheckResult:
     """Head agreement reaches 2^k (Newton) and 3^k (Halley) at p = 2, each iterate
     read only to c_(required - 1), required = min(M + 1, head_length(k))."""
     if M < 1:
-        raise BadIndex("need k >= 1 and M >= 1")
+        raise BadIndex("head-lengths needs M >= 1")
     if M > MAX_COEFF_INDEX:
         raise CapExceeded(f"M = {M} exceeds the coefficient cap {MAX_COEFF_INDEX}")
     bad = None

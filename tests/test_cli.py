@@ -505,7 +505,8 @@ class TestDeterminismAndConfig:
         proc = subprocess.run(
             [sys.executable, "-m", "chebsqrt.cli", "--format", "json",
              "decompose", "--n", "2"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, cwd=Path(__file__).resolve().parents[1],
+            env={**os.environ, "PYTHONPATH": "src"},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["n"] == 2
@@ -618,6 +619,8 @@ class TestDeterminismAndConfig:
     ("eval", "--scheme", "v", "--p", "3", "--k", "2", "--at", "1/2"),
     # past the tail-sum cutoff cap: n_max 16 at 4096 bits needs cutoff 41347
     ("--prec", "4096", "verify", "--check", "tail-sum"),
+    # past the degree cap, refused before bench draws its points
+    ("bench", "--n", "4097", "--points", "3"),
 ])
 def test_bad_input_is_usage_error(capsys, monkeypatch, argv):
     def no_work(*args):

@@ -232,6 +232,22 @@ class TestPolynomial:
         assert Polynomial(F(c) for c in strings) == p
 
 
+class TestEquality:
+    def test_equal_objects_hash_equal(self):
+        # == compares the canonical data of one kind, so equal objects hash alike
+        v3 = v_iterate(3)
+        values = [1, 3, F(3), F(1, 2), Polynomial(), Polynomial([1]), Polynomial([3]),
+                  Polynomial([F(6, 2)]), RationalFunction(1), RationalFunction(Polynomial([2]), 2),
+                  v_iterate(0), v3, v3.num, Polynomial(v3.num.coeffs),
+                  RationalFunction(v3.num, v3.den)]
+        equal = [(a, b) for a in values for b in values if a is not b and a == b]
+        for a, b in equal:
+            assert b == a and hash(a) == hash(b)
+        assert len(equal) == 14
+        assert RationalFunction(1) != 1 and Polynomial([3]) != 3
+        assert v_iterate(0) != Polynomial([1]) and v_iterate(0) == RationalFunction(1)
+
+
 class TestCopyAndPickle:
     @pytest.mark.parametrize(
         "obj",
@@ -245,7 +261,7 @@ class TestCopyAndPickle:
     )
     def test_round_trips(self, obj):
         for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
-            assert type(twin) is type(obj) and twin == obj
+            assert type(twin) is type(obj) and twin == obj and hash(twin) == hash(obj)
 
     @pytest.mark.parametrize(
         "build",
@@ -356,7 +372,7 @@ class TestRationalFunction:
         if d.is_zero:
             return
         f = RationalFunction(Polynomial(num), d)
-        for g in (f, v_step(f)) if f != -1 else (f,):
+        for g in (f, v_step(f)) if f != RationalFunction(-1) else (f,):
             a, b = g.pair
             assert math.gcd(*a, *b) == 1
             assert b[-1] > 0

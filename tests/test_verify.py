@@ -222,6 +222,13 @@ class TestExactChecks:
         with pytest.raises(BadIndex, match="compact radius"):
             check_uniform_compact(4, 1.0)
 
+    def test_head_lengths_names_only_its_own_input(self):
+        # the row takes no k, so its refusal names M alone
+        with pytest.raises(BadIndex, match=r"^head-lengths needs M >= 1$"):
+            check_head_lengths(0)
+        with pytest.raises(CapExceeded, match="coefficient cap"):
+            check_head_lengths(verify.MAX_COEFF_INDEX + 1)
+
     @pytest.mark.parametrize("name, n_max", [
         ("value_at_one", 4097), ("uniform_compact", 4097), ("monotone_improvement", 4096),
         ("resummation", 4097), ("coeff_formula", 4097), ("radius_pole", 4097),
