@@ -6,7 +6,7 @@ the integer product that the Newton and Halley steps of ``iterates`` share;
 the gcd is the primitive remainder sequence on integer forms; the
 Taylor recurrence (``_taylor_scaled``) keeps each coefficient as an integer
 numerator over one common denominator, the lcm of the denominators so far,
-with one gcd per term, taken against the small constant B(0); and
+with shifts for the power of two in B(0), a gcd for its odd part; and
 evaluation at a rational or complex rational point runs Horner on Gaussian
 integers against powers of the point's common denominator, reducing only
 the final real and imaginary parts.  They convert back to `Fraction`
@@ -377,17 +377,29 @@ def _taylor_scaled(f: RationalFunction, M: int) -> tuple[list[int], list[int]]:
     """Integers xs, Ds with c_m = xs[m] / Ds[m] the Taylor coefficients c_0..c_M of f.
 
     Runs the recurrence c_m = (a_m - sum_{j>=1} b_j c_{m-j}) / b_0 on the
-    stored pair f = A/B: O(M * deg B) integer products.  The window
-    c_{m-d..m-1} (d = deg B) is kept as numerators w over one common
-    denominator D, so acc = a_m*D - sum_j b_j*w_{m-j} gives c_m = acc / (D*b_0).
-    The one gcd per term, g = gcd(acc, |b_0|), is against the small constant
-    b_0: the new numerator is sign(b_0)*acc/g, over D*u with u = |b_0|/g
-    coprime to acc/g.  When u > 1, D and the window are multiplied by u.
+    stored pair f = A/B, negated when b_0 < 0: O(M * deg B) integer products.
+    With b_0 = 2**e * o, o odd, the window c_{m-d..m-1} (d = deg B) holds
+    numerators over D * 2**h, so acc = a_m*D*2**h - sum_j b_j*w_{m-j} is
+    c_m * b_0 * D * 2**h, and h >= 0 bits of headroom sit above D.
 
-    Invariant: D_m = lcm(den c_0..c_m), prime by prime -- a prime of u
-    divides den c_m to exactly its power in D*u, and every other prime of
-    den c_m divides D already.  So one path serves every b_0, with no fixed
-    scale to trust.  Ds[m] > 0, and xs[m] / Ds[m] need not be in lowest terms.
+    Invariant: D_m = lcm(den c_0..c_m), prime by prime.  The odd growth is
+    u = o / gcd(acc, o); the 2-part is 2**s, s = e + h - min(v2(acc), e + h),
+    read from acc's trailing zeros.  A prime of u * 2**s divides den c_m to
+    exactly its power in D * u * 2**s, and every other prime of den c_m
+    divides D already.  So one path serves every b_0, with no fixed scale.
+
+    Invariant: the window holds c * D * 2**h.  Growth 2**s spends s bits of
+    h and leaves the window alone; only when s > h is it shifted up, refilling
+    h to bitlen(D) / 16 bits: the headroom adds at most that to each product,
+    and refills come at least that many bits of growth apart.  (A refill of e
+    bits made Newton k = 12 at p = 2, where e = 4095 dwarfs D, 5x slower.)
+    Odd growth multiplies the window by u.
+
+    The 2-part goes by shifts because every p = 2 iterate has b_0 =
+    +-2**(N-1): such a term costs d products and one trailing-zero read, with
+    no gcd or division, and touches the window only on a refill.  An odd
+    part o > 1 adds one gcd against o per term.  Ds[m] > 0, and xs[m] / Ds[m]
+    need not be in lowest terms.
     """
     if M < 0:
         raise BadIndex("series cutoff must be >= 0")
@@ -395,21 +407,35 @@ def _taylor_scaled(f: RationalFunction, M: int) -> tuple[list[int], list[int]]:
     b0, d = b[0], len(b) - 1
     if b0 == 0:
         raise NotAnalyticAtZero("denominator vanishes at 0")
-    r, sign, tail = abs(b0), 1 if b0 > 0 else -1, b[1:]
-    D = 1
-    window: deque[int] = deque(maxlen=d)  # numerators of c_{m-1}, c_{m-2}, ... over D
+    if b0 < 0:
+        a, b, b0 = [-c for c in a], [-c for c in b], -b0
+    e = (b0 & -b0).bit_length() - 1
+    o, tail = b0 >> e, b[1:]
+    D, h = 1, 0
+    window: deque[int] = deque(maxlen=d)  # c_{m-1}, c_{m-2}, ... over D * 2**h
     xs: list[int] = []
     Ds: list[int] = []
     for m in range(M + 1):
-        acc = (a[m] * D if m < len(a) else 0) - sum(map(operator.mul, tail, window))
-        g = math.gcd(acc, r)
-        u = r // g
-        if u > 1:
-            D *= u
-            window = deque((w * u for w in window), maxlen=d)
-        x = acc // g * sign
-        window.appendleft(x)
-        xs.append(x)
+        acc = (a[m] * D << h if m < len(a) else 0) - sum(map(operator.mul, tail, window))
+        if o > 1:
+            g = math.gcd(acc, o)
+            acc //= g
+            if g < o:
+                u = o // g
+                D *= u
+                window = deque((w * u for w in window), maxlen=d)
+        if e:
+            k = min(e + h, (acc & -acc).bit_length() - 1) if acc else e + h
+            acc >>= k  # c_m * D_m: D grows by 2**s, s = e + h - k
+            if k < e + h:
+                D <<= e + h - k
+                h = k - e
+                if h < 0:
+                    lift = (D.bit_length() >> 4) - h
+                    window = deque((w << lift for w in window), maxlen=d)
+                    h += lift
+        window.appendleft(acc << h)
+        xs.append(acc)
         Ds.append(D)
     return xs, Ds
 

@@ -33,8 +33,10 @@ from chebsqrt import (
     v_iterate,
     v_step,
 )
+from chebsqrt import exact
 from chebsqrt.cli import _random_disk_rationals
 from chebsqrt.exact import _convolve, _int_gcd, _taylor_scaled
+from chebsqrt.verify import _tail_cutoff, _times_one_minus_z
 from oracles import mul, scale, strip, taylor
 from test_iterates import direct_v
 
@@ -90,9 +92,11 @@ def naive_ratfun_complex(num, den, re, im):
     return (nr * dr + ni * di) / norm, (ni * dr - nr * di) / norm
 
 
-# den(0) of mixed sign and size, including values that are not powers of two
+# den(0) of mixed sign and size, including values that are not powers of two,
+# large powers of two and 2**a * odd values, whose 2-part the Taylor kernel shifts
 den_constants = st.one_of(
-    st.sampled_from([F(3), F(-7), F(-1), F(1, 3), F(-7, 12)]),
+    st.sampled_from([F(3), F(-7), F(-1), F(1, 3), F(-7, 12), F(2**100), F(-(2**64)),
+                     F(3 * 2**9), F(-96), F(2**20 * 45)]),
     wide_fractions.filter(lambda c: c != 0),
 )
 
@@ -505,13 +509,37 @@ class TestTaylor:
     @example(RationalFunction(Polynomial([1, F(2, 3), F(1, 5)]), Polynomial([-7, F(1, 2), 1])), 30)
     @example(RationalFunction(Polynomial([F(1, 2), F(-2, 9), 0, F(11, 7)])), 2)
     @example(iterate(Scheme.halley(7), 2), 40)
-    @settings(max_examples=150, deadline=None)
+    # each term's D grows by 2**100, more than the headroom: 23 refills in 31 terms
+    @example(RationalFunction(Polynomial([1]), Polynomial([2**100, -1])), 30)
+    # the odd terms are zero while e = 2
+    @example(RationalFunction(Polynomial([1]), Polynomial([4, 0, -1])), 40)
+    # b_0 = 3 * 2**9: odd and binary growth together, the headroom refilled 49 times
+    @example(RationalFunction(Polynomial([1, 2]), Polynomial([3 * 2**9, 5, -7])), 250)
+    # the examples run in order and stop at the first failure: a broken kernel can
+    # grow D exponentially on the last one
+    @settings(max_examples=150, deadline=None, report_multiple_bugs=False)
     def test_scaled_kernel_matches_oracle_and_keeps_the_lcm(self, f, M):
         # c_m = x_m / D_m with D_m = lcm(den c_0..c_m) exactly, not a multiple
         xs, Ds = _taylor_scaled(f, M)
         cs = taylor(f.num.coeffs, f.den.coeffs, M)
         assert list(map(F, xs, Ds)) == cs
         assert Ds == list(accumulate((c.denominator for c in cs), math.lcm))
+
+    def test_binary_b0_takes_no_gcd(self, monkeypatch):
+        # p = 2 has b_0 = +-2**(N-1): its 2-part goes by shifts, and o = 1 needs
+        # no gcd.  Inputs: tail-sum's running function for v_16 and Newton k = 4
+        a, b = v_iterate(16).pair
+        inputs = [(RationalFunction._from_coprime(a, _times_one_minus_z(b), 1), _tail_cutoff(16, 256)),
+                  (iterate(Scheme.newton(2), 4), 200)]
+        expected = [taylor_coefficients(f, M) for f, M in inputs]
+
+        def no_gcd(*args):
+            raise AssertionError("gcd taken")
+
+        monkeypatch.setattr(exact.math, "gcd", no_gcd)
+        got = [_taylor_scaled(f, M) for f, M in inputs]
+        monkeypatch.undo()
+        assert [tuple(map(F, *r)) for r in got] == expected
 
     def test_partial_sums_converge_inside_radius(self):
         # reconstruction: resummation at x = 1/10 approaches the exact value

@@ -853,6 +853,21 @@ class TestSuiteRunner:
         assert len(set(calls)) == len(calls) == 33
         assert horners == [33 * 72 * 2] and roots == [2 * 72 + 128 + 16 * 5]
 
+    def test_verify_all_taylor_work_is_pinned(self, monkeypatch):
+        # every Taylor coefficient the suite reads goes through the kernel:
+        # 74 calls for 19 225 terms, so added Taylor work shows here
+        calls = []
+        real = verify._taylor_scaled
+
+        def counting(f, M):
+            calls.append(M + 1)
+            return real(f, M)
+
+        monkeypatch.setattr(verify, "_taylor_scaled", counting)
+        rows = default_suite(16, PREC)
+        assert all(r.status in ("pass", "skip") for r in rows)
+        assert (len(calls), sum(calls)) == (74, 19225)
+
     @pytest.mark.parametrize("order", [(check_uniform_compact, check_monotone_improvement),
                                        (check_monotone_improvement, check_uniform_compact)])
     def test_compact_rows_alone_equal_their_suite_rows(self, order):
