@@ -26,8 +26,10 @@ from mpmath import mpc, mpf, workprec
 
 from .chebyshev import DEFAULT_PREC
 from .closedform import decompose, radius_of_convergence, tail_sum_identity
-from .errors import BadRootOrder, ChebsqrtError
+from .errors import BadRootOrder, CapExceeded, ChebsqrtError, PoleAtPoint
 from .exact import (
+    _gaussian_point,
+    _ratfun_gaussian,
     eval_ratfun_complex,
     root_series_coeffs,
     taylor_coefficients,
@@ -56,6 +58,12 @@ MAX_PREC = 4096
 # so an uncapped request could exhaust memory or run for days; the
 # largest admitted run, 1000 points at n = 4096, takes about 300 s.
 MAX_BENCH_EVALS = 1000
+
+# Largest degree (at least 1) x point bits of an eval, the bits of the largest of
+# x, y, D, z = (x + y*i) / D: the largest power of two whose runs stay within about
+# 5 s.  On a shared 2-vCPU host, eval --scheme newton --k 12 (a 2.6 s build) took
+# 3.6-4.4 s at a 64-bit point, 5.1-6.5 s at twice the cap, a 128-bit point.
+MAX_EVAL_WORK = 1 << 17
 
 
 def _float_str(x, prec: int) -> str:
@@ -157,40 +165,53 @@ def _rational(text: str, flag: str) -> Fraction:
                             f"got {text!r}") from None
 
 
+def _full_str(x) -> str:
+    """str(x) with Python's limit on int -> str digits lifted, then restored; releases
+    without ``sys.set_int_max_str_digits`` have no limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    set_limit(0)
+    try:
+        return str(x)
+    finally:
+        set_limit(limit)
+
+
 def cmd_eval(args) -> int:
     """Exact value of the iterate at a rational or complex rational point.
 
-    Decimal parts are exact rationals, so the complex value comes from the
-    exact evaluator too; each printed decimal is rounded once, at prec bits.
+    Decimal parts are exact rationals, so both points run through the exact
+    Gaussian-integer kernel; each printed decimal is rounded once, at prec
+    bits, from its unreduced quotient.  Degree x point bits past
+    MAX_EVAL_WORK is refused before the build, and an exact value prints in full.
     """
     prec = args.prec
     scheme = _scheme_from(args.scheme, args.p)
     if args.at is not None:
-        x = _rational(args.at, "--at")
+        re, im, at = _rational(args.at, "--at"), Fraction(0), args.at
     else:
         re, im = _rational(args.at_re, "--at-re"), _rational(args.at_im, "--at-im")
-    f = iterate(scheme, args.k)
+        at = f"{args.at_re}+{args.at_im}i"
+    point = _gaussian_point(re, im)
+    degree, bits = max(capped_degree(scheme, args.k), 1), max(abs(c).bit_length() for c in point)
+    if degree * bits > MAX_EVAL_WORK:
+        raise CapExceeded(f"{scheme} k = {args.k}: degree {degree} x {bits} point bits "
+                          f"exceeds the eval work cap {MAX_EVAL_WORK}")
+    a, b, s = _ratfun_gaussian(iterate(scheme, args.k), *point)
+    if s == 0:
+        raise PoleAtPoint(f"denominator vanishes at {at}")
+    with workprec(prec):
+        val_re, val_im = _to_mpf(a, s), _to_mpf(b, s)
     if args.at is not None:
-        value = f(x)
-        with workprec(prec):
-            approx = _to_mpf(value.numerator, value.denominator)
-        if args.format == "json":
-            print(json.dumps({"scheme": str(scheme), "k": args.k, "at": str(x),
-                              "exact": str(value), "decimal": _float_str(approx, prec)}))
-        else:
-            print(f"{scheme} iterate k={args.k} at {x}: {value} = {_float_str(approx, prec)}")
+        x, value = _full_str(re), _full_str(Fraction(a, s))
+        fields = {"at": x, "exact": value, "decimal": _float_str(val_re, prec)}
+        text = f"at {x}: {value} = {fields['decimal']}"
     else:
-        value = eval_ratfun_complex(f, re, im)
-        with workprec(prec):
-            val_re, val_im = _rounded(*value)
-        if args.format == "json":
-            print(json.dumps({"scheme": str(scheme), "k": args.k,
-                              "at_re": args.at_re, "at_im": args.at_im,
-                              "re": _float_str(val_re, prec),
-                              "im": _float_str(val_im, prec)}))
-        else:
-            print(f"{scheme} iterate k={args.k} at {args.at_re}+{args.at_im}i: "
-                  f"{_float_str(val_re, prec)} + {_float_str(val_im, prec)}i")
+        fields = {"at_re": args.at_re, "at_im": args.at_im,
+                  "re": _float_str(val_re, prec), "im": _float_str(val_im, prec)}
+        text = f"at {at}: {fields['re']} + {fields['im']}i"
+    print(json.dumps({"scheme": str(scheme), "k": args.k, **fields}) if args.format == "json"
+          else f"{scheme} iterate k={args.k} {text}")
     return 0
 
 

@@ -14,10 +14,10 @@ pair's largest coefficient bit length (``_horner_bits``).  The grid checks
 stay on integers after that: |A(z)/B(z) - w| against the grid's dyadic root
 w is formed exactly from the Horner values and rounds once, to an mpf at W
 bits (``_grid_errors``), once per iterate, grid and conjugate pair of
-samples: rows given one grid share what its sweeps reduce to
-(``DiskGrid.reductions``), so ``verify --all`` sweeps its compact grid once
-for two rows, and a Newton or Halley disk-bound row equal to a v row reads
-that row's worst case.
+samples: a grid keeps one error vector per iterate while it lives
+(``DiskGrid.errors``), and each row reduces the vectors it reads, so
+``verify --all``'s two compact rows share one grid's sweeps, and a Newton or
+Halley disk-bound row equal to a v row reads that row's errors.
 ``_FloatEvaluator`` returns A(z)/B(z) itself, its four integer parts and
 the quotient each rounded once.  ``resummation`` holds
 ``closedform.PartialFractionForm.eval``, one rounding per part, to the
@@ -192,9 +192,9 @@ class DiskGrid:
     once per grid, on first use.  A point that is an earlier point's exact
     conjugate has no entry of its own: off the cut sqrt(1 - conj z) =
     conj sqrt(1 - z), and the iterates' integer coefficients give it the
-    same error, so it adds to that source's weight.  Rows given the same
-    grid share ``reductions``: summaries (never error vectors) that a sweep
-    of the grid leaves for the next row to read.
+    same error, so it adds to that source's weight.  ``errors(f)`` holds one
+    error vector per iterate, kept while the grid lives, so rows given the
+    same grid sweep each iterate once, in any order.
     """
 
     radius: float = 1.0
@@ -240,10 +240,14 @@ class DiskGrid:
         return [(*entry, weight) for entry, weight in zip(entries, weights)]
 
     @cached_property
-    def reductions(self) -> dict:
-        """disk-bound's (worst excess, its z) by (pair, power) and the compact
-        sweep's summary by its top index, as rows on this grid compute them."""
+    def _errors(self) -> dict:
         return {}
+
+    def errors(self, f) -> list:
+        """``_grid_errors(f, self)``, computed on the first call for an iterate equal to f."""
+        if f not in self._errors:
+            self._errors[f] = _grid_errors(f, self)
+        return self._errors[f]
 
 
 def sqrt_principal(z, prec: int = DEFAULT_PREC):
@@ -536,21 +540,16 @@ def check_disk_bound(scheme: Scheme, k: int, grid: DiskGrid) -> CheckResult:
     factor = 2/sqrt(pi k) with power k+1 for the linear-fraction scheme;
     2/sqrt(pi)/sqrt(2^k - 1) with power 2^k for Newton (p = 2), and the
     3^k analogue for Halley.  Slack 2**-(prec - 16) covers float rounding.
-    The factor follows from the power, so a row whose pair and power equal
-    an earlier row's on the same grid (Newton k = 2 and v_3, say) reads that
-    row's worst excess from ``grid.reductions`` instead of sweeping again.
+    A row whose iterate equals an earlier row's on the same grid (Newton
+    k = 2 and v_3, say) reads its errors from ``grid.errors``.
     """
     prec = grid.prec
     tol = _slack(prec)
     with workprec(prec + GUARD_BITS):
         factor, power = _disk_bound_factor(scheme, k, grid)  # validates before the build
-        f = iterate(scheme, k)
-        key = ("disk-bound", f.pair, power)
-        if key not in grid.reductions:
-            grid.reductions[key] = _worst(
-                (err - factor * r ** power, z)
-                for err, (z, _, r, *_) in zip(_grid_errors(f, grid), grid.sources))
-        worst_excess, worst = grid.reductions[key]
+        errs = grid.errors(iterate(scheme, k))
+        worst_excess, worst = _worst(
+            (err - factor * r ** power, z) for err, (z, _, r, *_) in zip(errs, grid.sources))
     return CheckResult(
         name="disk-bound",
         params={"scheme": str(scheme), "k": k, "radius": grid.radius,
@@ -561,35 +560,6 @@ def check_disk_bound(scheme: Scheme, k: int, grid: DiskGrid) -> CheckResult:
     )
 
 
-def _compact_sweep(vs, top: int, grid: DiskGrid) -> tuple:
-    """(sups, increase, warnings) of one pass over vs = (n, v_n), n = 1..top, on grid.
-
-    ``_grid_errors`` runs once per iterate, and two error vectors are live at
-    a time.  sups[n - 1] is the sampled sup of |v_n - w|.  increase is the
-    first pointwise |v_n(z) - w| > |v_(n-1)(z) - w| + slack with |z| < 1, as
-    monotone-improvement reports it (at n - 1), or None; warnings counts
-    those on |z| = 1.  The summary is kept in grid.reductions under top, so
-    rows given one grid sweep it once.
-    """
-    key = ("compact", top)
-    if key not in grid.reductions:
-        tol = _slack(grid.prec)
-        sups, bad, warnings, errs = [], None, 0, []
-        with workprec(grid.prec + GUARD_BITS):
-            for n, f in vs:
-                new_errs = _grid_errors(f, grid)
-                sups.append(max(new_errs))
-                for before, after, (z, _, r, *_, weight) in zip(errs, new_errs, grid.sources):
-                    if after > before and after > before + tol:  # before + tol >= before
-                        if r >= 1:
-                            warnings += weight
-                        elif bad is None:
-                            bad = {"n": n - 1, "z": _nstr(z), "increase": _nstr(after - before)}
-                errs = new_errs
-        grid.reductions[key] = sups, bad, warnings
-    return grid.reductions[key]
-
-
 def check_uniform_compact(
     n_max: int, compact_radius: float | DiskGrid = 0.9, prec: int = DEFAULT_PREC
 ) -> CheckResult:
@@ -598,19 +568,18 @@ def check_uniform_compact(
     With q = sampled sup of |(1 - w)/(1 + w)| < 1 and C = 2 sup|w|/(1 - q**2),
     the sup at step n must lie below C * q**(n+1) and be non-increasing in n
     (both up to slack).  A DiskGrid in place of the radius is one that
-    ``default_suite`` gives both compact rows: it is swept to v_(n_max + 1),
-    once for the two, at the grid's precision.
+    ``default_suite`` gives both compact rows, at the grid's precision: they
+    share its ``errors``.
     """
+    vs = _v_range("uniform-compact", 1, n_max)
     shared = isinstance(compact_radius, DiskGrid)
-    ahead = 1 if shared else 0  # a shared sweep reaches monotone-improvement's last iterate
-    vs = _v_range("uniform-compact", 1, n_max, ahead)
     radius = compact_radius.radius if shared else compact_radius
     if not 0 < radius < 1:
         raise BadIndex("compact radius must be in (0, 1)")
     grid = compact_radius if shared else DiskGrid(radius, prec=prec)
-    sups = _compact_sweep(vs, n_max + ahead, grid)[0][:n_max]
     tol = _slack(grid.prec)
     with workprec(grid.prec + GUARD_BITS):
+        sups = [max(grid.errors(f)) for _, f in vs]
         ws = [w for _, w, *_ in grid.sources]
         q = max(abs((1 - w) / (1 + w)) for w in ws)
         big_c = 2 * max(abs(w) for w in ws) / (1 - q * q)
@@ -649,7 +618,16 @@ def check_monotone_improvement(
     """
     vs = _v_range("monotone-improvement", 1, n_max, ahead=1)
     grid = radius if isinstance(radius, DiskGrid) else DiskGrid(radius, prec=prec)
-    _, bad, warnings = _compact_sweep(vs, n_max + 1, grid)
+    tol = _slack(grid.prec)
+    bad, warnings, errs = None, 0, [grid.errors(f) for _, f in vs]
+    with workprec(grid.prec + GUARD_BITS):
+        for n in range(1, n_max + 1):  # v_n's errors against v_(n+1)'s
+            for before, after, (z, _, r, *_, weight) in zip(errs[n - 1], errs[n], grid.sources):
+                if after > before and after > before + tol:  # before + tol >= before
+                    if r >= 1:
+                        warnings += weight
+                    elif bad is None:
+                        bad = {"n": n, "z": _nstr(z), "increase": _nstr(after - before)}
     return CheckResult(
         name="monotone-improvement",
         params={"n_max": n_max, "radius": grid.radius},

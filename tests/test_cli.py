@@ -19,6 +19,7 @@ from mpmath import mpf, workprec
 
 from chebsqrt import cli, verify
 from chebsqrt.cli import MAX_BENCH_EVALS, MAX_PREC, main
+from chebsqrt.iterates import v_iterate
 from chebsqrt.verify import CHECKS, MAX_RANGE_N
 from test_exact import naive_ratfun_complex
 from test_iterates import direct_v
@@ -183,6 +184,27 @@ class TestEval:
     def test_missing_point_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--scheme", "v", "--k", "2")
         assert code == 2
+
+    def test_exact_value_past_the_digit_limit_prints_in_full(self, capsys):
+        # numerator and denominator of about 4300 digits each, past Python's
+        # default int -> str limit where it has one; the limit is restored after
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, _ = run_cli(capsys, "eval", "--scheme", "v", "--k", "4095", "--at", "101/103")
+        assert code == 0
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        want = cli._full_str(v_iterate(4095)(F(101, 103)))
+        assert max(map(len, want.split("/"))) > 4300 and f": {want} = " in out
+
+    @pytest.mark.parametrize("at, bits", [(("--at", "101/103"), 7),
+                                          (("--at-re", "101/103", "--at-im", "1/3"), 9)])
+    def test_cap_admits_its_maximum(self, capsys, monkeypatch, at, bits):
+        # v_4 has degree 2; 101/103 + i/3 = (303 + 103i)/309, whose largest part has 9 bits
+        work = 2 * bits
+        monkeypatch.setattr(cli, "MAX_EVAL_WORK", work)
+        assert run_cli(capsys, "eval", "--scheme", "v", "--k", "4", *at)[0] == 0
+        monkeypatch.setattr(cli, "MAX_EVAL_WORK", work - 1)
+        code, _, err = run_cli(capsys, "eval", "--scheme", "v", "--k", "4", *at)
+        assert code == 2 and "eval work cap" in err
 
 
 class TestVerify:
@@ -653,6 +675,9 @@ def test_bad_input_is_usage_error(capsys, monkeypatch, argv):
      "--grid-radial", "32", "--grid-angular", "32"),
     # under the degree and coefficient caps, but past the Taylor work cap on degree x M
     ("coeffs", "--scheme", "v", "--k", "4096", "--M", "4096"),
+    # under the degree cap, but past the eval work cap on degree x point bits
+    ("eval", "--scheme", "v", "--k", "4095", "--at-re", "1e-300", "--at-im", "1/3"),
+    ("eval", "--scheme", "v", "--k", "64", "--at", "1e-200000"),
 ])
 def test_every_refusal_comes_before_any_work(capsys, monkeypatch, argv):
     def no_work(*args, **kwargs):

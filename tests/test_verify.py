@@ -821,9 +821,9 @@ class TestSuiteRunner:
         assert _worst(iter([(mpf(0), 1), (mpf(0), 2)])) == (0, 1)
 
     def test_verify_all_sweeps_each_pair_once_per_grid(self, monkeypatch):
-        # the compact rows share one sweep of v_1..v_17 (alone they make 16 + 17),
-        # and five of the six Newton/Halley disk-bound rows read the v row of
-        # equal pair and power (16 sweeps for 21 rows): 33 in all, 54 unshared.
+        # the compact rows share their grid's errors of v_1..v_17 (alone they make
+        # 16 + 17), and five of the six Newton/Halley disk-bound rows read those of
+        # the equal v iterate (16 sweeps for 21 rows): 33 in all, 54 unshared.
         # Each sweep runs A and B on the 72 sources of its 8x16 grid, not on
         # all 128 points: 33 * 72 * 2 Horner calls.  The roots are the two grids'
         # 2 * 72, sqrt-consistency's 128 and ratio-identity's 16 * 5
@@ -876,6 +876,40 @@ class TestSuiteRunner:
             r = check(4, 0.9, PREC)
             assert r.to_json_dict() == suite[r.name]
 
+    @pytest.mark.parametrize("order", [(check_uniform_compact, check_monotone_improvement),
+                                       (check_monotone_improvement, check_uniform_compact)])
+    def test_compact_rows_on_one_grid_sweep_each_iterate_once(self, monkeypatch, order):
+        # uniform-compact reads v_1..v_4 and monotone-improvement v_1..v_5: five
+        # sweeps in either order, and each row keeps its suite bytes
+        suite = {r.name: r.to_json_dict() for r in default_suite(4, PREC)}
+        calls, real = [], verify._grid_errors
+        monkeypatch.setattr(verify, "_grid_errors", lambda f, grid: calls.append(f) or real(f, grid))
+        grid = DiskGrid(0.9, prec=PREC)
+        for check in order:
+            r = check(4, grid)
+            assert r.to_json_dict() == suite[r.name]
+        assert calls == [v_iterate(n) for n in range(1, 6)]
+
+    def test_an_equal_iterate_reads_an_earlier_rows_errors(self, monkeypatch):
+        # Newton k = 2 is v_3: after the v_3 row its row sweeps nothing
+        grid = DiskGrid(prec=PREC)
+        check_disk_bound(Scheme.v(), 3, grid)
+
+        def no_sweep(f, grid):
+            raise AssertionError("the grid swept an iterate it holds")
+
+        monkeypatch.setattr(verify, "_grid_errors", no_sweep)
+        assert check_disk_bound(Scheme.newton(2), 2, grid).status == "pass"
+
+    def test_grid_errors_are_the_iterates_own(self):
+        # v_3 and v_4 have degree 2, v_1 and v_2 degree 1: a memo keyed by
+        # anything coarser than the iterate hands one the other's errors
+        grid = DiskGrid(0.9, prec=PREC)
+        for n in (3, 4, 1, 2, 3):
+            f = v_iterate(n)
+            assert grid.errors(f) == _grid_errors(f, grid)
+        assert grid.errors(iterate(Scheme.newton(2), 2)) is grid.errors(v_iterate(3))
+
     def test_a_clean_compact_row_after_a_planted_one_passes(self, monkeypatch):
         # no sweep outlives its row: the planted step backwards fails, and the
         # clean rows right after it pass with the suite's bytes
@@ -890,7 +924,7 @@ class TestSuiteRunner:
             suite["monotone-improvement"])
 
     def test_the_compact_grid_is_freed_before_the_rows_after_it(self, monkeypatch):
-        # the shared grid, its samples and its sweep summary go with the
+        # the shared grid, its samples and its error vectors go with the
         # monotone row, so they add nothing to the memory of the later rows
         grids, alive = [], []
 
@@ -911,9 +945,9 @@ class TestSuiteRunner:
         assert len(grids) == 3 and alive == []  # sqrt-consistency's, disk-bound's, the compact one
 
     def test_disk_bound_shares_only_an_exact_pair_and_power(self, monkeypatch):
-        # v_4 planted for Newton k = 2: its pair is the v_4 row's, but its power
-        # is 4, v_3's, so it sweeps on its own and reports its own worst case,
-        # while the v_3 and v_4 rows keep their bytes
+        # v_4 planted for Newton k = 2: it reads the v_4 row's errors, but its
+        # power is 4, v_3's, so it reports its own worst case, while the v_3 and
+        # v_4 rows keep their bytes
         def by_row(rows):
             return {(r.params["scheme"], r.params["k"]): r.to_json_dict() for r in rows}
 
